@@ -21,7 +21,7 @@ import numpy as np
 from . import anyon, report, spectrum
 from .dense import (DEFAULT_DENSE_LIMIT, StateVector, dump_amplitudes, run,
                     state_from_dump)
-from .lattice import (build_planar6, build_toric, describe_model,
+from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
                       ground_state_circuit, planar6_graph_spec, syndrome)
 from .pauli import PauliString
 from .tableau import Tableau, init_toric_ground, syndrome_sweep
@@ -185,20 +185,22 @@ def _parse_errors(text: str, model, rng) -> list[tuple[str, tuple]]:
 
 def cmd_toric(args) -> int:
     model = build_toric(args.k)
-    rng = np.random.default_rng(args.seed)
-    t_init0 = time.perf_counter()
-    t = init_toric_ground(model, tuple(args.logical), seed=args.seed)
-    init_s = time.perf_counter() - t_init0
+    errors = _parse_errors(args.errors, model, np.random.default_rng(args.seed))
 
-    errors = _parse_errors(args.errors, model, rng)
+    # the errors fold into one Pauli frame: a bond hit twice cancels
+    t_frame0 = time.perf_counter()
+    x_mask = z_mask = 0
     for kind, bond in errors:
-        q = model.qubit_layout[bond]
-        p = PauliString.x_on(model.n_qubits, q) if kind == "x" \
-            else PauliString.z_on(model.n_qubits, q)
-        t.apply_pauli(p)
+        bit = 1 << (model.qubit_layout[bond] - 1)
+        if kind == "x":
+            x_mask ^= bit
+        else:
+            z_mask ^= bit
+    frame = PauliString(model.n_qubits, x_mask, z_mask)
+    frame_s = time.perf_counter() - t_frame0
 
     t_sweep0 = time.perf_counter()
-    sweep = syndrome_sweep(t, model)
+    sweep = error_syndrome(model, frame)
     sweep_s = time.perf_counter() - t_sweep0
 
     n_vertex = len(model.vertex_ops)
@@ -217,9 +219,9 @@ def cmd_toric(args) -> int:
         reps = []
         for _ in range(5):
             b0 = time.perf_counter()
-            syndrome_sweep(t, model)
+            error_syndrome(model, frame)
             reps.append(time.perf_counter() - b0)
-        bench = {"k": args.k, "n_qubits": model.n_qubits, "init_s": init_s,
+        bench = {"k": args.k, "n_qubits": model.n_qubits, "init_s": frame_s,
                  "first_sweep_s": sweep_s,
                  "cached_sweep_s": sorted(reps)[len(reps) // 2]}
         outputs.append(report.write_report(str(path) + ".bench.json", bench))
@@ -228,7 +230,7 @@ def cmd_toric(args) -> int:
                           args.seed, outputs)
     print(f"wrote {path}")
     if bench:
-        print(f"k={args.k}: init {bench['init_s']:.3f}s, first sweep "
+        print(f"k={args.k}: frame {bench['init_s']:.3f}s, first sweep "
               f"{bench['first_sweep_s']:.3f}s, cached sweep {bench['cached_sweep_s']:.4f}s")
     return 0
 
@@ -333,13 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="braid_demo.json")
     p.set_defaults(func=cmd_braid_demo)
 
-    p = sub.add_parser("toric", help="toric tableau with errors and syndrome sweep")
+    p = sub.add_parser("toric", help="syndromes of error strings on a k x k torus")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--errors", default="", help='e.g. "x:h:0:0,z:v:1:2,rand-x:5"')
     p.add_argument("--logical", type=_logical_bits, default=(0, 0))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweep", action="store_true",
-                   help="accepted for compatibility; the sweep always runs")
     p.add_argument("--bench", action="store_true", help="emit sweep timing table")
     p.add_argument("--out", default="syndromes.json")
     p.set_defaults(func=cmd_toric)

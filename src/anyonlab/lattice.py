@@ -179,6 +179,23 @@ def syndrome(model: LatticeModel, state: StateVector) -> list[SyndromeEntry]:
     return out
 
 
+def error_syndrome(model: LatticeModel, error: PauliString) -> list[tuple[str, int]]:
+    """Generator eigenvalues after a Pauli error on a ground state, in generator order.
+
+    A ground state is a +1 eigenstate of every generator, and E|psi> is a
+    -1 eigenstate of exactly the generators that anticommute with E, so the
+    syndrome is the parity of the symplectic product of E with each
+    generator (Dennis et al., quant-ph/0110143).  It needs no state, and it
+    is the same in every logical sector, because the logical X strings that
+    select a sector commute with every generator.
+    """
+    if error.n != model.n_qubits:
+        raise ValueError(f"error is {error.n}-qubit, model needs {model.n_qubits}")
+    ex, ez = error.x_mask, error.z_mask
+    return [(gid, -1 if ((g.x_mask & ez) ^ (g.z_mask & ex)).bit_count() & 1 else 1)
+            for gid, g in zip(model.generator_ids, model.generators)]
+
+
 def describe_model(model: LatticeModel) -> str:
     """Structured text: generator list plus the bond-to-qubit table."""
     lines = [f"geometry: {model.geometry}", f"qubits: {model.n_qubits}", "generators:"]

@@ -9,10 +9,13 @@ The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
 studies and sign-exact cross-validation of the dense engine.
 
-Deterministic generator measurements are memoized per tableau structure:
-Pauli gates (and error strings) only flip row signs, which the cache
-reads live, so sweeping syndromes after X/Z errors costs microseconds
-per generator.  Any H/S/CZ/SWAP invalidates the cache.
+Deterministic generator measurements are memoized per tableau structure,
+for error studies through this API (apply an error string, sweep, undo,
+sweep again): Pauli gates and error strings only flip row signs, which
+the cache reads live, so every sweep after the first costs microseconds
+per generator.  Any H/S/CZ/SWAP or random measurement invalidates the
+cache.  The ``toric`` command does not use a tableau at all: its
+syndromes come from the error's Pauli frame (``lattice.error_syndrome``).
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class Tableau:
         self._det_cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
         self._det_cache_version = -1
 
-    @classmethod
-    def zero_state(cls, n: int, seed: int | None = None) -> Tableau:
-        return cls(n, seed=seed)
-
     def copy(self) -> Tableau:
         t = Tableau.__new__(Tableau)
         t.n = self.n
@@ -63,9 +62,11 @@ class Tableau:
 
     # -- row helpers ---------------------------------------------------
 
-    def _anticommutes(self, row: int, p: PauliString) -> bool:
-        return bool(((self.xs[row] & p.z_mask)
-                     ^ (self.zs[row] & p.x_mask)).bit_count() & 1)
+    def _anticommuting_rows(self, p: PauliString, start: int, stop: int) -> list[int]:
+        """Indices in start..stop-1 of the rows that anticommute with p, ascending."""
+        xs, zs, px, pz = self.xs, self.zs, p.x_mask, p.z_mask
+        return [i for i in range(start, stop)
+                if ((xs[i] & pz) ^ (zs[i] & px)).bit_count() & 1]
 
     def _rowmult(self, h: int, i: int):
         """row_h := row_h * row_i with phase tracking."""
@@ -187,9 +188,9 @@ class Tableau:
         """Conjugate by a Pauli error string: pure sign flips."""
         if p.n != self.n:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
-        for i in range(2 * self.n):
-            if self._anticommutes(i, p):
-                self.phases[i] = (self.phases[i] + 2) % 4
+        phases = self.phases
+        for i in self._anticommuting_rows(p, 0, 2 * self.n):
+            phases[i] = (phases[i] + 2) % 4
         return self
 
     # -- measurement -----------------------------------------------------
@@ -199,22 +200,24 @@ class Tableau:
 
         Deterministic when +/-p is in the stabilizer group (the outcome
         is read off without touching the state); otherwise the outcome
-        is sampled from the seeded generator (or pinned by ``force``)
-        and the tableau collapses.
+        is sampled from the seeded generator (or pinned by ``force``, +1 or
+        -1) and the tableau collapses.
         """
+        if force not in (None, 1, -1):
+            raise ValueError(f"forced outcome must be +1 or -1, got {force!r}")
         if p.n != self.n:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
         if not p.is_hermitian:
             raise ValueError(f"cannot measure non-Hermitian operator {p}")
-        pivot = next((i for i in range(self.n, 2 * self.n)
-                      if self._anticommutes(i, p)), None)
-        if pivot is None:
+        n = self.n
+        stabilizers = self._anticommuting_rows(p, n, 2 * n)
+        if not stabilizers:
             return self._deterministic_outcome(p), True
 
-        for j in range(2 * self.n):
-            if j != pivot and self._anticommutes(j, p):
-                self._rowmult(j, pivot)
-        d = pivot - self.n
+        pivot = stabilizers[0]
+        for j in self._anticommuting_rows(p, 0, n) + stabilizers[1:]:
+            self._rowmult(j, pivot)
+        d = pivot - n
         self.xs[d] = self.xs[pivot]
         self.zs[d] = self.zs[pivot]
         self.phases[d] = self.phases[pivot]
@@ -235,9 +238,9 @@ class Tableau:
         key = (p.x_mask, p.z_mask)
         entry = self._det_cache.get(key)
         if entry is None:
-            if any(self._anticommutes(i, p) for i in range(self.n, 2 * self.n)):
+            if self._anticommuting_rows(p, self.n, 2 * self.n):
                 raise ValueError("operator is not deterministic on this tableau")
-            sel = tuple(i for i in range(self.n) if self._anticommutes(i, p))
+            sel = tuple(self._anticommuting_rows(p, 0, self.n))
             ax = az = acc = 0
             for i in sel:
                 row = self.n + i

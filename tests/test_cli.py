@@ -3,14 +3,28 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def cli_env(**extra):
+    """The test environment plus ``extra``, with the absolute ``src`` first on
+    PYTHONPATH: children run in a temporary directory, where a relative
+    entry would not find the package."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC, *(p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p)])
+    return env
 
 
 def run_cli(args, cwd):
     return subprocess.run([sys.executable, "-m", "anyonlab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=cli_env())
 
 
 class TestGround:
@@ -127,6 +141,19 @@ class TestToric:
         assert data["cached_sweep_s"] < 1.0
         assert data["first_sweep_s"] < 1.0
 
+    def test_bond_hit_twice_cancels(self, tmp_path):
+        res = run_cli(["toric", "--k", "4", "--errors",
+                       "x:h:0:0,x:h:0:0,z:v:1:2,x:v:3:3,x:v:3:3,x:v:3:3",
+                       "--out", "syn.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "syn.json").read_text())
+        assert len(data["errors"]) == 6
+        defects = {row["generator"] for row in data["syndromes"] if row["value"] == -1}
+        # Z on v(1,2) hits vertices (1,2) and (2,2); X on v(3,3) hits faces
+        # (3,3) and (3,2); the doubled X on h(0,0) leaves no trace
+        assert defects == {"A(1,2)", "A(2,2)", "B(3,3)", "B(3,2)"}
+        assert data["defect_counts"] == {"vertex": 2, "face": 2}
+
     def test_bad_error_token(self, tmp_path):
         res = run_cli(["toric", "--k", "3", "--errors", "y:h:0:0"], tmp_path)
         assert res.returncode == 1
@@ -212,8 +239,7 @@ class TestOutDirEnv:
         out_dir = tmp_path / "outputs"
         env_args = [sys.executable, "-m", "anyonlab.cli", "ground",
                     "--model", "planar6", "--out", "env.json"]
-        import os
-        env = dict(os.environ, ANYONLAB_OUT_DIR=str(out_dir))
+        env = cli_env(ANYONLAB_OUT_DIR=str(out_dir))
         res = subprocess.run(env_args, capture_output=True, text=True,
                              cwd=tmp_path, env=env)
         assert res.returncode == 0, res.stderr

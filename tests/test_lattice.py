@@ -1,14 +1,19 @@
 """Lattice builders: toric algebra, planar model, graph-state preparation."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonlab.dense import StateVector, apply_pauli, expect_pauli, run
 from anyonlab.lattice import (GraphSpec, build_planar6, build_toric,
-                              graph_state_circuit, graph_state_stabilizers,
-                              ground_state_circuit, hamiltonian_energy,
-                              planar6_graph_spec, syndrome)
+                              error_syndrome, graph_state_circuit,
+                              graph_state_stabilizers, ground_state_circuit,
+                              hamiltonian_energy, planar6_graph_spec, syndrome)
 from anyonlab.pauli import PauliString
+from anyonlab.tableau import init_toric_ground, syndrome_sweep
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -231,6 +236,54 @@ class TestEnergyAndSyndrome:
             hamiltonian_energy(build_planar6(), StateVector.zero(3))
         with pytest.raises(ValueError, match="model needs"):
             syndrome(build_planar6(), StateVector.zero(3))
+        with pytest.raises(ValueError, match="model needs"):
+            error_syndrome(build_toric(2), PauliString.x_on(3, 1))
+
+
+SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@cache
+def toric_ground(k, logical):
+    """Model and swept ground tableau, shared read-only: tests mutate copies."""
+    model = build_toric(k)
+    t = init_toric_ground(model, logical)
+    syndrome_sweep(t, model)
+    return model, t
+
+
+@cache
+def toric_ground_dense(logical):
+    return init_toric_ground(build_toric(2), logical).to_statevector()
+
+
+class TestErrorSyndromeOracles:
+    """The Pauli-frame syndrome against the tableau and, at k=2, the dense engine."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_frame_matches_tableau_and_dense(self, data):
+        k = data.draw(st.sampled_from((2, 3, 5, 8)), label="k")
+        logical = data.draw(st.sampled_from(SECTORS), label="logical")
+        model, ground = toric_ground(k, logical)
+        n = model.n_qubits
+        # a small pool of qubits makes repeated hits, which must cancel, likely
+        pool = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6), label="pool")
+        hits = data.draw(st.lists(st.tuples(st.sampled_from("xz"), st.sampled_from(pool)),
+                                  max_size=16), label="hits")
+        t = ground.copy()
+        error = PauliString.identity(n)
+        for kind, q in hits:
+            p = PauliString.x_on(n, q) if kind == "x" else PauliString.z_on(n, q)
+            t.apply_pauli(p)
+            error = error * p
+        frame = error_syndrome(model, error)
+        assert frame == syndrome_sweep(t, model)
+        if k == 2:
+            state = apply_pauli(toric_ground_dense(logical), error)
+            dense = [(e.generator, e.value) for e in syndrome(model, state)
+                     if e.eigenstate]
+            assert dense == [(gid, float(v)) for gid, v in frame]
 
 
 class TestDescribe:

@@ -124,6 +124,15 @@ class TestMeasurement:
         outcome, det = t.measure(PauliString.x_on(1, 1))
         assert outcome == -1 and det
 
+    def test_forced_outcome_must_be_plus_or_minus_one(self):
+        t = Tableau(1, seed=0)
+        x = PauliString.x_on(1, 1)
+        for bad in (0, 2, -2):
+            with pytest.raises(ValueError, match="forced outcome"):
+                t.measure(x, force=bad)
+        # the rejected calls left |0> untouched
+        assert t.measure(PauliString.z_on(1, 1)) == (1, True)
+
     def test_measurement_collapse_matches_dense(self):
         # measure X1 X2 on |00>, forced +1: state becomes a Bell pair
         t = Tableau(2, seed=3)
