@@ -57,6 +57,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not math.isfinite(self.eta_inject):
             raise ValueError(f"eta_inject must be finite, got {self.eta_inject}")
+        if not math.isfinite(self.admix_beta):
+            raise ValueError(f"admix_beta must be finite, got {self.admix_beta}")
         if self.admix_beta < 0:
             raise ValueError(f"admix_beta must be >= 0, got {self.admix_beta}")
         if not 0 <= self.gamma_leak < 1:
@@ -83,22 +85,12 @@ class PhaseResult:
     delta: float
     beta_over_alpha: float
     alphap_over_betap: float
-    eta_uncertainty: float | None = None
-    delta_uncertainty: float | None = None
-
-    @property
-    def ratios(self) -> tuple[float, float]:
-        return (self.beta_over_alpha, self.alphap_over_betap)
 
     def as_dict(self) -> dict:
-        out = {"eta": self.eta, "delta": self.delta,
-               "delta_over_pi": self.delta / math.pi,
-               "beta_over_alpha": self.beta_over_alpha,
-               "alphap_over_betap": self.alphap_over_betap}
-        if self.eta_uncertainty is not None:
-            out["eta_uncertainty"] = self.eta_uncertainty
-            out["delta_uncertainty"] = self.delta_uncertainty
-        return out
+        return {"eta": self.eta, "delta": self.delta,
+                "delta_over_pi": self.delta / math.pi,
+                "beta_over_alpha": self.beta_over_alpha,
+                "alphap_over_betap": self.alphap_over_betap}
 
 
 # -- reference states ------------------------------------------------------
@@ -282,16 +274,12 @@ def _pair_ratio(report: spec.SpectrumReport, contamination: tuple[str, str],
 
 
 def extract_phase(with_braid: spec.SpectrumReport,
-                  without_braid: spec.SpectrumReport,
-                  ratio_uncertainties: tuple[float, float] | None = None) -> PhaseResult:
+                  without_braid: spec.SpectrumReport) -> PhaseResult:
     """Recover eta and delta = (pi/2 + eta)*2 from the paired spectra.
 
     |beta/alpha| = sqrt((G_p + G_q) / (G_i + G_j)) from the control run,
     |alpha'/beta'| = sqrt((G_u + G_v) / (G_s + G_t)) from the braided
-    run, and tan(eta) is their tangent-difference combination.  Passing
-    ``ratio_uncertainties`` (sigma for each ratio) adds a first-order
-    error propagation; that propagation is an interpretation layered on
-    top of the intensity analysis, not part of it.
+    run, and tan(eta) is their tangent-difference combination.
     """
     rho = _pair_ratio(without_braid, ("p", "q"), ("i", "j"))
     rho_prime = _pair_ratio(with_braid, ("u", "v"), ("s", "t"), sign_flip=True)
@@ -300,19 +288,8 @@ def extract_phase(with_braid: spec.SpectrumReport,
         raise ValueError(
             f"ratio combination outside the invertible regime: {rho}, {rho_prime}")
     eta = math.atan((rho_prime - rho) / denom)
-    result = PhaseResult(eta=eta, delta=(math.pi / 2 + eta) * 2,
-                         beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
-    if ratio_uncertainties is not None:
-        s_rho, s_rho_p = ratio_uncertainties
-        d_dp = (1 + rho * rho) / denom ** 2
-        d_d = -(1 + rho_prime * rho_prime) / denom ** 2
-        s_tan = math.hypot(d_dp * s_rho_p, d_d * s_rho)
-        s_eta = s_tan * math.cos(eta) ** 2
-        result = PhaseResult(eta=result.eta, delta=result.delta,
-                             beta_over_alpha=result.beta_over_alpha,
-                             alphap_over_betap=result.alphap_over_betap,
-                             eta_uncertainty=s_eta, delta_uncertainty=2 * s_eta)
-    return result
+    return PhaseResult(eta=eta, delta=(math.pi / 2 + eta) * 2,
+                       beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
 
 
 def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem | None = None,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -24,7 +25,7 @@ from .dense import (DEFAULT_DENSE_LIMIT, StateVector, dump_amplitudes, run,
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
                       ground_state_circuit, planar6_graph_spec, syndrome)
 from .pauli import PauliString
-from .tableau import Tableau, init_toric_ground, syndrome_sweep
+from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
 def _parse_model(text: str):
@@ -39,6 +40,8 @@ def _parse_grid(text: str) -> list[float]:
     """Comma list ("0,0.1") or inclusive range ("start:stop:step")."""
     if ":" in text:
         start, stop, step = (float(tok) for tok in text.split(":"))
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid bounds must be finite: {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive: {text!r}")
         count = int(round((stop - start) / step))
@@ -57,11 +60,11 @@ def _syndrome_rows(entries):
             for e in entries]
 
 
-def _tableau_for_circuit(n: int, circuit) -> Tableau:
-    t = Tableau(n)
-    for g in circuit.gates:
-        t.apply_gate(g.kind, g.targets)
-    return t
+def _spin_system(path: str | None, t2: float | None) -> spectrum.SpinSystem:
+    """The spin system in ``path`` (the default table when None); ``t2``, when
+    given, replaces its t2_s."""
+    sys_ = spectrum.load_spin_system(path) if path else spectrum.default_spin_system()
+    return sys_ if t2 is None else dataclasses.replace(sys_, t2_s=t2)
 
 
 # -- ground ------------------------------------------------------------------
@@ -88,7 +91,7 @@ def cmd_ground(args) -> int:
         out["syndrome"] = _syndrome_rows(syndrome(model, state))
     else:
         if model.geometry == "planar6":
-            t = _tableau_for_circuit(6, ground_state_circuit(planar6_graph_spec()))
+            t = tableau_run(ground_state_circuit(planar6_graph_spec()), Tableau(6))
         else:
             t = init_toric_ground(model, tuple(args.logical), seed=args.seed)
         out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
@@ -116,8 +119,7 @@ def cmd_braid_demo(args) -> int:
     config = anyon.ExperimentConfig(
         with_braiding=not args.no_braid, eta_inject=args.eta,
         admix_beta=args.admix, gamma_leak=args.gamma, damping=args.damping)
-    sys_ = spectrum.load_spin_system(args.spin_config) if args.spin_config \
-        else spectrum.default_spin_system(t2_s=args.t2)
+    sys_ = _spin_system(args.spin_config, args.t2)
     model = build_planar6()
     result = anyon.run_experiment(config, sys_, seed=args.seed)
 
@@ -239,8 +241,7 @@ def cmd_toric(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    sys_ = spectrum.load_spin_system(args.spin_config) if args.spin_config \
-        else spectrum.default_spin_system(t2_s=args.t2)
+    sys_ = _spin_system(args.spin_config, args.t2)
     if args.thermal:
         rep = spectrum.synthesize_thermal(sys_)
     else:
@@ -273,8 +274,7 @@ def cmd_spectrum(args) -> int:
 def cmd_sweep(args) -> int:
     etas = _parse_grid(args.eta_grid)
     admixes = _parse_grid(args.admix_grid)
-    sys_ = spectrum.load_spin_system(args.spin_config) if args.spin_config \
-        else spectrum.default_spin_system()
+    sys_ = _spin_system(args.spin_config, None)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"])
@@ -373,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
 

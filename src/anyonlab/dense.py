@@ -52,18 +52,6 @@ class Circuit:
         for g in self.gates:
             _validate_gate(self.n, g.kind, g.targets, g.angle)
 
-    @classmethod
-    def build(cls, n: int, ops: list[tuple]) -> Circuit:
-        """From tuples ("h", 1) / ("cz", 1, 2) / ("phase", 3, angle)."""
-        gates = []
-        for op in ops:
-            kind = op[0]
-            if kind == "phase":
-                gates.append(Gate(kind, (op[1],), float(op[2])))
-            else:
-                gates.append(Gate(kind, tuple(op[1:])))
-        return cls(n, tuple(gates))
-
     def inverse(self) -> Circuit:
         inv = []
         for g in reversed(self.gates):
@@ -227,6 +215,9 @@ def state_from_dump(rows: list) -> StateVector:
     if not rows:
         raise ValueError("empty state dump")
     n = len(rows[0][0])
+    for i, (bits, _, _) in enumerate(rows):
+        if len(bits) != n:
+            raise ValueError(f"dump row {i} has {len(bits)} bits, row 0 has {n}")
     return StateVector.from_amplitudes(
         n, {bits: complex(re, im) for bits, re, im in rows})
 

@@ -13,7 +13,6 @@ operators, each in scan order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .dense import Circuit, Gate, StateVector, expect_pauli
 from .pauli import PauliString
@@ -205,8 +204,3 @@ def describe_model(model: LatticeModel) -> str:
     for bond, q in sorted(model.qubit_layout.items(), key=lambda kv: kv[1]):
         lines.append(f"  {':'.join(str(b) for b in bond)} -> q{q}")
     return "\n".join(lines)
-
-
-def bonds_of(model: LatticeModel, kind: str) -> Iterable[tuple]:
-    """Bond ids of a given kind ('h' or 'v') for toric models."""
-    return (b for b in model.qubit_layout if b[0] == kind)

@@ -196,17 +196,6 @@ class PauliString:
     def adjoint(self) -> PauliString:
         return PauliString(self.n, self.x_mask, self.z_mask, (-self.phase_exp) % 4)
 
-    def with_phase_exp(self, phase_exp: int) -> PauliString:
-        return PauliString(self.n, self.x_mask, self.z_mask, phase_exp % 4)
-
-    def negated(self) -> PauliString:
-        return self.with_phase_exp(self.phase_exp + 2)
-
-    def same_mask(self, other: PauliString) -> bool:
-        """Equality up to phase."""
-        return (self.n == other.n and self.x_mask == other.x_mask
-                and self.z_mask == other.z_mask)
-
     # -- conversion --------------------------------------------------------
 
     def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:

@@ -48,7 +48,7 @@ def canonical(obj):
 
 
 def dumps_report(obj) -> str:
-    return json.dumps(canonical(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(canonical(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def resolve_out_path(path: str | os.PathLike) -> Path:
@@ -89,6 +89,6 @@ def write_manifest(report_path: Path, command: str, config: dict,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     mpath = report_path.with_name(report_path.name + ".manifest.json")
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                     encoding="utf-8")
+    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+                     + "\n", encoding="utf-8")
     return mpath

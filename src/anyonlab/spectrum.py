@@ -66,8 +66,12 @@ class SpinSystem:
         for p, j in self.j_hz.items():
             if not math.isfinite(j):
                 raise ValueError(f"J[{p}] is not finite: {j}")
+        if not math.isfinite(self.offset_hz):
+            raise ValueError(f"offset_hz is not finite: {self.offset_hz}")
         if self.t2_s is not None and self.t2_s <= 0:
             raise ValueError(f"t2 must be positive, got {self.t2_s}")
+        if self.t2_s is not None and not math.isfinite(self.t2_s):
+            raise ValueError(f"t2_s is not finite: {self.t2_s}")
 
     @property
     def linewidth_hz(self) -> float | None:
@@ -80,7 +84,7 @@ class SpinSystem:
                 "t2_s": self.t2_s, "placeholder": sorted(self.placeholder)}
 
 
-def default_spin_system(t2_s: float | None = None) -> SpinSystem:
+def default_spin_system() -> SpinSystem:
     """Seven-spin system observed on C2; see module notes on placeholders."""
     return SpinSystem(
         observed="C2",
@@ -88,7 +92,6 @@ def default_spin_system(t2_s: float | None = None) -> SpinSystem:
         j_hz={"C1": 40.0, "M": 2.0, "H1": MEASURED_J_H1_HZ,
               "C4": 64.0, "H2": MEASURED_J_H2_HZ, "C3": 28.0},
         offset_hz=0.0,
-        t2_s=t2_s,
         placeholder=frozenset({"C1", "M", "C4", "C3"}),
     )
 
@@ -96,6 +99,9 @@ def default_spin_system(t2_s: float | None = None) -> SpinSystem:
 def load_spin_system(path: str) -> SpinSystem:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]
+    if missing:
+        raise ValueError(f"spin config {path} is missing {', '.join(missing)}")
     return SpinSystem(
         observed=raw["observed"],
         partners=tuple(raw["partners"]),
@@ -226,8 +232,8 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
 
     The dominant pair of the other role doubles as this role's
     contamination pair (same frequencies).  Dominant peaks must exist;
-    absent contamination peaks are filled in at zero intensity so ratio
-    formulas stay total.
+    absent contamination peaks are filled in at zero intensity, at the
+    frequency the report's spin system gives, so ratio formulas stay total.
     """
     if role not in LABEL_STATES:
         raise ValueError(f"role must be one of {sorted(LABEL_STATES)}, got {role!r}")
@@ -244,15 +250,14 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
         if label not in labeled:
             raise ValueError(
                 f"missing expected peak {label!r} (state {by_state[label]})")
+    sys_ = report.metadata["spin_system"]
     for label in CONTAMINATION_LABELS[role]:
         if label not in labeled:
             state = by_state[label]
-            ref = report.peaks[0] if report.peaks else None
             peaks.append(Peak(
-                frequency_hz=_label_frequency(report, state),
-                intensity=0.0, state=state,
-                linewidth_hz=ref.linewidth_hz if ref else None,
-                amplitude=0j if ref is not None and ref.amplitude is not None else None,
+                frequency_hz=peak_frequency(sys_, state), intensity=0.0, state=state,
+                linewidth_hz=sys_.linewidth_hz,
+                amplitude=None if report.peaks[0].amplitude is None else 0j,
                 label=label))
     peaks.sort(key=lambda p: (p.frequency_hz, p.state))
     meta = dict(report.metadata)
@@ -260,20 +265,7 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     return SpectrumReport(tuple(peaks), meta)
 
 
-def _label_frequency(report: SpectrumReport, state: str) -> float:
-    """Frequency for a zero-intensity fill-in, from the report's own peaks."""
-    # reconstruct from any existing peak: freq difference is a signed
-    # half-J sum over the bits where the states differ, which we cannot
-    # know without the system; reports therefore carry it in metadata
-    # when available, else fall back to the default table.
-    sys_ = report.metadata.get("spin_system")
-    if isinstance(sys_, SpinSystem):
-        return peak_frequency(sys_, state)
-    return peak_frequency(default_spin_system(), state)
-
-
-def sample_lineshape(report: SpectrumReport, f_min: float | None = None,
-                     f_max: float | None = None, points: int = 4001
+def sample_lineshape(report: SpectrumReport, points: int = 4001
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Absorption-mode Lorentzian sum on a frequency grid.
 
@@ -284,10 +276,8 @@ def sample_lineshape(report: SpectrumReport, f_min: float | None = None,
     widths = [p.linewidth_hz for p in report.peaks]
     if not widths or any(w is None for w in widths):
         raise ValueError("lineshape sampling needs a linewidth (set t2 on the spin system)")
-    if f_min is None:
-        f_min = min(p.frequency_hz for p in report.peaks) - 10 * max(widths)
-    if f_max is None:
-        f_max = max(p.frequency_hz for p in report.peaks) + 10 * max(widths)
+    f_min = min(p.frequency_hz for p in report.peaks) - 10 * max(widths)
+    f_max = max(p.frequency_hz for p in report.peaks) + 10 * max(widths)
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
     for p in report.peaks:

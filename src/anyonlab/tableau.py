@@ -13,7 +13,7 @@ Deterministic generator measurements are memoized per tableau structure,
 for error studies through this API (apply an error string, sweep, undo,
 sweep again): Pauli gates and error strings only flip row signs, which
 the cache reads live, so every sweep after the first costs microseconds
-per generator.  Any H/S/CZ/SWAP or random measurement invalidates the
+per generator.  Any other gate or a random measurement invalidates the
 cache.  The ``toric`` command does not use a tableau at all: its
 syndromes come from the error's Pauli frame (``lattice.error_syndrome``).
 """
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import StateVector, apply_pauli as dense_apply_pauli
+from .dense import (Circuit, StateVector, _validate_gate,
+                    apply_pauli as dense_apply_pauli)
 from .lattice import LatticeModel
 from .pauli import DEFAULT_DENSE_LIMIT, PauliString, mul_phase_exp
 
@@ -85,37 +86,35 @@ class Tableau:
     # -- gates -----------------------------------------------------------
 
     def apply_gate(self, kind: str, targets: tuple[int, ...] | int) -> Tableau:
+        """One Clifford gate, built from the CHP kernels H, S and CNOT."""
         if isinstance(targets, int):
             targets = (targets,)
         if kind not in CLIFFORD_GATES:
             raise ValueError(f"unsupported Clifford gate {kind!r}")
-        for q in targets:
-            if not 1 <= q <= self.n:
-                raise ValueError(f"target qubit {q} outside 1..{self.n}")
-        if kind in ("cz", "swap"):
-            if len(targets) != 2 or targets[0] == targets[1]:
-                raise ValueError(f"gate {kind!r} needs two distinct targets")
-        elif len(targets) != 1:
-            raise ValueError(f"gate {kind!r} takes one target")
-
+        _validate_gate(self.n, kind, targets)
+        a = targets[0]
+        if kind == "x":
+            return self.apply_pauli(PauliString.x_on(self.n, a))
+        if kind == "z":
+            return self.apply_pauli(PauliString.z_on(self.n, a))
         if kind == "h":
-            self._h(targets[0])
+            self._h(a)
         elif kind == "s":
-            self._s(targets[0])
+            self._s(a)
         elif kind == "sdg":
-            self._sdg(targets[0])
-        elif kind == "x":
-            self._x(targets[0])
-        elif kind == "z":
-            self._z(targets[0])
+            self._s(a)
+            self.apply_pauli(PauliString.z_on(self.n, a))
         elif kind == "cz":
-            self._h(targets[1])
-            self._cnot(targets[0], targets[1])
-            self._h(targets[1])
-        elif kind == "swap":
-            self._swap(targets[0], targets[1])
-        if kind not in ("x", "z"):
-            self._version += 1      # masks changed; sign-only gates keep caches
+            b = targets[1]
+            self._h(b)
+            self._cnot(a, b)
+            self._h(b)
+        else:   # swap
+            b = targets[1]
+            self._cnot(a, b)
+            self._cnot(b, a)
+            self._cnot(a, b)
+        self._version += 1      # masks changed; sign-only gates keep caches
         return self
 
     def _h(self, q: int):
@@ -138,27 +137,6 @@ class Tableau:
                     self.phases[i] = (self.phases[i] + 2) % 4
                 self.zs[i] ^= bit
 
-    def _sdg(self, q: int):
-        bit = 1 << (q - 1)
-        for i in range(2 * self.n):
-            x = self.xs[i] & bit
-            if x:
-                if not self.zs[i] & bit:
-                    self.phases[i] = (self.phases[i] + 2) % 4
-                self.zs[i] ^= bit
-
-    def _x(self, q: int):
-        bit = 1 << (q - 1)
-        for i in range(2 * self.n):
-            if self.zs[i] & bit:
-                self.phases[i] = (self.phases[i] + 2) % 4
-
-    def _z(self, q: int):
-        bit = 1 << (q - 1)
-        for i in range(2 * self.n):
-            if self.xs[i] & bit:
-                self.phases[i] = (self.phases[i] + 2) % 4
-
     def _cnot(self, c: int, t: int):
         bc = 1 << (c - 1)
         bt = 1 << (t - 1)
@@ -173,16 +151,6 @@ class Tableau:
                 self.xs[i] ^= bt
             if zt:
                 self.zs[i] ^= bc
-
-    def _swap(self, a: int, b: int):
-        ba = 1 << (a - 1)
-        bb = 1 << (b - 1)
-        for arr in (self.xs, self.zs):
-            for i in range(2 * self.n):
-                va = bool(arr[i] & ba)
-                vb = bool(arr[i] & bb)
-                if va != vb:
-                    arr[i] ^= ba | bb
 
     def apply_pauli(self, p: PauliString) -> Tableau:
         """Conjugate by a Pauli error string: pure sign flips."""
@@ -283,6 +251,15 @@ class Tableau:
                 amps = amps * (abs(amps[lead]) / amps[lead])
                 return StateVector(self.n, amps)
         raise AssertionError("projector annihilated every basis state")
+
+
+def run(circuit: Circuit, t: Tableau) -> Tableau:
+    """Apply a Clifford circuit to ``t`` in place; the tableau twin of ``dense.run``."""
+    if circuit.n != t.n:
+        raise ValueError(f"circuit is {circuit.n}-qubit, tableau is {t.n}-qubit")
+    for g in circuit.gates:
+        t.apply_gate(g.kind, g.targets)
+    return t
 
 
 # -- toric ground state --------------------------------------------------

@@ -9,6 +9,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+from anyonlab.spectrum import default_spin_system
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -20,6 +24,11 @@ def cli_env(**extra):
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *(p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p)])
     return env
+
+
+TWO_SPINS = {"observed": "O", "partners": ["a", "b"], "j_hz": {"a": 100.0, "b": 6.0},
+             "offset_hz": 0.0, "t2_s": None, "placeholder": []}
+DEFAULT_SPINS = default_spin_system().as_dict()
 
 
 def run_cli(args, cwd):
@@ -112,6 +121,32 @@ class TestBraidDemo:
         assert res.returncode == 1
         assert "gamma" in json.loads(res.stderr)["error"]
 
+    def test_t2_overrides_spin_config(self, tmp_path):
+        (tmp_path / "spins.json").write_text(json.dumps(DEFAULT_SPINS))
+        res = run_cli(["braid-demo", "--spin-config", "spins.json", "--t2", "0.3",
+                       "--out", "demo.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "demo.json").read_text())
+        assert data["spin_system"]["t2_s"] == 0.3
+        widths = [p["linewidth_hz"] for p in data["braided"]["spectrum"]["peaks"]]
+        assert widths == [pytest.approx(1 / (math.pi * 0.3), rel=1e-11)] * len(widths)
+
+    def test_non_finite_admix_rejected(self, tmp_path):
+        res = run_cli(["braid-demo", "--admix", "nan", "--out", "demo.json"], tmp_path)
+        assert res.returncode == 1
+        assert "admix_beta" in json.loads(res.stderr)["error"]
+        assert not (tmp_path / "demo.json").exists()
+
+    def test_non_finite_spin_config_rejected(self, tmp_path):
+        (tmp_path / "spins.json").write_text(
+            '{"observed": "C2", "partners": [], "j_hz": {}, '
+            '"t2_s": NaN, "offset_hz": Infinity}')
+        res = run_cli(["braid-demo", "--spin-config", "spins.json",
+                       "--out", "demo.json"], tmp_path)
+        assert res.returncode == 1
+        assert "offset_hz" in json.loads(res.stderr)["error"]
+        assert not (tmp_path / "demo.json").exists()
+
 
 class TestToric:
     def test_explicit_errors_even_defects(self, tmp_path):
@@ -197,6 +232,51 @@ class TestSpectrumCommand:
         res = run_cli(["spectrum", "--out", "sp"], tmp_path)
         assert res.returncode == 1
 
+    def test_t2_overrides_spin_config(self, tmp_path):
+        (tmp_path / "spins.json").write_text(json.dumps(TWO_SPINS))
+        (tmp_path / "state.json").write_text(json.dumps([["10", 1.0, 0.0]]))
+        res = run_cli(["spectrum", "--state", "state.json", "--spin-config",
+                       "spins.json", "--t2", "0.3", "--lineshape", "11",
+                       "--out", "sp"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        data = json.loads((tmp_path / "sp.json").read_text())
+        assert data["metadata"]["t2_s"] == 0.3
+        assert data["peaks"][0]["linewidth_hz"] == pytest.approx(1 / (math.pi * 0.3),
+                                                                rel=1e-11)
+        lines = (tmp_path / "sp.lineshape.csv").read_text().splitlines()
+        assert len(lines) == 12
+
+    def test_non_finite_spin_config_rejected(self, tmp_path):
+        for field, value in (("t2_s", math.nan), ("offset_hz", math.inf)):
+            # json.dumps writes the bare NaN / Infinity tokens json.load accepts
+            (tmp_path / "spins.json").write_text(json.dumps({**TWO_SPINS, field: value}))
+            res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
+                           "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            assert field in json.loads(res.stderr)["error"]
+            assert not (tmp_path / "sp.json").exists()
+
+    def test_spin_config_is_a_directory(self, tmp_path):
+        res = run_cli(["spectrum", "--thermal", "--spin-config", ".", "--out", "sp"],
+                      tmp_path)
+        assert res.returncode == 1
+        assert "directory" in json.loads(res.stderr)["error"]
+
+    def test_spin_config_missing_key(self, tmp_path):
+        config = {k: v for k, v in TWO_SPINS.items() if k != "observed"}
+        (tmp_path / "spins.json").write_text(json.dumps(config))
+        res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
+                       "--out", "sp"], tmp_path)
+        assert res.returncode == 1
+        assert "observed" in json.loads(res.stderr)["error"]
+
+    def test_state_rows_of_different_lengths(self, tmp_path):
+        (tmp_path / "state.json").write_text(
+            json.dumps([["000000", 1.0, 0.0], ["0000001", 0.0, 0.0]]))
+        res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
+        assert res.returncode == 1
+        assert "dump row 1" in json.loads(res.stderr)["error"]
+
 
 class TestSweep:
     def test_recovery_grid(self, tmp_path):
@@ -232,6 +312,13 @@ class TestSweep:
         res = run_cli(["sweep", "--eta-grid", ",", "--out", "x.csv"], tmp_path)
         assert res.returncode == 1
         assert "grid" in json.loads(res.stderr)["error"]
+
+    def test_non_finite_admix_rejected(self, tmp_path):
+        for grid in ("nan,inf", "0:inf:0.1"):
+            res = run_cli(["sweep", "--admix-grid", grid, "--out", "x.csv"], tmp_path)
+            assert res.returncode == 1
+            assert "error" in json.loads(res.stderr)
+            assert not (tmp_path / "x.csv").exists()
 
 
 class TestOutDirEnv:

@@ -192,6 +192,12 @@ class TestDump:
         rebuilt = state_from_dump(rows)
         assert np.max(np.abs(rebuilt.amps - s.amps)) < 1e-12
 
+    def test_rows_of_different_lengths_rejected(self):
+        for rows in ([["10", 1.0, 0.0], ["1111", 0.0, 0.0]],
+                     [["10", 1.0, 0.0], ["1", 0.0, 0.0]]):
+            with pytest.raises(ValueError, match="dump row 1 has"):
+                state_from_dump(rows)
+
     def test_threshold(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = np.sqrt(1 - 1e-22)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestPeakFrequency:
 
 class TestSpinSystemConfig:
     def test_round_trip(self, tmp_path):
-        sys_ = default_spin_system(t2_s=0.3)
+        sys_ = replace(default_spin_system(), t2_s=0.3)
         path = tmp_path / "spins.json"
         save_spin_system(sys_, str(path))
         loaded = load_spin_system(str(path))
@@ -89,6 +90,16 @@ class TestSpinSystemConfig:
             SpinSystem("O", ("a",), {"a": 1.0}, t2_s=0.0)
         with pytest.raises(ValueError, match="unique"):
             SpinSystem("O", ("a", "a"), {"a": 1.0})
+        for field in ("offset_hz", "t2_s"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=field):
+                    small_system(**{field: value})
+
+    def test_missing_key_named(self, tmp_path):
+        path = tmp_path / "spins.json"
+        path.write_text(json.dumps({"partners": ["a"], "j_hz": {"a": 1.0}}))
+        with pytest.raises(ValueError, match="missing observed$"):
+            load_spin_system(str(path))
 
 
 class TestSynthesize:
@@ -201,12 +212,14 @@ class TestLineshape:
         report = synthesize(sys_, StateVector.basis("01"))
         assert len(report.peaks) == 1
         peak = report.peaks[0]
-        freqs, values = sample_lineshape(report, peak.frequency_hz - 40,
-                                         peak.frequency_hz + 40, points=80001)
+        freqs, values = sample_lineshape(report, points=80001)
         half = values.max() / 2
         above = freqs[values >= half]
         fwhm = above.max() - above.min()
         expected = 1 / (math.pi * t2)
+        # the grid spans ten linewidths either side of the outermost peaks
+        assert freqs[0] == pytest.approx(peak.frequency_hz - 10 * expected)
+        assert freqs[-1] == pytest.approx(peak.frequency_hz + 10 * expected)
         assert abs(fwhm - expected) / expected < 0.01
         assert values.max() == pytest.approx(peak.intensity, rel=1e-6)
 

@@ -4,43 +4,55 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anyonlab.dense import StateVector, apply_gate, expect_pauli, overlap
+from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli, overlap
+from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
                               planar6_graph_spec)
 from anyonlab.pauli import PauliString
 from anyonlab.tableau import (Tableau, init_toric_ground, logical_x_strings,
-                              logical_z_loops, syndrome_sweep)
+                              logical_z_loops, run, syndrome_sweep)
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
 GATES_2Q = ("cz", "swap")
 
 
-def random_gate_list(n: int, depth: int, rng) -> list[tuple[str, tuple[int, ...]]]:
-    ops = []
+def random_circuit(n: int, depth: int, rng) -> Circuit:
+    gates = []
     for _ in range(depth):
         if rng.random() < 0.35 and n >= 2:
             kind = GATES_2Q[rng.integers(0, 2)]
             a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-            ops.append((kind, (int(a), int(b))))
+            gates.append(Gate(kind, (int(a), int(b))))
         else:
             kind = GATES_1Q[rng.integers(0, 5)]
-            ops.append((kind, (int(rng.integers(1, n + 1)),)))
-    return ops
+            gates.append(Gate(kind, (int(rng.integers(1, n + 1)),)))
+    return Circuit(n, tuple(gates))
 
 
-def dense_state_after(n: int, ops) -> StateVector:
-    state = StateVector.zero(n)
-    for kind, targets in ops:
-        state = apply_gate(state, kind, targets)
-    return state
+@st.composite
+def small_circuits(draw) -> Circuit:
+    """Circuits on 1..4 qubits over all seven tableau gates."""
+    n = draw(st.integers(1, 4))
+    kinds = GATES_1Q + (GATES_2Q if n >= 2 else ())
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=25)):
+        if kind in GATES_2Q:
+            a = draw(st.integers(1, n))
+            b = draw(st.integers(1, n).filter(lambda q: q != a))
+            gates.append(Gate(kind, (a, b)))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(1, n)),)))
+    return Circuit(n, tuple(gates))
 
 
-def tableau_after(n: int, ops, seed=None) -> Tableau:
-    t = Tableau(n, seed=seed)
-    for kind, targets in ops:
-        t.apply_gate(kind, targets)
-    return t
+def dense_unitary(circuit: Circuit) -> np.ndarray:
+    """Columns are the circuit applied to each basis state."""
+    n = circuit.n
+    return np.array([dense_run(circuit, StateVector.basis(format(i, f"0{n}b"))).amps
+                     for i in range(2 ** n)]).T
 
 
 class TestGateConjugation:
@@ -54,9 +66,9 @@ class TestGateConjugation:
         rng = np.random.default_rng(2024)
         for trial in range(100):
             n = int(rng.integers(2, 9))
-            ops = random_gate_list(n, depth=int(rng.integers(10, 40)), rng=rng)
-            dense = dense_state_after(n, ops)
-            t = tableau_after(n, ops)
+            circ = random_circuit(n, depth=int(rng.integers(10, 40)), rng=rng)
+            dense = dense_run(circ, StateVector.zero(n))
+            t = run(circ, Tableau(n))
             for row in t.stabilizer_paulis():
                 val = expect_pauli(dense, row)
                 assert abs(val - 1.0) < 1e-9, (trial, row, val)
@@ -68,7 +80,8 @@ class TestGateConjugation:
         stabs = {(p.x_mask, p.z_mask, p.phase_exp) for p in t.stabilizer_paulis()}
         want_a = PauliString.from_ops(2, {1: "X", 2: "Z"})
         want_b = PauliString.from_ops(2, {1: "Z", 2: "X"})
-        dense = dense_state_after(2, [("h", (1,)), ("h", (2,)), ("cz", (1, 2))])
+        gates = (Gate("h", (1,)), Gate("h", (2,)), Gate("cz", (1, 2)))
+        dense = dense_run(Circuit(2, gates), StateVector.zero(2))
         assert abs(expect_pauli(dense, want_a) - 1.0) < 1e-12
         assert abs(expect_pauli(dense, want_b) - 1.0) < 1e-12
         assert stabs == {(want_a.x_mask, want_a.z_mask, 0),
@@ -76,8 +89,7 @@ class TestGateConjugation:
 
     def test_rows_stay_commuting_and_independent(self):
         rng = np.random.default_rng(5)
-        ops = random_gate_list(6, depth=80, rng=rng)
-        t = tableau_after(6, ops)
+        t = run(random_circuit(6, depth=80, rng=rng), Tableau(6))
         rows = t.stabilizer_paulis()
         for i in range(6):
             for j in range(i + 1, 6):
@@ -97,6 +109,24 @@ class TestGateConjugation:
             Tableau(2).apply_gate("t", 1)
         with pytest.raises(ValueError, match="outside"):
             Tableau(2).apply_gate("x", 5)
+        with pytest.raises(ValueError, match="unsupported"):
+            run(Circuit(1, (Gate("phase", (1,), 0.5),)), Tableau(1))
+        with pytest.raises(ValueError, match="2-qubit"):
+            run(Circuit(2), Tableau(3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_circuits())
+    def test_every_row_is_the_conjugated_initial_row(self, circuit):
+        # row r starts as X_r (destabilizer) or Z_r (stabilizer), phase +1,
+        # and after the circuit U must read U P U^dagger exactly
+        n = circuit.n
+        u = dense_unitary(circuit)
+        t = run(circuit, Tableau(n))
+        for r in range(2 * n):
+            q = r % n + 1
+            p0 = PauliString.x_on(n, q) if r < n else PauliString.z_on(n, q)
+            want = u @ p0.to_dense() @ u.conj().T
+            assert np.allclose(t.row_pauli(r).to_dense(), want, atol=1e-12), r
 
 
 class TestMeasurement:
@@ -227,23 +257,16 @@ class TestToricGround:
 
     def test_planar6_circuit_on_tableau_matches_dense(self):
         circ = ground_state_circuit(planar6_graph_spec())
-        t = Tableau(6)
-        for g in circ.gates:
-            t.apply_gate(g.kind, g.targets)
-        state = t.to_statevector()
+        state = run(circ, Tableau(6)).to_statevector()
         for gen in build_planar6().generators:
             assert abs(expect_pauli(state, gen) - 1.0) < 1e-10
 
     def test_measurement_circuit_on_tableau_matches_dense(self):
         # the repository's other fixed 6-qubit Clifford network
         from anyonlab.anyon import measurement_circuit
-        from anyonlab.dense import StateVector, run
         circ = ground_state_circuit(planar6_graph_spec()) + measurement_circuit()
-        dense = run(circ, StateVector.zero(6))
-        t = Tableau(6)
-        for g in circ.gates:
-            t.apply_gate(g.kind, g.targets)
-        for row in t.stabilizer_paulis():
+        dense = dense_run(circ, StateVector.zero(6))
+        for row in run(circ, Tableau(6)).stabilizer_paulis():
             assert abs(expect_pauli(dense, row) - 1.0) < 1e-9
 
 
