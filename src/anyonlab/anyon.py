@@ -46,6 +46,9 @@ class ExperimentConfig:
     the ground/excited plane, and ``damping`` a uniform intensity scale
     standing in for relaxation losses.  Weights are normalized so
     alpha^2 + beta^2 + gamma^2 = 1.
+
+    ``eta_inject`` must lie in (-pi/2, pi/2 - atan(admix_beta)), the range
+    in which ``extract_phase`` recovers it; any other eta is rejected here.
     """
 
     with_braiding: bool = True
@@ -61,6 +64,11 @@ class ExperimentConfig:
             raise ValueError(f"admix_beta must be finite, got {self.admix_beta}")
         if self.admix_beta < 0:
             raise ValueError(f"admix_beta must be >= 0, got {self.admix_beta}")
+        lo, hi = -math.pi / 2, math.pi / 2 - math.atan(self.admix_beta)
+        if not lo < self.eta_inject < hi:
+            raise ValueError(
+                f"eta_inject must lie in (-pi/2, pi/2 - atan(admix_beta)) = "
+                f"({lo:.6g}, {hi:.6g}) to be recoverable, got {self.eta_inject}")
         if not 0 <= self.gamma_leak < 1:
             raise ValueError(f"gamma_leak must be in [0, 1), got {self.gamma_leak}")
         if not 0 <= self.damping <= 1:
@@ -280,6 +288,9 @@ def extract_phase(with_braid: spec.SpectrumReport,
     |beta/alpha| = sqrt((G_p + G_q) / (G_i + G_j)) from the control run,
     |alpha'/beta'| = sqrt((G_u + G_v) / (G_s + G_t)) from the braided
     run, and tan(eta) is their tangent-difference combination.
+    The ratios are tan(theta) and tan(eta + theta), theta = atan(admix), so
+    eta is recovered only for -pi/2 < eta < pi/2 - theta (enforced by
+    ``ExperimentConfig``); outside it eta is aliased by pi or this raises.
     """
     rho = _pair_ratio(without_braid, ("p", "q"), ("i", "j"))
     rho_prime = _pair_ratio(with_braid, ("u", "v"), ("s", "t"), sign_flip=True)

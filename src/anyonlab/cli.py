@@ -1,9 +1,11 @@
 """Command-line front end: reproducible runs with machine-readable outputs.
 
 Subcommands: ground, braid-demo, toric, spectrum, sweep.  Reports are
-deterministic JSON/CSV (see report module); every report gets a sidecar
-``*.manifest.json`` recording command, effective config, seed, versions
-and timestamp.  Relative output paths resolve against $ANYONLAB_OUT_DIR.
+deterministic JSON/CSV (see report module).  Each ``cmd_*`` returns the
+paths it wrote, report first; ``main`` then writes the one sidecar
+``*.manifest.json`` (argv, every parsed option, seed, versions,
+timestamp) and prints the one ``wrote`` line.  Relative output paths
+resolve against $ANYONLAB_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from . import anyon, report, spectrum
-from .dense import (DEFAULT_DENSE_LIMIT, StateVector, dump_amplitudes, run,
-                    state_from_dump)
+from .dense import DEFAULT_DENSE_LIMIT, dump_amplitudes, state_from_dump
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
                       ground_state_circuit, planar6_graph_spec, syndrome)
 from .pauli import PauliString
@@ -70,7 +72,7 @@ def _spin_system(path: str | None, t2: float | None) -> spectrum.SpinSystem:
 # -- ground ------------------------------------------------------------------
 
 
-def cmd_ground(args) -> int:
+def cmd_ground(args) -> list[Path]:
     model = _parse_model(args.model)
     out: dict = {"model": args.model, "backend": args.backend,
                  "n_qubits": model.n_qubits,
@@ -82,8 +84,7 @@ def cmd_ground(args) -> int:
                 f"dense backend refuses {model.n_qubits} qubits "
                 f"(limit {args.dense_limit}); use --backend tableau")
         if model.geometry == "planar6":
-            state = run(ground_state_circuit(planar6_graph_spec()),
-                        StateVector.zero(6))
+            state = anyon.planar6_ground_state()
         else:
             state = init_toric_ground(model, tuple(args.logical),
                                       seed=args.seed).to_statevector(args.dense_limit)
@@ -99,13 +100,7 @@ def cmd_ground(args) -> int:
                            for gid, val in syndrome_sweep(t, model)]
     if args.describe:
         out["description"] = describe_model(model)
-    path = report.write_report(args.out, out)
-    report.write_manifest(path, "ground", {"model": args.model,
-                                           "backend": args.backend,
-                                           "logical": list(args.logical)},
-                          args.seed, [path])
-    print(f"wrote {path}")
-    return 0
+    return [report.write_report(args.out, out)]
 
 
 # -- braid-demo ----------------------------------------------------------------
@@ -115,7 +110,7 @@ def _stage_dump(run_):
     return {name: dump_amplitudes(state) for name, state in run_.states.items()}
 
 
-def cmd_braid_demo(args) -> int:
+def cmd_braid_demo(args) -> list[Path]:
     config = anyon.ExperimentConfig(
         with_braiding=not args.no_braid, eta_inject=args.eta,
         admix_beta=args.admix, gamma_leak=args.gamma, damping=args.damping)
@@ -144,13 +139,11 @@ def cmd_braid_demo(args) -> int:
         out["ideal_fidelities"] = anyon.ideal_fidelities()
 
     path = report.write_report(args.out, out)
-    report.write_manifest(path, "braid-demo", out["config"], args.seed, [path])
-    print(f"wrote {path}")
     if "phase" in out:
         p = result["phase"]
         print(f"eta = {p.eta:.6f}  delta = {p.delta / math.pi:.6f} pi "
               f"ratios = ({p.beta_over_alpha:.4f}, {p.alphap_over_betap:.4f})")
-    return 0
+    return [path]
 
 
 # -- toric ---------------------------------------------------------------------
@@ -185,7 +178,7 @@ def _parse_errors(text: str, model, rng) -> list[tuple[str, tuple]]:
     return errors
 
 
-def cmd_toric(args) -> int:
+def cmd_toric(args) -> list[Path]:
     model = build_toric(args.k)
     errors = _parse_errors(args.errors, model, np.random.default_rng(args.seed))
 
@@ -216,7 +209,6 @@ def cmd_toric(args) -> int:
            "defect_counts": {"vertex": vertex_defects, "face": face_defects}}
     path = report.write_report(args.out, out)
     outputs = [path]
-    bench = None
     if args.bench:
         reps = []
         for _ in range(5):
@@ -227,20 +219,15 @@ def cmd_toric(args) -> int:
                  "first_sweep_s": sweep_s,
                  "cached_sweep_s": sorted(reps)[len(reps) // 2]}
         outputs.append(report.write_report(str(path) + ".bench.json", bench))
-    report.write_manifest(path, "toric", {"k": args.k, "errors": args.errors,
-                                          "logical": list(args.logical)},
-                          args.seed, outputs)
-    print(f"wrote {path}")
-    if bench:
         print(f"k={args.k}: frame {bench['init_s']:.3f}s, first sweep "
               f"{bench['first_sweep_s']:.3f}s, cached sweep {bench['cached_sweep_s']:.4f}s")
-    return 0
+    return outputs
 
 
 # -- spectrum --------------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> list[Path]:
     sys_ = _spin_system(args.spin_config, args.t2)
     if args.thermal:
         rep = spectrum.synthesize_thermal(sys_)
@@ -260,18 +247,13 @@ def cmd_spectrum(args) -> int:
         freqs, values = spectrum.sample_lineshape(rep, points=args.lineshape)
         outputs.append(report.write_text(args.out + ".lineshape.csv",
                                          spectrum.lineshape_to_csv(freqs, values)))
-    report.write_manifest(json_path, "spectrum",
-                          {"spin_config": args.spin_config, "thermal": args.thermal,
-                           "state": args.state, "damping": args.damping,
-                           "label": args.label}, None, outputs)
-    print(f"wrote {', '.join(str(p) for p in outputs)}")
-    return 0
+    return outputs
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[Path]:
     etas = _parse_grid(args.eta_grid)
     admixes = _parse_grid(args.admix_grid)
     sys_ = _spin_system(args.spin_config, None)
@@ -288,13 +270,7 @@ def cmd_sweep(args) -> int:
             writer.writerow([f"{eta:.12g}", f"{r:.12g}", f"{ph.eta:.12g}",
                              f"{ph.delta:.12g}",
                              f"{ph.delta / math.pi:.12g}"])
-    path = report.write_text(args.out, buf.getvalue())
-    report.write_manifest(path, "sweep",
-                          {"eta_grid": args.eta_grid, "admix_grid": args.admix_grid,
-                           "gamma": args.gamma, "damping": args.damping},
-                          args.seed, [path])
-    print(f"wrote {path} ({len(etas) * len(admixes)} rows)")
-    return 0
+    return [report.write_text(args.out, buf.getvalue())]
 
 
 # -- parser ------------------------------------------------------------------------
@@ -370,12 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
-        return args.func(args)
+        outputs = args.func(args)
+        report.write_manifest(outputs, args.command, argv, config)
     except (ValueError, OSError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1
+    print(f"wrote {', '.join(str(p) for p in outputs)}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
 """Exact state-vector engine for the Clifford gate set used here.
 
+The gate set is x, z, h, s (sqrt(sigma_z)), sdg, cz and swap: Clifford
+gates, each of which the tableau builds from the CHP kernels H, S and CNOT.
+
 Ordering convention: qubit 1 is the most significant bit of the basis
 index, so the ket label ``|110111>`` reads left to right as qubits
 1..6.  Gates never renormalize; global phases are part of the state and
-are kept exactly (the phase-gate definition sqrt(sigma_z) = diag(1, i)
+are kept exactly (the S-gate definition sqrt(sigma_z) = diag(1, i)
 follows from e^{i pi/4} e^{-i pi/4 sigma_z}).
 """
 
@@ -26,10 +29,9 @@ GATE_MATRICES = {
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
 }
 
-SINGLE_QUBIT_GATES = frozenset(GATE_MATRICES) | {"phase"}
 TWO_QUBIT_GATES = frozenset({"cz", "swap"})
 _INVERSE = {"x": "x", "z": "z", "h": "h", "s": "sdg", "sdg": "s",
-            "cz": "cz", "swap": "swap", "phase": "phase"}
+            "cz": "cz", "swap": "swap"}
 
 DUMP_THRESHOLD = 1e-9
 
@@ -38,7 +40,6 @@ DUMP_THRESHOLD = 1e-9
 class Gate:
     kind: str
     targets: tuple[int, ...]
-    angle: float | None = None
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,11 @@ class Circuit:
 
     def __post_init__(self):
         for g in self.gates:
-            _validate_gate(self.n, g.kind, g.targets, g.angle)
+            _validate_gate(self.n, g.kind, g.targets)
 
     def inverse(self) -> Circuit:
-        inv = []
-        for g in reversed(self.gates):
-            angle = -g.angle if g.kind == "phase" else None
-            inv.append(Gate(_INVERSE[g.kind], g.targets, angle))
-        return Circuit(self.n, tuple(inv))
+        return Circuit(self.n, tuple(Gate(_INVERSE[g.kind], g.targets)
+                                     for g in reversed(self.gates)))
 
     def __add__(self, other: Circuit) -> Circuit:
         if self.n != other.n:
@@ -65,8 +63,9 @@ class Circuit:
         return Circuit(self.n, self.gates + other.gates)
 
 
-def _validate_gate(n: int, kind: str, targets: tuple[int, ...], angle=None):
-    if kind in SINGLE_QUBIT_GATES:
+def _validate_gate(n: int, kind: str, targets: tuple[int, ...]):
+    """The one gate check, shared by the dense engine and the tableau."""
+    if kind in GATE_MATRICES:
         if len(targets) != 1:
             raise ValueError(f"gate {kind!r} takes one target, got {targets}")
     elif kind in TWO_QUBIT_GATES:
@@ -77,9 +76,6 @@ def _validate_gate(n: int, kind: str, targets: tuple[int, ...], angle=None):
     for q in targets:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} outside 1..{n}")
-    if (angle is not None) != (kind == "phase"):
-        raise ValueError(f"angle given for gate {kind!r}" if angle is not None
-                         else "phase gate requires an angle")
 
 
 @dataclass(frozen=True)
@@ -128,19 +124,17 @@ def _index_mask(mask: int, n: int) -> int:
     return out
 
 
-def apply_gate(state: StateVector, kind: str, targets: tuple[int, ...] | int,
-               angle: float | None = None) -> StateVector:
+def apply_gate(state: StateVector, kind: str,
+               targets: tuple[int, ...] | int) -> StateVector:
     """Apply one gate, returning a new StateVector."""
     if isinstance(targets, int):
         targets = (targets,)
     n = state.n
-    _validate_gate(n, kind, targets, angle)
+    _validate_gate(n, kind, targets)
     t = state.amps.reshape([2] * n)
-    if kind in GATE_MATRICES or kind == "phase":
-        mat = GATE_MATRICES[kind] if kind != "phase" else \
-            np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
+    if kind in GATE_MATRICES:
         ax = targets[0] - 1
-        t = np.moveaxis(np.moveaxis(t, ax, -1) @ mat.T, -1, ax)
+        t = np.moveaxis(np.moveaxis(t, ax, -1) @ GATE_MATRICES[kind].T, -1, ax)
     elif kind == "cz":
         t = t.copy()
         idx = [slice(None)] * n
@@ -163,7 +157,7 @@ def run(circuit: Circuit, state: StateVector) -> StateVector:
     if circuit.n != state.n:
         raise ValueError(f"circuit is {circuit.n}-qubit, state is {state.n}-qubit")
     for g in circuit.gates:
-        state = apply_gate(state, g.kind, g.targets, g.angle)
+        state = apply_gate(state, g.kind, g.targets)
     return state
 
 
@@ -212,14 +206,19 @@ def format_dump(rows: list[tuple[str, float, float]]) -> str:
 
 def state_from_dump(rows: list) -> StateVector:
     """Rebuild a StateVector from dump rows ([bits, re, im], ...)."""
-    if not rows:
-        raise ValueError("empty state dump")
-    n = len(rows[0][0])
-    for i, (bits, _, _) in enumerate(rows):
-        if len(bits) != n:
-            raise ValueError(f"dump row {i} has {len(bits)} bits, row 0 has {n}")
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("state dump must be a non-empty list of [bits, re, im] rows")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) == 3
+                and isinstance(row[0], str) and row[0] and set(row[0]) <= {"0", "1"}
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and math.isfinite(v) for v in row[1:])):
+            raise ValueError(f"dump row {i} is not [bits, re, im]: {row!r}")
+        if len(row[0]) != len(rows[0][0]):
+            raise ValueError(f"dump row {i} has {len(row[0])} bits, "
+                             f"row 0 has {len(rows[0][0])}")
     return StateVector.from_amplitudes(
-        n, {bits: complex(re, im) for bits, re, im in rows})
+        len(rows[0][0]), {bits: complex(re, im) for bits, re, im in rows})
 
 
 __all__ = [

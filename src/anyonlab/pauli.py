@@ -108,10 +108,6 @@ class PauliString:
         return cls.from_ops(n, {q: "Z" for q in qubits})
 
     @classmethod
-    def y_on(cls, n: int, *qubits: int) -> PauliString:
-        return cls.from_ops(n, {q: "Y" for q in qubits})
-
-    @classmethod
     def parse(cls, text: str, n: int) -> PauliString:
         """Parse the text form, e.g. ``"+X1 Z3 Z4"`` or ``"-i Y2"``.
 
@@ -154,10 +150,6 @@ class PauliString:
     def weight(self) -> int:
         """Number of non-identity factors."""
         return (self.x_mask | self.z_mask).bit_count()
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
 
     @property
     def is_hermitian(self) -> bool:

@@ -12,7 +12,6 @@ import datetime
 import json
 import os
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,13 +72,14 @@ def write_text(path: str | os.PathLike, text: str) -> Path:
     return p
 
 
-def write_manifest(report_path: Path, command: str, config: dict,
-                   seed: int | None, outputs: list[Path]) -> Path:
+def write_manifest(outputs: list[Path], command: str, argv: list[str],
+                   config: dict) -> Path:
+    """Sidecar ``<report>.manifest.json`` of a run; ``outputs[0]`` is the report."""
     manifest = {
         "command": command,
-        "argv": sys.argv,
+        "argv": argv,
         "config": canonical(config),
-        "seed": seed,
+        "seed": config.get("seed"),
         "outputs": [str(p) for p in outputs],
         "versions": {
             "anyonlab": __version__,
@@ -88,7 +88,7 @@ def write_manifest(report_path: Path, command: str, config: dict,
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    mpath = report_path.with_name(report_path.name + ".manifest.json")
+    mpath = outputs[0].with_name(outputs[0].name + ".manifest.json")
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
                      + "\n", encoding="utf-8")
     return mpath

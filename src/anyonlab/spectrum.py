@@ -99,15 +99,33 @@ def default_spin_system() -> SpinSystem:
 def load_spin_system(path: str) -> SpinSystem:
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"spin config {path} is not a JSON object")
     missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]
     if missing:
         raise ValueError(f"spin config {path} is missing {', '.join(missing)}")
+    for key, kind in (("observed", str), ("partners", list), ("j_hz", dict),
+                      ("placeholder", list)):
+        value = raw.get(key, [])
+        if not isinstance(value, kind) or (
+                kind is list and not all(isinstance(v, str) for v in value)):
+            what = {str: "a string", list: "a list of strings", dict: "a JSON object"}
+            raise ValueError(f"spin config {path}: {key} must be {what[kind]}, "
+                             f"got {value!r}")
+
+    def number(key, value) -> float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"spin config {path}: {key} must be a number, "
+                             f"got {value!r}") from None
+
     return SpinSystem(
         observed=raw["observed"],
         partners=tuple(raw["partners"]),
-        j_hz={k: float(v) for k, v in raw["j_hz"].items()},
-        offset_hz=float(raw.get("offset_hz", 0.0)),
-        t2_s=None if raw.get("t2_s") is None else float(raw["t2_s"]),
+        j_hz={k: number(f"j_hz[{k}]", v) for k, v in raw["j_hz"].items()},
+        offset_hz=number("offset_hz", raw.get("offset_hz", 0.0)),
+        t2_s=None if raw.get("t2_s") is None else number("t2_s", raw["t2_s"]),
         placeholder=frozenset(raw.get("placeholder", ())),
     )
 

@@ -145,6 +145,27 @@ class TestConfig:
             with pytest.raises(ValueError, match="admix_beta must be finite"):
                 ExperimentConfig(admix_beta=bad)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0.0, 0.1, 0.18, 0.3)),
+           st.booleans(),
+           st.floats(min_value=-0.05, max_value=0.05))
+    def test_eta_range_edges(self, admix, upper, offset):
+        # recovery is exact only for -pi/2 < eta < pi/2 - atan(admix); outside
+        # it the config is refused, inside it eta comes back or the
+        # extraction raises, never a wrong eta
+        lo, hi = -math.pi / 2, math.pi / 2 - math.atan(admix)
+        eta = (hi if upper else lo) + offset
+        if not lo < eta < hi:
+            with pytest.raises(ValueError, match="recoverable"):
+                ExperimentConfig(eta_inject=eta, admix_beta=admix)
+            return
+        config = ExperimentConfig(eta_inject=eta, admix_beta=admix)
+        try:
+            recovered = run_experiment(config)["phase"].eta
+        except ValueError:
+            return
+        assert abs(recovered - eta) < 1e-9
+
     def test_contaminated_state_components(self):
         cfg = ExperimentConfig(admix_beta=0.18, gamma_leak=0.2)
         state = prepare_initial_state(cfg, seed=42)

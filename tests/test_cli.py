@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from anyonlab import cli
+from anyonlab.report import OUT_DIR_ENV
 from anyonlab.spectrum import default_spin_system
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -120,6 +122,12 @@ class TestBraidDemo:
         res = run_cli(["braid-demo", "--gamma", "1.5"], tmp_path)
         assert res.returncode == 1
         assert "gamma" in json.loads(res.stderr)["error"]
+
+    def test_eta_outside_recoverable_range(self, tmp_path):
+        res = run_cli(["braid-demo", "--eta", "1.6"], tmp_path)
+        assert res.returncode == 1
+        assert "recoverable" in json.loads(res.stderr)["error"]
+        assert not (tmp_path / "braid_demo.json").exists()
 
     def test_t2_overrides_spin_config(self, tmp_path):
         (tmp_path / "spins.json").write_text(json.dumps(DEFAULT_SPINS))
@@ -263,12 +271,27 @@ class TestSpectrumCommand:
         assert "directory" in json.loads(res.stderr)["error"]
 
     def test_spin_config_missing_key(self, tmp_path):
-        config = {k: v for k, v in TWO_SPINS.items() if k != "observed"}
-        (tmp_path / "spins.json").write_text(json.dumps(config))
-        res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
-                       "--out", "sp"], tmp_path)
-        assert res.returncode == 1
-        assert "observed" in json.loads(res.stderr)["error"]
+        missing = {k: v for k, v in TWO_SPINS.items() if k != "observed"}
+        for config, key in ((missing, "observed"),
+                            ({**TWO_SPINS, "j_hz": [1]}, "j_hz"),
+                            ({**TWO_SPINS, "partners": "ab"}, "partners"),
+                            ({**TWO_SPINS, "placeholder": "a"}, "placeholder")):
+            (tmp_path / "spins.json").write_text(json.dumps(config))
+            res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
+                           "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            assert key in json.loads(res.stderr)["error"]
+            assert not (tmp_path / "sp.json").exists()
+
+    def test_state_not_a_list_of_rows(self, tmp_path):
+        for rows, message in (({"a": 1}, "list of [bits, re, im] rows"),
+                              ([[10, 1.0, 0.0]], "dump row 0 is not"),
+                              ([["000000", 1.0]], "dump row 0 is not")):
+            (tmp_path / "state.json").write_text(json.dumps(rows))
+            res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            assert message in json.loads(res.stderr)["error"]
+            assert not (tmp_path / "sp.json").exists()
 
     def test_state_rows_of_different_lengths(self, tmp_path):
         (tmp_path / "state.json").write_text(
@@ -332,3 +355,38 @@ class TestOutDirEnv:
         assert res.returncode == 0, res.stderr
         assert (out_dir / "env.json").exists()
         assert (out_dir / "env.json.manifest.json").exists()
+
+
+class TestManifest:
+    """The one manifest ``cli.main`` writes: argv as given, every parsed option."""
+
+    @staticmethod
+    def manifest(argv, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(argv) == 0
+        return json.loads((tmp_path / f"{name}.manifest.json").read_text())
+
+    def test_argv_is_the_list_given_to_main(self, tmp_path, monkeypatch):
+        argv = ["braid-demo", "--eta", "0.06", "--seed", "3", "--out", "b.json"]
+        manifest = self.manifest(argv, tmp_path, monkeypatch, "b.json")
+        assert manifest["argv"] == argv
+        assert manifest["command"] == "braid-demo"
+        assert manifest["seed"] == 3
+        assert manifest["config"]["eta"] == 0.06
+        assert manifest["outputs"] == [str(tmp_path / "b.json")]
+
+    def test_sweep_records_spin_config(self, tmp_path, monkeypatch):
+        (tmp_path / "spins.json").write_text(json.dumps(DEFAULT_SPINS))
+        spins = str(tmp_path / "spins.json")
+        manifest = self.manifest(["sweep", "--spin-config", spins, "--out", "s.csv"],
+                                 tmp_path, monkeypatch, "s.csv")
+        assert manifest["config"]["spin_config"] == spins
+
+    def test_spectrum_records_t2_and_lineshape(self, tmp_path, monkeypatch):
+        manifest = self.manifest(["spectrum", "--thermal", "--t2", "0.3",
+                                  "--lineshape", "11", "--out", "sp"],
+                                 tmp_path, monkeypatch, "sp.json")
+        assert manifest["config"]["t2"] == 0.3
+        assert manifest["config"]["lineshape"] == 11
+        assert manifest["seed"] is None
+        assert len(manifest["outputs"]) == 3

@@ -29,13 +29,10 @@ def random_circuit(n: int, seed: int, depth: int = 30) -> Circuit:
     rng = np.random.default_rng(seed)
     gates = []
     for _ in range(depth):
-        kind = rng.choice(["x", "z", "h", "s", "sdg", "cz", "swap", "phase"])
+        kind = rng.choice(["x", "z", "h", "s", "sdg", "cz", "swap"])
         if kind in ("cz", "swap"):
             a, b = rng.choice(np.arange(1, n + 1), size=2, replace=False)
             gates.append(Gate(kind, (int(a), int(b))))
-        elif kind == "phase":
-            gates.append(Gate(kind, (int(rng.integers(1, n + 1)),),
-                              float(rng.uniform(-np.pi, np.pi))))
         else:
             gates.append(Gate(kind, (int(rng.integers(1, n + 1)),)))
     return Circuit(n, tuple(gates))
@@ -67,14 +64,10 @@ class TestGates:
         via_z = apply_gate(s0, "z", 2)
         assert np.max(np.abs(via_s.amps - via_z.amps)) < 1e-12
 
-    def test_phase_gate_angle(self):
-        out = apply_gate(StateVector.basis("1"), "phase", 1, angle=np.pi / 3)
-        np.testing.assert_allclose(out.amps, [0, np.exp(1j * np.pi / 3)], atol=1e-15)
-
     def test_norm_preserved_along_random_circuit(self):
         state = StateVector.zero(5)
         for g in random_circuit(5, seed=3, depth=60).gates:
-            state = apply_gate(state, g.kind, g.targets, g.angle)
+            state = apply_gate(state, g.kind, g.targets)
             assert abs(state.norm() - 1.0) < 1e-10
 
     def test_bad_target_raises(self):
@@ -196,6 +189,20 @@ class TestDump:
         for rows in ([["10", 1.0, 0.0], ["1111", 0.0, 0.0]],
                      [["10", 1.0, 0.0], ["1", 0.0, 0.0]]):
             with pytest.raises(ValueError, match="dump row 1 has"):
+                state_from_dump(rows)
+
+    def test_malformed_dump_named(self):
+        for rows in ({"a": 1}, []):
+            with pytest.raises(ValueError, match="non-empty list of \\[bits, re, im\\]"):
+                state_from_dump(rows)
+        for rows, bad in (([[10, 1.0, 0.0]], 0),
+                          ([["10", 1.0]], 0),
+                          ([["", 1.0, 0.0]], 0),
+                          ([["10", 1.0, 0.0], ["1x", 0.0, 0.0]], 1),
+                          ([["10", 1.0, 0.0], ["01", "0", 0.0]], 1),
+                          ([["10", 1.0, 0.0], ["01", 0.0, float("nan")]], 1),
+                          ([["10", 1.0, 0.0], "01"], 1)):
+            with pytest.raises(ValueError, match=f"dump row {bad} is not"):
                 state_from_dump(rows)
 
     def test_threshold(self):

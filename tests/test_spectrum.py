@@ -100,6 +100,20 @@ class TestSpinSystemConfig:
         path.write_text(json.dumps({"partners": ["a"], "j_hz": {"a": 1.0}}))
         with pytest.raises(ValueError, match="missing observed$"):
             load_spin_system(str(path))
+        good = {"observed": "O", "partners": ["a"], "j_hz": {"a": 1.0}}
+        for change, message in (({"observed": 1}, "observed must be a string"),
+                                ({"partners": "ab"}, "partners must be a list of str"),
+                                ({"partners": [1]}, "partners must be a list of str"),
+                                ({"j_hz": [1]}, "j_hz must be a JSON object"),
+                                ({"j_hz": {"a": [1]}}, r"j_hz\[a\] must be a number"),
+                                ({"offset_hz": {}}, "offset_hz must be a number"),
+                                ({"placeholder": "a"}, "placeholder must be a list")):
+            path.write_text(json.dumps({**good, **change}))
+            with pytest.raises(ValueError, match=message):
+                load_spin_system(str(path))
+        path.write_text("[]")
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_spin_system(str(path))
 
 
 class TestSynthesize:

@@ -105,12 +105,10 @@ class TestGateConjugation:
         assert rank == 6
 
     def test_unsupported_gate(self):
-        with pytest.raises(ValueError, match="unsupported"):
+        with pytest.raises(ValueError, match="unknown gate"):
             Tableau(2).apply_gate("t", 1)
         with pytest.raises(ValueError, match="outside"):
             Tableau(2).apply_gate("x", 5)
-        with pytest.raises(ValueError, match="unsupported"):
-            run(Circuit(1, (Gate("phase", (1,), 0.5),)), Tableau(1))
         with pytest.raises(ValueError, match="2-qubit"):
             run(Circuit(2), Tableau(3))
 
