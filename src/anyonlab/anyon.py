@@ -71,8 +71,8 @@ class ExperimentConfig:
                 f"({lo:.6g}, {hi:.6g}) to be recoverable, got {self.eta_inject}")
         if not 0 <= self.gamma_leak < 1:
             raise ValueError(f"gamma_leak must be in [0, 1), got {self.gamma_leak}")
-        if not 0 <= self.damping <= 1:
-            raise ValueError(f"damping must be in [0, 1], got {self.damping}")
+        if not 0 < self.damping <= 1:     # extract_phase divides by intensities
+            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
     def weights(self) -> tuple[float, float, float]:
         gamma = self.gamma_leak
@@ -120,8 +120,8 @@ def planar6_excited_state() -> StateVector:
     return apply_gate(planar6_ground_state(), "z", 3)
 
 
-def braiding_loop(n: int = 6) -> PauliString:
-    return PauliString.x_on(n, *BRAID_SEQUENCE)
+def braiding_loop() -> PauliString:
+    return PauliString.x_on(6, *BRAID_SEQUENCE)
 
 
 # -- anyon manipulations ----------------------------------------------------
@@ -142,7 +142,7 @@ def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
     for q in BRAID_SEQUENCE:
         state = apply_gate(state, "x", q)
     if eta_inject:
-        looped = apply_pauli(state, braiding_loop(state.n))
+        looped = apply_pauli(state, braiding_loop())
         amps = math.cos(eta_inject) * state.amps - 1j * math.sin(eta_inject) * looped.amps
         state = StateVector(state.n, amps)
     return state
@@ -312,11 +312,10 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem | None
     spectra exist.
     """
     sys_ = spin_system if spin_system is not None else spec.default_spin_system()
-    out: dict = {"config": config, "spin_system": sys_}
     unbraided = run_unbraided_pipeline(config, seed)
     r_u = spec.assign_peak_labels(
         spec.synthesize(sys_, unbraided.final, config.damping), "unbraided")
-    out["unbraided"] = {"run": unbraided, "spectrum": r_u}
+    out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
     if config.with_braiding:
         braided = run_braided_pipeline(config, seed)
         r_b = spec.assign_peak_labels(

@@ -23,10 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import anyon, report, spectrum
-from .dense import DEFAULT_DENSE_LIMIT, dump_amplitudes, state_from_dump
+from .dense import dump_amplitudes, state_from_dump
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
                       ground_state_circuit, planar6_graph_spec, syndrome)
-from .pauli import PauliString
+from .pauli import DENSE_LIMIT, PauliString
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
@@ -46,11 +46,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"grid bounds must be finite: {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive: {text!r}")
-        count = int(round((stop - start) / step))
-        grid = [start + i * step for i in range(count + 1)]
-        if not grid or grid[-1] > stop + 1e-12:
+        count = math.floor((stop - start) / step + 1e-9)
+        if count < 0:
             raise ValueError(f"empty grid: {text!r}")
-        return grid
+        return [start + i * step for i in range(count + 1)]
     grid = [float(tok) for tok in text.split(",") if tok.strip()]
     if not grid:
         raise ValueError(f"empty grid: {text!r}")
@@ -79,15 +78,15 @@ def cmd_ground(args) -> list[Path]:
                  "generators": [str(g) for g in model.generators],
                  "generator_ids": list(model.generator_ids)}
     if args.backend == "dense":
-        if model.n_qubits > args.dense_limit:
+        if model.n_qubits > DENSE_LIMIT:
             raise ValueError(
                 f"dense backend refuses {model.n_qubits} qubits "
-                f"(limit {args.dense_limit}); use --backend tableau")
+                f"(limit {DENSE_LIMIT}); use --backend tableau")
         if model.geometry == "planar6":
             state = anyon.planar6_ground_state()
         else:
             state = init_toric_ground(model, tuple(args.logical),
-                                      seed=args.seed).to_statevector(args.dense_limit)
+                                      seed=args.seed).to_statevector()
         out["amplitudes"] = dump_amplitudes(state)
         out["syndrome"] = _syndrome_rows(syndrome(model, state))
     else:
@@ -263,8 +262,7 @@ def cmd_sweep(args) -> list[Path]:
     for eta in etas:
         for r in admixes:
             config = anyon.ExperimentConfig(
-                eta_inject=eta, admix_beta=r, gamma_leak=args.gamma,
-                damping=args.damping)
+                eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
             result = anyon.run_experiment(config, sys_, seed=args.seed)
             ph = result["phase"]
             writer.writerow([f"{eta:.12g}", f"{r:.12g}", f"{ph.eta:.12g}",
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ground", help="prepare and dump a model ground state")
     p.add_argument("--model", default="planar6", help="planar6 or torus:K")
     p.add_argument("--backend", choices=("dense", "tableau"), default="dense")
-    p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
     p.add_argument("--logical", type=_logical_bits, default=(0, 0),
                    help="two bits choosing the toric Z-loop sector")
     p.add_argument("--seed", type=int, default=0)
@@ -336,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-grid", default="0", help='"start:stop:step" or comma list')
     p.add_argument("--admix-grid", default="0")
     p.add_argument("--gamma", type=float, default=0.0)
-    p.add_argument("--damping", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--spin-config", default=None)
     p.add_argument("--out", default="sweep.csv")

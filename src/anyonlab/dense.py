@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import DEFAULT_DENSE_LIMIT, PauliString
+from .pauli import PauliString
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -111,9 +111,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def amplitude(self, bits: str) -> complex:
-        return complex(self.amps[int(bits, 2)])
-
 
 def _index_mask(mask: int, n: int) -> int:
     """Translate a qubit mask (bit q-1 = qubit q) into basis-index bits."""
@@ -190,24 +187,21 @@ def expect_pauli(state: StateVector, p: PauliString) -> float:
     return overlap(state, apply_pauli(state, p)).real
 
 
-def dump_amplitudes(state: StateVector,
-                    threshold: float = DUMP_THRESHOLD) -> list[tuple[str, float, float]]:
-    """(bitstring, re, im) rows for amplitudes above threshold, sorted."""
+def dump_amplitudes(state: StateVector) -> list[tuple[str, float, float]]:
+    """(bitstring, re, im) rows for amplitudes above DUMP_THRESHOLD, sorted."""
     rows = []
     for i, a in enumerate(state.amps):
-        if abs(a) > threshold:
+        if abs(a) > DUMP_THRESHOLD:
             rows.append((format(i, f"0{state.n}b"), float(a.real), float(a.imag)))
     return rows
 
 
-def format_dump(rows: list[tuple[str, float, float]]) -> str:
-    return "\n".join(f"{bits} {re:+.12e} {im:+.12e}" for bits, re, im in rows)
-
-
 def state_from_dump(rows: list) -> StateVector:
-    """Rebuild a StateVector from dump rows ([bits, re, im], ...)."""
+    """Rebuild a StateVector from dump rows ([bits, re, im], ...), one row per
+    bit string, of norm 1 to within 1e-9."""
     if not isinstance(rows, list) or not rows:
         raise ValueError("state dump must be a non-empty list of [bits, re, im] rows")
+    seen: dict[str, int] = {}
     for i, row in enumerate(rows):
         if not (isinstance(row, (list, tuple)) and len(row) == 3
                 and isinstance(row[0], str) and row[0] and set(row[0]) <= {"0", "1"}
@@ -217,12 +211,18 @@ def state_from_dump(rows: list) -> StateVector:
         if len(row[0]) != len(rows[0][0]):
             raise ValueError(f"dump row {i} has {len(row[0])} bits, "
                              f"row 0 has {len(rows[0][0])}")
-    return StateVector.from_amplitudes(
+        if row[0] in seen:
+            raise ValueError(f"dump rows {seen[row[0]]} and {i} repeat bits {row[0]!r}")
+        seen[row[0]] = i
+    state = StateVector.from_amplitudes(
         len(rows[0][0]), {bits: complex(re, im) for bits, re, im in rows})
+    if abs(state.norm() - 1.0) > 1e-9:
+        raise ValueError(f"state dump has norm {state.norm()!r}, not 1")
+    return state
 
 
 __all__ = [
     "Circuit", "Gate", "StateVector", "apply_gate", "apply_pauli",
-    "dump_amplitudes", "expect_pauli", "format_dump", "overlap", "run",
-    "state_from_dump", "DEFAULT_DENSE_LIMIT", "DUMP_THRESHOLD",
+    "dump_amplitudes", "expect_pauli", "overlap", "run",
+    "state_from_dump", "DUMP_THRESHOLD",
 ]

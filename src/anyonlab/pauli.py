@@ -20,13 +20,11 @@ regardless of qubit count.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_PHASE_FROM_LABEL = {"+": 0, "": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 _PHASE_VALUES = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 _PAULI_MATS = {
@@ -36,7 +34,7 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-DEFAULT_DENSE_LIMIT = 12
+DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
 
 
 def mul_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -107,38 +105,6 @@ class PauliString:
     def z_on(cls, n: int, *qubits: int) -> PauliString:
         return cls.from_ops(n, {q: "Z" for q in qubits})
 
-    @classmethod
-    def parse(cls, text: str, n: int) -> PauliString:
-        """Parse the text form, e.g. ``"+X1 Z3 Z4"`` or ``"-i Y2"``.
-
-        Factors are 1-based ``<letter><index>`` tokens; a leading +, -, +i
-        or -i sets the phase; ``I`` (or an empty factor list) is identity.
-        """
-        tokens = text.split()
-        if not tokens:
-            raise ValueError("empty Pauli string")
-        phase_exp = 0
-        if tokens[0] in _PHASE_FROM_LABEL:
-            phase_exp = _PHASE_FROM_LABEL[tokens[0]]
-            tokens = tokens[1:]
-        else:
-            m = re.match(r"^(\+i|-i|\+|-)(.+)$", tokens[0])
-            if m:
-                phase_exp = _PHASE_FROM_LABEL[m.group(1)]
-                tokens[0] = m.group(2)
-        ops: dict[int, str] = {}
-        for tok in tokens:
-            if tok == "I":
-                continue
-            m = re.fullmatch(r"([XYZ])(\d+)", tok)
-            if not m:
-                raise ValueError(f"bad Pauli factor {tok!r}")
-            q = int(m.group(2))
-            if q in ops:
-                raise ValueError(f"qubit {q} appears twice")
-            ops[q] = m.group(1)
-        return cls.from_ops(n, ops, phase_exp)
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -190,11 +156,11 @@ class PauliString:
 
     # -- conversion --------------------------------------------------------
 
-    def to_dense(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; qubit 1 is the most significant bit."""
-        if self.n > dense_limit:
+        if self.n > DENSE_LIMIT:
             raise ValueError(
-                f"{self.n} qubits exceeds the dense limit of {dense_limit}")
+                f"{self.n} qubits exceeds the dense limit of {DENSE_LIMIT}")
         mat = np.array([[self.phase]], dtype=complex)
         for q in range(1, self.n + 1):
             mat = np.kron(mat, _PAULI_MATS[self.symbol(q)])

@@ -130,12 +130,6 @@ def load_spin_system(path: str) -> SpinSystem:
     )
 
 
-def save_spin_system(sys_: SpinSystem, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(sys_.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def peak_frequency(sys_: SpinSystem, partner_state: str) -> float:
     """Resonance offset for one partner configuration.
 

@@ -25,11 +25,11 @@ import numpy as np
 from .dense import (Circuit, StateVector, _validate_gate,
                     apply_pauli as dense_apply_pauli)
 from .lattice import LatticeModel
-from .pauli import DEFAULT_DENSE_LIMIT, PauliString, mul_phase_exp
+from .pauli import DENSE_LIMIT, PauliString, mul_phase_exp
 
 
 class Tableau:
-    """Mutable stabilizer state on n qubits; ``copy()`` to fork for sweeps."""
+    """Mutable stabilizer state on n qubits."""
 
     def __init__(self, n: int, seed: int | None = None):
         if n < 1:
@@ -42,22 +42,8 @@ class Tableau:
             self.xs[i] = 1 << i         # destabilizer i = X_{i+1}
             self.zs[n + i] = 1 << i     # stabilizer i = Z_{i+1}
         self._rng = np.random.default_rng(seed)
-        self._version = 0
+        # deterministic-measurement memo; cleared wherever row masks change
         self._det_cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-        self._det_cache_version = -1
-
-    def copy(self) -> Tableau:
-        t = Tableau.__new__(Tableau)
-        t.n = self.n
-        t.xs = list(self.xs)
-        t.zs = list(self.zs)
-        t.phases = list(self.phases)
-        t._rng = np.random.default_rng()
-        t._rng.bit_generator.state = self._rng.bit_generator.state
-        t._version = self._version
-        t._det_cache = dict(self._det_cache)
-        t._det_cache_version = self._det_cache_version
-        return t
 
     # -- row helpers ---------------------------------------------------
 
@@ -110,7 +96,7 @@ class Tableau:
             self._cnot(a, b)
             self._cnot(b, a)
             self._cnot(a, b)
-        self._version += 1      # masks changed; sign-only gates keep caches
+        self._det_cache.clear()     # masks changed; sign-only gates keep it
         return self
 
     def _h(self, q: int):
@@ -192,13 +178,10 @@ class Tableau:
         self.xs[pivot] = p.x_mask
         self.zs[pivot] = p.z_mask
         self.phases[pivot] = (p.phase_exp + (0 if outcome == 1 else 2)) % 4
-        self._version += 1
+        self._det_cache.clear()
         return outcome, False
 
     def _det_entry(self, p: PauliString) -> tuple[tuple[int, ...], int]:
-        if self._det_cache_version != self._version:
-            self._det_cache.clear()
-            self._det_cache_version = self._version
         key = (p.x_mask, p.z_mask)
         entry = self._det_cache.get(key)
         if entry is None:
@@ -227,11 +210,11 @@ class Tableau:
 
     # -- conversion --------------------------------------------------------
 
-    def to_statevector(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> StateVector:
+    def to_statevector(self) -> StateVector:
         """Dense +1 joint eigenvector of all stabilizer rows (deterministic)."""
-        if self.n > dense_limit:
+        if self.n > DENSE_LIMIT:
             raise ValueError(
-                f"{self.n} qubits exceeds the dense limit of {dense_limit}")
+                f"{self.n} qubits exceeds the dense limit of {DENSE_LIMIT}")
         rows = self.stabilizer_paulis()
         for start in range(2 ** self.n):
             amps = np.zeros(2 ** self.n, dtype=complex)

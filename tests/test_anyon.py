@@ -137,8 +137,9 @@ class TestConfig:
             ExperimentConfig(admix_beta=-0.1)
         with pytest.raises(ValueError, match="gamma"):
             ExperimentConfig(gamma_leak=1.0)
-        with pytest.raises(ValueError, match="damping"):
-            ExperimentConfig(damping=1.5)
+        for bad in (1.5, 0.0, -0.1):
+            with pytest.raises(ValueError, match="damping"):
+                ExperimentConfig(damping=bad)
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(eta_inject=math.nan)
         for bad in (math.nan, math.inf):

@@ -293,12 +293,34 @@ class TestSpectrumCommand:
             assert message in json.loads(res.stderr)["error"]
             assert not (tmp_path / "sp.json").exists()
 
+    def test_unnormalized_state_rejected(self, tmp_path):
+        (tmp_path / "state.json").write_text(json.dumps([["000000", 5.0, 0.0]]))
+        res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
+        assert res.returncode == 1
+        assert "norm 5.0" in json.loads(res.stderr)["error"]
+        assert not (tmp_path / "sp.json").exists()
+
     def test_state_rows_of_different_lengths(self, tmp_path):
         (tmp_path / "state.json").write_text(
             json.dumps([["000000", 1.0, 0.0], ["0000001", 0.0, 0.0]]))
         res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
         assert res.returncode == 1
         assert "dump row 1" in json.loads(res.stderr)["error"]
+
+
+class TestParseGrid:
+    def test_range_keeps_points_short_of_stop(self):
+        assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
+        assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
+        assert cli._parse_grid("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert cli._parse_grid("0.2:0.2:0.1") == [0.2]
+        assert len(cli._parse_grid("-0.3:0.3:0.02")) == 31
+
+    def test_range_rejects_empty_and_non_positive_step(self):
+        for text, message in (("1:0:0.1", "empty grid"), ("0:1:0", "positive"),
+                              ("0:1:-0.5", "positive")):
+            with pytest.raises(ValueError, match=message):
+                cli._parse_grid(text)
 
 
 class TestSweep:

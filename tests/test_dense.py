@@ -204,6 +204,12 @@ class TestDump:
                           ([["10", 1.0, 0.0], "01"], 1)):
             with pytest.raises(ValueError, match=f"dump row {bad} is not"):
                 state_from_dump(rows)
+        for rows, message in (([["000000", 5.0, 0.0]], "norm 5.0"),
+                              ([["10", 0.6, 0.0]], "norm 0.6"),
+                              ([["10", 1.0, 0.0], ["01", 0.0, 0.0], ["10", 0.0, 1.0]],
+                               "dump rows 0 and 2 repeat bits '10'")):
+            with pytest.raises(ValueError, match=message):
+                state_from_dump(rows)
 
     def test_threshold(self):
         amps = np.zeros(4, dtype=complex)
@@ -211,10 +217,3 @@ class TestDump:
         amps[3] = 1e-11
         rows = dump_amplitudes(StateVector(2, amps))
         assert [r[0] for r in rows] == ["00"]
-
-    def test_structured_text_format(self):
-        from anyonlab.dense import format_dump
-        text = format_dump(dump_amplitudes(planar6_ground()))
-        lines = text.splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("000000 +5.000000000000e-01")

@@ -161,29 +161,8 @@ class TestToDense:
 
 class TestText:
     def test_render_spec_example(self):
-        p = PauliString.from_ops(4, {1: "X", 3: "Z", 4: "Z"})
-        assert str(p) == "+X1 Z3 Z4"
-
-    def test_parse_spec_example(self):
-        p = PauliString.parse("+X1 Z3 Z4", n=4)
-        assert p == PauliString.from_ops(4, {1: "X", 3: "Z", 4: "Z"})
-
-    def test_parse_negative_and_identity(self):
-        assert PauliString.parse("-Y2", n=3) == \
-            PauliString.from_ops(3, {2: "Y"}, phase_exp=2)
-        assert PauliString.parse("+I", n=2) == PauliString.identity(2)
-        assert PauliString.parse("X1 Z3", n=3) == \
-            PauliString.from_ops(3, {1: "X", 3: "Z"})
-
-    @settings(max_examples=100, deadline=None)
-    @given(pauli_strings(7))
-    def test_round_trip(self, p):
-        assert PauliString.parse(str(p), n=7) == p
-
-    def test_parse_rejects_duplicates_and_junk(self):
-        with pytest.raises(ValueError, match="twice"):
-            PauliString.parse("X1 Z1", n=2)
-        with pytest.raises(ValueError, match="factor"):
-            PauliString.parse("Q7", n=8)
-        with pytest.raises(ValueError, match="outside"):
-            PauliString.parse("X9", n=4)
+        for p, text in ((PauliString.from_ops(4, {1: "X", 3: "Z", 4: "Z"}), "+X1 Z3 Z4"),
+                        (PauliString.from_ops(3, {2: "Y"}, phase_exp=2), "-Y2"),
+                        (PauliString.identity(2), "+I"),
+                        (PauliString.from_ops(2, {1: "X"}, phase_exp=1), "+i X1")):
+            assert str(p) == text

@@ -14,8 +14,7 @@ from anyonlab.spectrum import (MEASURED_J_H1_HZ, MEASURED_J_H2_HZ, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
                                peak_frequency, sample_lineshape,
-                               save_spin_system, spectrum_to_csv, synthesize,
-                               synthesize_thermal)
+                               spectrum_to_csv, synthesize, synthesize_thermal)
 
 
 def small_system(**kwargs) -> SpinSystem:
@@ -72,7 +71,7 @@ class TestSpinSystemConfig:
     def test_round_trip(self, tmp_path):
         sys_ = replace(default_spin_system(), t2_s=0.3)
         path = tmp_path / "spins.json"
-        save_spin_system(sys_, str(path))
+        path.write_text(json.dumps(sys_.as_dict()))
         loaded = load_spin_system(str(path))
         assert loaded == sys_
 

@@ -313,14 +313,8 @@ class TestSweeps:
     def test_sweep_rejects_scrambled_tableau(self):
         model = build_toric(2)
         t = init_toric_ground(model)
-        t.apply_gate("h", 1)
-        with pytest.raises(ValueError, match="deterministic"):
-            syndrome_sweep(t, model)
-
-    def test_copy_isolates_state(self):
-        model = build_toric(2)
-        t = init_toric_ground(model)
-        clone = t.copy()
-        clone.apply_pauli(PauliString.x_on(8, 1))
+        # a warm memo must not survive a gate that changes row masks
         assert all(v == 1 for _, v in syndrome_sweep(t, model))
-        assert any(v == -1 for _, v in syndrome_sweep(clone, model))
+        t.apply_gate("h", 1)
+        with pytest.raises(ValueError, match="not deterministic"):
+            syndrome_sweep(t, model)
