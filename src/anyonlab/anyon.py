@@ -30,12 +30,6 @@ CREATION_X_QUBIT = 4
 CREATION_S_QUBIT = 3
 BRAID_SEQUENCE = (6, 5, 3, 4)
 
-# Readout targets: the measurement circuit must send the ground state to
-# (|000000> + |110111>)/sqrt(2) and the excited one to
-# (|001000> + |111111>)/sqrt(2), both with phase +1.
-GROUND_READOUT_STATES = ("000000", "110111")
-EXCITED_READOUT_STATES = ("001000", "111111")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -191,11 +185,16 @@ def measurement_reduction(state: StateVector) -> StateVector:
 
 
 def _labeled_subspace() -> np.ndarray:
-    """Orthonormal basis (columns) of the span whose readout peaks carry labels."""
+    """Orthonormal basis (columns) of the span whose readout peaks carry labels.
+
+    Columns run over the ground readout pair, then the excited one, each in
+    bit order; the order sets the QR's rounding, which gamma > 0 reports print.
+    """
+    readout = spec.READOUT["unbraided"]
     minv = measurement_circuit().inverse()
-    cols = []
-    for bits in GROUND_READOUT_STATES + EXCITED_READOUT_STATES:
-        cols.append(run(minv, StateVector.basis(bits)).amps)
+    cols = [run(minv, StateVector.basis(bits)).amps
+            for pair in (readout.dominant, readout.contamination)
+            for bits in sorted(state for _, state in pair)]
     q, _ = np.linalg.qr(np.array(cols).T)
     return q
 
@@ -225,7 +224,6 @@ def prepare_initial_state(config: ExperimentConfig, seed: int = 0) -> StateVecto
 
 @dataclass(frozen=True)
 class PipelineRun:
-    role: str                        # "braided" | "unbraided"
     states: dict[str, StateVector]   # stage-labeled intermediate states
     final: StateVector
 
@@ -237,8 +235,7 @@ def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun
     psi_c = braid(psi_b, config.eta_inject)
     psi_d = fuse(psi_c)
     psi_e = measurement_reduction(psi_d)
-    return PipelineRun("braided",
-                       {"psi_a": psi_a, "psi_b": psi_b, "psi_c": psi_c,
+    return PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": psi_c,
                         "psi_d": psi_d, "psi_e": psi_e}, psi_e)
 
 
@@ -246,38 +243,34 @@ def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineR
     """Control run: preparation then measurement only (labeled states f, g)."""
     psi_f = prepare_initial_state(config, seed)
     psi_g = measurement_reduction(psi_f)
-    return PipelineRun("unbraided", {"psi_f": psi_f, "psi_g": psi_g}, psi_g)
+    return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
 
 
 # -- phase extraction ---------------------------------------------------------
 
 
-def _pair_ratio(report: spec.SpectrumReport, contamination: tuple[str, str],
-                dominant: tuple[str, str], sign_flip: bool = False) -> float:
-    """Signed amplitude ratio of a contamination pair over a dominant pair.
+def _pair_ratio(report: spec.SpectrumReport, role: str) -> float:
+    """Signed amplitude ratio of a role's contamination pair over its dominant pair.
 
     The magnitude comes from the summed peak intensities, exactly as the
-    intensity-ratio analysis prescribes.  When the synthesized report
-    carries per-peak complex amplitudes the sign of the underlying
-    coefficient ratio is recovered from them (``sign_flip`` adapts the
-    orientation to the coefficient convention of the braided run, where
-    the contamination coefficient is -sin-like); physical spectra
-    provide intensities only, and the ratio is then returned
-    non-negative, valid in the small-eta regime the analysis assumes.
+    intensity-ratio analysis prescribes.  The sign of the underlying
+    coefficient ratio comes from the per-peak complex amplitudes, oriented
+    by the role's ``spec.READOUT`` entry; a physical intensity-only
+    spectrum cannot give it, so a report without amplitudes is refused.
     """
-    contam = [report.labeled_peak(lbl) for lbl in contamination]
-    dom = [report.labeled_peak(lbl) for lbl in dominant]
+    readout = spec.READOUT[role]
+    contam = [report.labeled_peak(label) for label, _ in readout.contamination]
+    dom = [report.labeled_peak(label) for label, _ in readout.dominant]
+    if any(p.amplitude is None for p in contam + dom):
+        raise ValueError(f"{role} spectrum has no peak amplitudes; "
+                         f"the sign of its ratio cannot be recovered")
     gamma_dom = sum(p.intensity for p in dom)
     if gamma_dom <= 0:
-        raise ValueError(
-            f"dominant peaks {dominant} have no intensity; cannot form ratio")
+        raise ValueError(f"{role} dominant peaks {[p.label for p in dom]} have no "
+                         f"intensity; cannot form ratio")
     magnitude = math.sqrt(sum(p.intensity for p in contam) / gamma_dom)
-    sign = 1.0
-    if all(p.amplitude is not None for p in contam + dom):
-        cross = sum(c.amplitude * d.amplitude.conjugate()
-                    for c, d in zip(contam, dom))
-        if (cross.real < 0) != sign_flip:
-            sign = -1.0
+    cross = sum(c.amplitude * d.amplitude.conjugate() for c, d in zip(contam, dom))
+    sign = -readout.orientation if cross.real < 0 else readout.orientation
     return sign * magnitude
 
 
@@ -292,8 +285,8 @@ def extract_phase(with_braid: spec.SpectrumReport,
     eta is recovered only for -pi/2 < eta < pi/2 - theta (enforced by
     ``ExperimentConfig``); outside it eta is aliased by pi or this raises.
     """
-    rho = _pair_ratio(without_braid, ("p", "q"), ("i", "j"))
-    rho_prime = _pair_ratio(with_braid, ("u", "v"), ("s", "t"), sign_flip=True)
+    rho = _pair_ratio(without_braid, "unbraided")
+    rho_prime = _pair_ratio(with_braid, "braided")
     denom = 1.0 + rho * rho_prime
     if denom <= 0:
         raise ValueError(

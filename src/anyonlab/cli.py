@@ -30,11 +30,15 @@ from .pauli import DENSE_LIMIT, PauliString
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
+GRID_LIMIT = 10 ** 6    # points per sweep grid; the acceptance grid has 31 x 4
+
+
 def _parse_model(text: str):
     if text == "planar6":
         return build_planar6()
-    if text.startswith("torus:"):
-        return build_toric(int(text.split(":", 1)[1]))
+    kind, _, size = text.partition(":")
+    if kind == "torus" and size.isascii() and size.isdigit():
+        return build_toric(int(size))
     raise ValueError(f"unknown model {text!r}; use planar6 or torus:K")
 
 
@@ -46,7 +50,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ValueError(f"grid bounds must be finite: {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be positive: {text!r}")
-        count = math.floor((stop - start) / step + 1e-9)
+        span = (stop - start) / step + 1e-9
+        if span >= GRID_LIMIT:    # also an infinite span, before any list is built
+            raise ValueError(f"grid {text!r} has more than the cap of {GRID_LIMIT} points")
+        count = math.floor(span)
         if count < 0:
             raise ValueError(f"empty grid: {text!r}")
         return [start + i * step for i in range(count + 1)]
@@ -238,14 +245,15 @@ def cmd_spectrum(args) -> list[Path]:
         rep = spectrum.synthesize(sys_, state_from_dump(rows), args.damping)
     if args.label:
         rep = spectrum.assign_peak_labels(rep, args.label)
+    # sampled before anything is written, so a refused size leaves no report
+    lineshape = spectrum.sample_lineshape(rep, args.lineshape) if args.lineshape else None
 
     json_path = report.write_report(args.out + ".json", rep.as_dict())
     csv_path = report.write_text(args.out + ".csv", spectrum.spectrum_to_csv(rep))
     outputs = [json_path, csv_path]
-    if args.lineshape:
-        freqs, values = spectrum.sample_lineshape(rep, points=args.lineshape)
+    if lineshape is not None:
         outputs.append(report.write_text(args.out + ".lineshape.csv",
-                                         spectrum.lineshape_to_csv(freqs, values)))
+                                         spectrum.lineshape_to_csv(*lineshape)))
     return outputs
 
 
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thermal", action="store_true")
     p.add_argument("--damping", type=float, default=1.0)
     p.add_argument("--t2", type=float, default=None)
-    p.add_argument("--label", choices=("braided", "unbraided"), default=None)
+    p.add_argument("--label", choices=sorted(spectrum.READOUT), default=None)
     p.add_argument("--lineshape", type=int, default=0,
                    help="also emit a sampled lineshape CSV with this many points")
     p.add_argument("--out", default="spectrum", help="output base path")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import DENSE_LIMIT, PauliString
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -208,6 +208,9 @@ def state_from_dump(rows: list) -> StateVector:
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                         and math.isfinite(v) for v in row[1:])):
             raise ValueError(f"dump row {i} is not [bits, re, im]: {row!r}")
+        if len(row[0]) > DENSE_LIMIT:
+            raise ValueError(f"dump row {i} has {len(row[0])} bits, above the "
+                             f"dense limit of {DENSE_LIMIT}")
         if len(row[0]) != len(rows[0][0]):
             raise ValueError(f"dump row {i} has {len(row[0])} bits, "
                              f"row 0 has {len(rows[0][0])}")

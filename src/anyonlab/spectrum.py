@@ -17,8 +17,9 @@ absolute peak positions.
 
 Each synthesized peak also records the complex conditional amplitude it
 came from.  That is simulation-side information (a physical intensity
-readout has no phase); the phase extraction uses it, when present, to
-recover coefficient signs outside the small-angle regime.
+readout has no phase); the phase extraction needs it to recover the
+coefficient signs, and refuses a report without it.  ``READOUT`` is the
+one table of peak labels and readout states per pipeline role.
 """
 
 from __future__ import annotations
@@ -34,16 +35,35 @@ import numpy as np
 from .dense import StateVector
 
 INTENSITY_THRESHOLD = 1e-9
+LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays and CSV
 
 MEASURED_J_H1_HZ = 155.42
 MEASURED_J_H2_HZ = 0.66
 
-LABEL_STATES = {
-    "unbraided": {"i": "110111", "j": "000000", "p": "111111", "q": "001000"},
-    "braided": {"s": "111111", "t": "001000", "u": "110111", "v": "000000"},
+
+@dataclass(frozen=True)
+class Readout:
+    """One pipeline role's labeled peaks, as (label, readout state) pairs.
+
+    ``contamination[k]`` is read against ``dominant[k]``; ``orientation`` is
+    the ratio's sign when Re(sum c * conj(d)) >= 0 (-1: -sin-like contamination).
+    """
+
+    dominant: tuple[tuple[str, str], tuple[str, str]]
+    contamination: tuple[tuple[str, str], tuple[str, str]]
+    orientation: int
+
+
+# anyon.measurement_circuit sends ground/excited to phase +1 sums of the control
+# run's dominant/contamination pair; the braided run swaps the two roles.
+READOUT = {
+    "unbraided": Readout(dominant=(("i", "110111"), ("j", "000000")),
+                         contamination=(("p", "111111"), ("q", "001000")),
+                         orientation=1),
+    "braided": Readout(dominant=(("s", "111111"), ("t", "001000")),
+                       contamination=(("u", "110111"), ("v", "000000")),
+                       orientation=-1),
 }
-DOMINANT_LABELS = {"unbraided": ("i", "j"), "braided": ("s", "t")}
-CONTAMINATION_LABELS = {"unbraided": ("p", "q"), "braided": ("u", "v")}
 
 
 @dataclass(frozen=True)
@@ -240,41 +260,28 @@ def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
 
 
 def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
-    """Attach the dominant/contamination peak names for one pipeline role.
+    """Attach the ``READOUT`` peak names of one pipeline role.
 
-    The dominant pair of the other role doubles as this role's
-    contamination pair (same frequencies).  Dominant peaks must exist;
-    absent contamination peaks are filled in at zero intensity, at the
-    frequency the report's spin system gives, so ratio formulas stay total.
+    Dominant peaks must exist; absent contamination peaks are filled in at
+    zero intensity and zero amplitude, at the frequency the report's spin
+    system gives, so ratio formulas stay total.
     """
-    if role not in LABEL_STATES:
-        raise ValueError(f"role must be one of {sorted(LABEL_STATES)}, got {role!r}")
-    by_state = dict(LABEL_STATES[role].items())
-    peaks = list(report.peaks)
-    labeled: dict[str, Peak] = {}
-    for label, state in by_state.items():
-        for idx, p in enumerate(peaks):
-            if p.state == state:
-                peaks[idx] = replace(p, label=label)
-                labeled[label] = peaks[idx]
-                break
-    for label in DOMINANT_LABELS[role]:
-        if label not in labeled:
-            raise ValueError(
-                f"missing expected peak {label!r} (state {by_state[label]})")
+    if role not in READOUT:
+        raise ValueError(f"role must be one of {sorted(READOUT)}, got {role!r}")
+    readout = READOUT[role]
+    label_of = {state: label for label, state in readout.dominant + readout.contamination}
+    peaks = [replace(p, label=label_of[p.state]) if p.state in label_of else p
+             for p in report.peaks]
+    present = {p.state for p in report.peaks}
+    for label, state in readout.dominant:
+        if state not in present:
+            raise ValueError(f"missing expected peak {label!r} (state {state})")
     sys_ = report.metadata["spin_system"]
-    for label in CONTAMINATION_LABELS[role]:
-        if label not in labeled:
-            state = by_state[label]
-            peaks.append(Peak(
-                frequency_hz=peak_frequency(sys_, state), intensity=0.0, state=state,
-                linewidth_hz=sys_.linewidth_hz,
-                amplitude=None if report.peaks[0].amplitude is None else 0j,
-                label=label))
+    peaks += [Peak(frequency_hz=peak_frequency(sys_, state), intensity=0.0, state=state,
+                   linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)
+              for label, state in readout.contamination if state not in present]
     peaks.sort(key=lambda p: (p.frequency_hz, p.state))
-    meta = dict(report.metadata)
-    meta["role"] = role
-    return SpectrumReport(tuple(peaks), meta)
+    return SpectrumReport(tuple(peaks), {**report.metadata, "role": role})
 
 
 def sample_lineshape(report: SpectrumReport, points: int = 4001
@@ -285,6 +292,9 @@ def sample_lineshape(report: SpectrumReport, points: int = 4001
     so the sampled height at center equals the peak intensity and the
     full width at half maximum equals the configured linewidth.
     """
+    if not 1 <= points <= LINESHAPE_LIMIT:
+        raise ValueError(
+            f"lineshape points must be in [1, {LINESHAPE_LIMIT}], got {points}")
     widths = [p.linewidth_hz for p in report.peaks]
     if not widths or any(w is None for w in widths):
         raise ValueError("lineshape sampling needs a linewidth (set t2 on the spin system)")

@@ -17,7 +17,8 @@ from anyonlab.anyon import (ExperimentConfig, braid, braiding_loop,
                             run_unbraided_pipeline)
 from anyonlab.dense import StateVector, apply_pauli, overlap, run
 from anyonlab.pauli import PauliString
-from anyonlab.spectrum import assign_peak_labels, default_spin_system, synthesize
+from anyonlab.spectrum import (assign_peak_labels, default_spin_system, synthesize,
+                               synthesize_thermal)
 
 # Golden amplitude tables for the labeled states (qubit order 1..6).
 GOLDEN = {
@@ -251,6 +252,17 @@ class TestExtractPhase:
         good = synthesize(sys_, run_unbraided_pipeline(cfg).final, 1.0)
         with pytest.raises(ValueError, match="'s'"):
             assign_peak_labels(good, "braided")
+
+    def test_reports_without_amplitudes_refused(self):
+        # thermal peaks carry intensities only, so no ratio sign can be read off
+        thermal = synthesize_thermal(default_spin_system())
+        r_b = assign_peak_labels(thermal, "braided")
+        r_u = assign_peak_labels(thermal, "unbraided")
+        with pytest.raises(ValueError, match="unbraided spectrum has no peak amplitudes"):
+            extract_phase(r_b, r_u)
+        good_u = _spectra_for(ExperimentConfig())[1]
+        with pytest.raises(ValueError, match="braided spectrum has no peak amplitudes"):
+            extract_phase(r_b, good_u)
 
     def test_gamma_leak_does_not_touch_labeled_peaks(self):
         cfg = ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.3)

@@ -13,7 +13,7 @@ import pytest
 
 from anyonlab import cli
 from anyonlab.report import OUT_DIR_ENV
-from anyonlab.spectrum import default_spin_system
+from anyonlab.spectrum import READOUT, default_spin_system
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -71,9 +71,11 @@ class TestGround:
         assert "32" in err["error"]
 
     def test_unknown_model(self, tmp_path):
-        res = run_cli(["ground", "--model", "cube:3"], tmp_path)
-        assert res.returncode == 1
-        assert "error" in json.loads(res.stderr)
+        for model in ("cube:3", "torus:x", "torus:", "torus:-2"):
+            res = run_cli(["ground", "--model", model], tmp_path)
+            assert res.returncode == 1
+            assert json.loads(res.stderr) == {
+                "error": f"unknown model {model!r}; use planar6 or torus:K"}
 
 
 class TestBraidDemo:
@@ -300,6 +302,26 @@ class TestSpectrumCommand:
         assert "norm 5.0" in json.loads(res.stderr)["error"]
         assert not (tmp_path / "sp.json").exists()
 
+    def test_lineshape_size_capped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        argv = ["spectrum", "--thermal", "--t2", "0.3", "--lineshape", str(10 ** 12),
+                "--out", "sp"]
+        assert cli.main(argv) == 1
+        assert "lineshape points" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "sp.json").exists()
+
+    def test_label_choices_are_the_readout_roles(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for role in READOUT:
+            assert cli.main(["spectrum", "--thermal", "--label", role, "--out", role]) == 0
+        # a role the table lacks is refused by the parser, before any run
+        monkeypatch.delitem(READOUT, "braided")
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["spectrum", "--thermal", "--label", "braided", "--out", "gone"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'braided'" in capsys.readouterr().err
+        assert not (tmp_path / "gone.json").exists()
+
     def test_state_rows_of_different_lengths(self, tmp_path):
         (tmp_path / "state.json").write_text(
             json.dumps([["000000", 1.0, 0.0], ["0000001", 0.0, 0.0]]))
@@ -321,6 +343,20 @@ class TestParseGrid:
                               ("0:1:-0.5", "positive")):
             with pytest.raises(ValueError, match=message):
                 cli._parse_grid(text)
+
+    def test_range_above_the_cap_refused(self):
+        assert len(cli._parse_grid(f"1:{cli.GRID_LIMIT}:1")) == cli.GRID_LIMIT
+        # 0:1:1e-10 would build 1e10 floats; 1e-320 overflows the point count
+        for text in (f"0:{cli.GRID_LIMIT}:1", "0:1:1e-10", "0:1:1e-320", "-1e308:1e308:1"):
+            with pytest.raises(ValueError, match=f"grid {text!r} has more than the cap "
+                                                 f"of {cli.GRID_LIMIT} points"):
+                cli._parse_grid(text)
+
+    def test_sweep_above_the_cap_exits_1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["sweep", "--eta-grid=0:1:1e-320", "--out", "x.csv"]) == 1
+        assert "cap" in json.loads(capsys.readouterr().err)["error"]
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSweep:

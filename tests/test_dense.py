@@ -10,7 +10,7 @@ from anyonlab.dense import (Circuit, Gate, StateVector, apply_gate, apply_pauli,
                             state_from_dump)
 from anyonlab.lattice import (build_planar6, ground_state_circuit,
                               planar6_graph_spec)
-from anyonlab.pauli import PauliString
+from anyonlab.pauli import DENSE_LIMIT, PauliString
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -207,7 +207,13 @@ class TestDump:
         for rows, message in (([["000000", 5.0, 0.0]], "norm 5.0"),
                               ([["10", 0.6, 0.0]], "norm 0.6"),
                               ([["10", 1.0, 0.0], ["01", 0.0, 0.0], ["10", 0.0, 1.0]],
-                               "dump rows 0 and 2 repeat bits '10'")):
+                               "dump rows 0 and 2 repeat bits '10'"),
+                              # checked before 2^bits amplitudes are allocated
+                              # (40 bits would ask numpy for 16 TiB)
+                              ([["1" * (DENSE_LIMIT + 1), 1.0, 0.0]],
+                               f"dump row 0 has {DENSE_LIMIT + 1} bits, above the "
+                               f"dense limit of {DENSE_LIMIT}"),
+                              ([["1" * 40, 1.0, 0.0]], "dump row 0 has 40 bits")):
             with pytest.raises(ValueError, match=message):
                 state_from_dump(rows)
 

@@ -10,7 +10,8 @@ import pytest
 from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
                             run_unbraided_pipeline)
 from anyonlab.dense import StateVector
-from anyonlab.spectrum import (MEASURED_J_H1_HZ, MEASURED_J_H2_HZ, SpinSystem,
+from anyonlab.spectrum import (LINESHAPE_LIMIT, MEASURED_J_H1_HZ, MEASURED_J_H2_HZ,
+                               READOUT, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
                                peak_frequency, sample_lineshape,
@@ -212,6 +213,20 @@ class TestLabels:
         assert r_b.labeled_peak("u").frequency_hz == \
             pytest.approx(r_u.labeled_peak("i").frequency_hz, abs=1e-12)
 
+    def test_labels_follow_the_readout_table(self):
+        sys_ = default_spin_system()
+        finals = {"unbraided": run_unbraided_pipeline(ExperimentConfig()).final,
+                  "braided": run_braided_pipeline(ExperimentConfig()).final}
+        assert set(READOUT) == set(finals)
+        for role, readout in READOUT.items():
+            report = assign_peak_labels(synthesize(sys_, finals[role]), role)
+            assert {(p.label, p.state) for p in report.peaks if p.label} == \
+                set(readout.dominant + readout.contamination)
+            for label, _ in readout.contamination:
+                # the ideal runs leave the contamination pair to the fill-in
+                assert report.labeled_peak(label).intensity == 0.0
+                assert report.labeled_peak(label).amplitude == 0j
+
     def test_bad_role(self):
         report = synthesize_thermal(default_spin_system())
         with pytest.raises(ValueError, match="role"):
@@ -235,6 +250,14 @@ class TestLineshape:
         assert freqs[-1] == pytest.approx(peak.frequency_hz + 10 * expected)
         assert abs(fwhm - expected) / expected < 0.01
         assert values.max() == pytest.approx(peak.intensity, rel=1e-6)
+
+    def test_points_capped(self):
+        report = synthesize(small_system(t2_s=0.1), StateVector.basis("01"))
+        assert len(sample_lineshape(report, points=LINESHAPE_LIMIT)[0]) == LINESHAPE_LIMIT
+        # 10^12 points would ask numpy for 8 TB
+        for points in (LINESHAPE_LIMIT + 1, 10 ** 12, 0):
+            with pytest.raises(ValueError, match=f"got {points}"):
+                sample_lineshape(report, points=points)
 
     def test_requires_linewidth(self):
         report = synthesize(small_system(), StateVector.basis("01"))
