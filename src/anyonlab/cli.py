@@ -4,8 +4,9 @@ Subcommands: ground, braid-demo, toric, spectrum, sweep.  Reports are
 deterministic JSON/CSV (see report module).  Each ``cmd_*`` returns the
 paths it wrote, report first; ``main`` then writes the one sidecar
 ``*.manifest.json`` (argv, every parsed option, seed, versions,
-timestamp) and prints the one ``wrote`` line.  Relative output paths
-resolve against $ANYONLAB_OUT_DIR.
+timestamp, and ``wall_s``, the command's wall time in seconds) and
+prints the one ``wrote`` line.  Relative output paths resolve against
+$ANYONLAB_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sw
 
 
 GRID_LIMIT = 10 ** 6    # points per sweep grid; the acceptance grid has 31 x 4
+ERROR_LIMIT = 10 ** 5   # errors per toric spec; the report at the cap is about 9 MB
 
 
 def _parse_model(text: str):
@@ -157,30 +159,43 @@ def cmd_braid_demo(args) -> list[Path]:
 
 def _parse_errors(text: str, model, rng) -> list[tuple[str, tuple]]:
     """Error spec: comma-separated "x:h:R:C", "z:v:R:C", "rand-x:N",
-    "rand-z:N", or "rand:N" tokens."""
-    errors = []
-    if not text:
-        return errors
-    bonds = sorted(model.qubit_layout)
+    "rand-z:N", or "rand:N" tokens, at most ERROR_LIMIT errors in all.
+    Every token is checked before the first random draw."""
+    specs = []    # (kind, bond) or (rand kind, draw count), in token order
+    total = 0
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        parts = token.split(":")
-        if parts[0] in ("rand-x", "rand-z", "rand"):
-            count = int(parts[1])
-            for _ in range(count):
-                kind = parts[0].removeprefix("rand-") if parts[0] != "rand" \
-                    else ("x" if rng.integers(0, 2) == 0 else "z")
-                bond = bonds[rng.integers(0, len(bonds))]
-                errors.append((kind, bond))
-        elif parts[0] in ("x", "z") and len(parts) == 4:
-            bond = (parts[1], int(parts[2]), int(parts[3]))
+        kind, *fields = token.split(":")
+        # a draw count or the two bond coordinates: non-negative decimals
+        if not all(f.isascii() and f.isdigit() for f in fields[-2:]):
+            raise ValueError(f"bad error token {token!r}")
+        if kind in ("rand-x", "rand-z", "rand") and len(fields) == 1:
+            specs.append((kind, int(fields[0])))
+            total += int(fields[0])
+        elif kind in ("x", "z") and len(fields) == 3:
+            bond = (fields[0], int(fields[1]), int(fields[2]))
             if bond not in model.qubit_layout:
                 raise ValueError(f"unknown bond {bond} in error spec {token!r}")
-            errors.append((parts[0], bond))
+            specs.append((kind, bond))
+            total += 1
         else:
             raise ValueError(f"bad error token {token!r}")
+        if total > ERROR_LIMIT:
+            raise ValueError(f"error spec passes the cap of {ERROR_LIMIT} errors "
+                             f"at token {token!r}")
+
+    errors = []
+    bonds = sorted(model.qubit_layout)
+    for kind, spec in specs:
+        if kind in ("x", "z"):
+            errors.append((kind, spec))
+            continue
+        for _ in range(spec):
+            drawn = kind.removeprefix("rand-") if kind != "rand" \
+                else ("x" if rng.integers(0, 2) == 0 else "z")
+            errors.append((drawn, bonds[rng.integers(0, len(bonds))]))
     return errors
 
 
@@ -189,7 +204,6 @@ def cmd_toric(args) -> list[Path]:
     errors = _parse_errors(args.errors, model, np.random.default_rng(args.seed))
 
     # the errors fold into one Pauli frame: a bond hit twice cancels
-    t_frame0 = time.perf_counter()
     x_mask = z_mask = 0
     for kind, bond in errors:
         bit = 1 << (model.qubit_layout[bond] - 1)
@@ -197,37 +211,17 @@ def cmd_toric(args) -> list[Path]:
             x_mask ^= bit
         else:
             z_mask ^= bit
-    frame = PauliString(model.n_qubits, x_mask, z_mask)
-    frame_s = time.perf_counter() - t_frame0
-
-    t_sweep0 = time.perf_counter()
-    sweep = error_syndrome(model, frame)
-    sweep_s = time.perf_counter() - t_sweep0
+    sweep = error_syndrome(model, PauliString(model.n_qubits, x_mask, z_mask))
 
     n_vertex = len(model.vertex_ops)
     vertex_defects = sum(1 for _, v in sweep[:n_vertex] if v == -1)
     face_defects = sum(1 for _, v in sweep[n_vertex:] if v == -1)
-    # no wall-clock numbers in the report itself: reruns stay byte-identical
     out = {"k": args.k, "n_qubits": model.n_qubits,
            "logical": list(args.logical),
            "errors": [{"kind": kind, "bond": list(bond)} for kind, bond in errors],
            "syndromes": [{"generator": gid, "value": val} for gid, val in sweep],
            "defect_counts": {"vertex": vertex_defects, "face": face_defects}}
-    path = report.write_report(args.out, out)
-    outputs = [path]
-    if args.bench:
-        reps = []
-        for _ in range(5):
-            b0 = time.perf_counter()
-            error_syndrome(model, frame)
-            reps.append(time.perf_counter() - b0)
-        bench = {"k": args.k, "n_qubits": model.n_qubits, "init_s": frame_s,
-                 "first_sweep_s": sweep_s,
-                 "cached_sweep_s": sorted(reps)[len(reps) // 2]}
-        outputs.append(report.write_report(str(path) + ".bench.json", bench))
-        print(f"k={args.k}: frame {bench['init_s']:.3f}s, first sweep "
-              f"{bench['first_sweep_s']:.3f}s, cached sweep {bench['cached_sweep_s']:.4f}s")
-    return outputs
+    return [report.write_report(args.out, out)]
 
 
 # -- spectrum --------------------------------------------------------------------
@@ -242,7 +236,7 @@ def cmd_spectrum(args) -> list[Path]:
             raise ValueError("spectrum needs --state FILE or --thermal")
         with open(args.state, encoding="utf-8") as fh:
             rows = json.load(fh)
-        rep = spectrum.synthesize(sys_, state_from_dump(rows), args.damping)
+        rep = spectrum.synthesize(sys_, state_from_dump(rows))
     if args.label:
         rep = spectrum.assign_peak_labels(rep, args.label)
     # sampled before anything is written, so a refused size leaves no report
@@ -321,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", default="", help='e.g. "x:h:0:0,z:v:1:2,rand-x:5"')
     p.add_argument("--logical", type=_logical_bits, default=(0, 0))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bench", action="store_true", help="emit sweep timing table")
     p.add_argument("--out", default="syndromes.json")
     p.set_defaults(func=cmd_toric)
 
@@ -329,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spin-config", default=None)
     p.add_argument("--state", default=None, help="state dump JSON ([bits, re, im] rows)")
     p.add_argument("--thermal", action="store_true")
-    p.add_argument("--damping", type=float, default=1.0)
     p.add_argument("--t2", type=float, default=None)
     p.add_argument("--label", choices=sorted(spectrum.READOUT), default=None)
     p.add_argument("--lineshape", type=int, default=0,
@@ -354,8 +346,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
+        start = time.perf_counter()
         outputs = args.func(args)
-        report.write_manifest(outputs, args.command, argv, config)
+        wall_s = time.perf_counter() - start
+        report.write_manifest(outputs, args.command, argv, config, wall_s)
     except (ValueError, OSError) as err:
         print(json.dumps({"error": str(err)}), file=sys.stderr)
         return 1

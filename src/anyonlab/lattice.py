@@ -18,6 +18,9 @@ from .dense import Circuit, Gate, StateVector, expect_pauli
 from .pauli import PauliString
 
 EIGENVALUE_TOL = 1e-9
+# largest toric k: the 2k^2 generators hold two 2k^2-bit masks each, about
+# k^4 bytes in all (16 MB at k = 64, 8 GB at k = 300)
+TORIC_K_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,8 @@ def build_toric(k: int) -> LatticeModel:
     """k x k toric model on 2k^2 bond qubits."""
     if k < 2:
         raise ValueError(f"toric lattice needs k >= 2, got {k}")
+    if k > TORIC_K_LIMIT:
+        raise ValueError(f"toric lattice k = {k} is above the cap of {TORIC_K_LIMIT}")
     n = 2 * k * k
     layout: dict[tuple, int] = {}
     for r in range(k):

@@ -3,7 +3,8 @@
 Reports are byte-identical across reruns of the same (config, seed):
 floats are rounded to 12 significant digits before serialization, keys
 are sorted, and nothing time-dependent goes into a report.  Timestamps,
-tool versions, and output paths live in a sidecar manifest instead.
+wall times, tool versions, and output paths live in a sidecar manifest
+instead.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ def write_text(path: str | os.PathLike, text: str) -> Path:
 
 
 def write_manifest(outputs: list[Path], command: str, argv: list[str],
-                   config: dict) -> Path:
-    """Sidecar ``<report>.manifest.json`` of a run; ``outputs[0]`` is the report."""
+                   config: dict, wall_s: float) -> Path:
+    """Sidecar ``<report>.manifest.json`` of a run; ``outputs[0]`` is the report
+    and ``wall_s`` the run's wall time in seconds."""
     manifest = {
         "command": command,
         "argv": argv,
@@ -87,6 +89,7 @@ def write_manifest(outputs: list[Path], command: str, argv: list[str],
             "python": platform.python_version(),
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "wall_s": wall_s,
     }
     mpath = outputs[0].with_name(outputs[0].name + ".manifest.json")
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)

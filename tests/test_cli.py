@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -178,14 +179,6 @@ class TestToric:
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
 
-    def test_bench_mode(self, tmp_path):
-        res = run_cli(["toric", "--k", "8", "--bench", "--out", "bench.json"],
-                      tmp_path)
-        assert res.returncode == 0, res.stderr
-        data = json.loads((tmp_path / "bench.json.bench.json").read_text())
-        assert data["cached_sweep_s"] < 1.0
-        assert data["first_sweep_s"] < 1.0
-
     def test_bond_hit_twice_cancels(self, tmp_path):
         res = run_cli(["toric", "--k", "4", "--errors",
                        "x:h:0:0,x:h:0:0,z:v:1:2,x:v:3:3,x:v:3:3,x:v:3:3",
@@ -203,6 +196,25 @@ class TestToric:
         res = run_cli(["toric", "--k", "3", "--errors", "y:h:0:0"], tmp_path)
         assert res.returncode == 1
         assert "error" in json.loads(res.stderr)
+
+    def test_malformed_tokens_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for token in ("rand:-5", "rand:2:junk", "x:h:a:0", "rand:", "rand", "x:h:0"):
+            assert cli.main(["toric", "--k", "3", "--errors", token]) == 1, token
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"bad error token {token!r}"}
+        assert not (tmp_path / "syndromes.json").exists()
+
+    def test_error_count_capped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        limit = cli.ERROR_LIMIT
+        # the cap counts every token, and is checked before any draw
+        for spec, token in ((f"rand:{limit},x:h:0:0", "x:h:0:0"),
+                            ("rand:100000000", "rand:100000000")):
+            assert cli.main(["toric", "--k", "4", "--errors", spec]) == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error == f"error spec passes the cap of {limit} errors at token {token!r}"
+        assert not (tmp_path / "syndromes.json").exists()
 
 
 class TestSpectrumCommand:
@@ -440,6 +452,21 @@ class TestManifest:
                                  tmp_path, monkeypatch, "s.csv")
         assert manifest["config"]["spin_config"] == spins
 
+    @pytest.mark.parametrize("argv, outputs", [
+        (["ground", "--out", "g.json"], ["g.json"]),
+        (["braid-demo", "--out", "b.json"], ["b.json"]),
+        (["toric", "--k", "8", "--errors", "rand-x:5", "--out", "t.json"], ["t.json"]),
+        (["spectrum", "--thermal", "--out", "sp"], ["sp.json", "sp.csv"]),
+        (["sweep", "--out", "s.csv"], ["s.csv"]),
+    ])
+    def test_every_command_records_wall_s(self, argv, outputs, tmp_path, monkeypatch):
+        """The run's wall time is in its one sidecar: no other file is written."""
+        manifest = self.manifest(argv, tmp_path, monkeypatch, outputs[0])
+        wall_s = manifest["wall_s"]
+        assert isinstance(wall_s, float) and math.isfinite(wall_s) and wall_s >= 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [*outputs, f"{outputs[0]}.manifest.json"])
+
     def test_spectrum_records_t2_and_lineshape(self, tmp_path, monkeypatch):
         manifest = self.manifest(["spectrum", "--thermal", "--t2", "0.3",
                                   "--lineshape", "11", "--out", "sp"],
@@ -448,3 +475,20 @@ class TestManifest:
         assert manifest["config"]["lineshape"] == 11
         assert manifest["seed"] is None
         assert len(manifest["outputs"]) == 3
+
+
+class TestReadme:
+    def test_quick_start_lines_run(self, tmp_path, monkeypatch, capsys):
+        """Every ``anyonlab`` line of README's quick start exits 0."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        quick_start = readme.split("## Quick start", 1)[1].split("```bash", 1)[1]
+        lines = [line for line in quick_start.split("```", 1)[0].splitlines()
+                 if line.startswith("anyonlab ")]
+        assert len(lines) >= 5
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "out"))
+        # the --state line reads this file: the planar6 ground state, norm 1
+        (tmp_path / "state.json").write_text(json.dumps(
+            [[bits, 0.5, 0.0] for bits in ("000000", "001111", "110111", "111000")]))
+        for line in lines:
+            assert cli.main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)

@@ -94,6 +94,13 @@ class TestToric:
         with pytest.raises(ValueError, match="k >= 2"):
             build_toric(1)
 
+    def test_k_above_the_cap_rejected(self):
+        from anyonlab.lattice import TORIC_K_LIMIT
+        assert TORIC_K_LIMIT >= 32    # the largest k the benchmark runs
+        k = TORIC_K_LIMIT + 1
+        with pytest.raises(ValueError, match=f"k = {k} is above the cap of {TORIC_K_LIMIT}"):
+            build_toric(k)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_single_x_flips_exactly_two_faces(self, k):
         m = build_toric(k)

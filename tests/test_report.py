@@ -12,6 +12,6 @@ def test_non_finite_float_refused(value, tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         dumps_report({"x": [1.0, value]})
     with pytest.raises(ValueError, match="JSON compliant"):
-        write_manifest([tmp_path / "r.json"], "test", [], {"x": value})
+        write_manifest([tmp_path / "r.json"], "test", [], {"x": value}, 0.0)
     assert not (tmp_path / "r.json.manifest.json").exists()
 
