@@ -26,9 +26,7 @@ from .dense import (Circuit, Gate, StateVector, apply_gate, apply_pauli,
 from .lattice import ground_state_circuit, planar6_graph_spec
 from .pauli import PauliString
 
-CREATION_X_QUBIT = 4
-CREATION_S_QUBIT = 3
-BRAID_SEQUENCE = (6, 5, 3, 4)
+CREATION = Circuit(6, (Gate("x", (4,)), Gate("s", (3,))))
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,8 @@ def planar6_excited_state() -> StateVector:
 
 
 def braiding_loop() -> PauliString:
-    return PauliString.x_on(6, *BRAID_SEQUENCE)
+    """The loop X6 X5 X3 X4 that drags the m anyon around the e anyon."""
+    return PauliString.x_on(6, 6, 5, 3, 4)
 
 
 # -- anyon manipulations ----------------------------------------------------
@@ -123,29 +122,26 @@ def braiding_loop() -> PauliString:
 
 def create_anyons(state: StateVector) -> StateVector:
     """X on qubit 4 (m pair) then sqrt(sigma_z) on qubit 3 (superposed e pair)."""
-    state = apply_gate(state, "x", CREATION_X_QUBIT)
-    return apply_gate(state, "s", CREATION_S_QUBIT)
+    return run(CREATION, state)
 
 
 def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
-    """Move the m anyon around the e anyon: X on qubits 6, 5, 3, 4.
+    """Move the m anyon around the e anyon: the loop L = ``braiding_loop()``.
 
-    A nonzero ``eta_inject`` applies exp(-i * eta * L) after the loop L,
-    rotating the relative phase of L's -1 eigenspace by 2*eta.
+    A nonzero ``eta_inject`` applies exp(-i * eta * L) after the loop, which
+    is cos(eta) L psi - i sin(eta) psi because L^2 = 1; it rotates the
+    relative phase of L's -1 eigenspace by 2*eta.
     """
-    for q in BRAID_SEQUENCE:
-        state = apply_gate(state, "x", q)
-    if eta_inject:
-        looped = apply_pauli(state, braiding_loop())
-        amps = math.cos(eta_inject) * state.amps - 1j * math.sin(eta_inject) * looped.amps
-        state = StateVector(state.n, amps)
-    return state
+    looped = apply_pauli(state, braiding_loop())
+    if not eta_inject:
+        return looped
+    return StateVector(state.n, math.cos(eta_inject) * looped.amps
+                       - 1j * math.sin(eta_inject) * state.amps)
 
 
 def fuse(state: StateVector) -> StateVector:
     """Inverse creation: sqrt(sigma_z)^-1 on qubit 3 then X on qubit 4."""
-    state = apply_gate(state, "sdg", CREATION_S_QUBIT)
-    return apply_gate(state, "x", CREATION_X_QUBIT)
+    return run(CREATION.inverse(), state)
 
 
 # -- measurement reduction ---------------------------------------------------

@@ -12,9 +12,7 @@ $ANYONLAB_OUT_DIR.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -31,7 +29,7 @@ from .pauli import DENSE_LIMIT, PauliString
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
-GRID_LIMIT = 10 ** 6    # points per sweep grid; the acceptance grid has 31 x 4
+GRID_LIMIT = 10 ** 6    # points per grid and rows per sweep; acceptance grid: 31 x 4
 ERROR_LIMIT = 10 ** 5   # errors per toric spec; the report at the cap is about 9 MB
 
 
@@ -65,9 +63,10 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _syndrome_rows(entries):
-    return [{"generator": e.generator, "value": e.value, "eigenstate": e.eigenstate}
-            for e in entries]
+def _syndrome_rows(pairs):
+    """Report rows of (generator, value) pairs; only a +/-1 value is an eigenstate."""
+    return [{"generator": gid, "value": value, "eigenstate": abs(value) == 1}
+            for gid, value in pairs]
 
 
 def _spin_system(path: str | None, t2: float | None) -> spectrum.SpinSystem:
@@ -104,8 +103,7 @@ def cmd_ground(args) -> list[Path]:
         else:
             t = init_toric_ground(model, tuple(args.logical), seed=args.seed)
         out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
-        out["syndrome"] = [{"generator": gid, "value": val, "eigenstate": True}
-                           for gid, val in syndrome_sweep(t, model)]
+        out["syndrome"] = _syndrome_rows(syndrome_sweep(t, model))
     if args.describe:
         out["description"] = describe_model(model)
     return [report.write_report(args.out, out)]
@@ -257,20 +255,22 @@ def cmd_spectrum(args) -> list[Path]:
 def cmd_sweep(args) -> list[Path]:
     etas = _parse_grid(args.eta_grid)
     admixes = _parse_grid(args.admix_grid)
+    if len(etas) * len(admixes) > GRID_LIMIT:
+        raise ValueError(f"sweep of {len(etas)} eta x {len(admixes)} admix points "
+                         f"passes the cap of {GRID_LIMIT} rows")
     sys_ = _spin_system(args.spin_config, None)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"])
-    for eta in etas:
-        for r in admixes:
-            config = anyon.ExperimentConfig(
-                eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
-            result = anyon.run_experiment(config, sys_, seed=args.seed)
-            ph = result["phase"]
-            writer.writerow([f"{eta:.12g}", f"{r:.12g}", f"{ph.eta:.12g}",
-                             f"{ph.delta:.12g}",
-                             f"{ph.delta / math.pi:.12g}"])
-    return [report.write_text(args.out, buf.getvalue())]
+
+    def rows():
+        for eta in etas:
+            for r in admixes:
+                config = anyon.ExperimentConfig(
+                    eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
+                ph = anyon.run_experiment(config, sys_, seed=args.seed)["phase"]
+                yield [eta, r, ph.eta, ph.delta, ph.delta / math.pi]
+
+    text = report.csv_text(
+        ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"], rows())
+    return [report.write_text(args.out, text)]
 
 
 # -- parser ------------------------------------------------------------------------

@@ -57,11 +57,6 @@ class Circuit:
         return Circuit(self.n, tuple(Gate(_INVERSE[g.kind], g.targets)
                                      for g in reversed(self.gates)))
 
-    def __add__(self, other: Circuit) -> Circuit:
-        if self.n != other.n:
-            raise ValueError("circuit size mismatch")
-        return Circuit(self.n, self.gates + other.gates)
-
 
 def _validate_gate(n: int, kind: str, targets: tuple[int, ...]):
     """The one gate check, shared by the dense engine and the tableau."""

@@ -157,19 +157,13 @@ def hamiltonian_energy(model: LatticeModel, state: StateVector) -> float:
     return -sum(expect_pauli(state, g) for g in model.generators)
 
 
-@dataclass(frozen=True)
-class SyndromeEntry:
-    generator: str
-    value: float
-    eigenstate: bool
+def syndrome(model: LatticeModel, state: StateVector) -> list[tuple[str, float]]:
+    """(generator, value) pairs in generator order, from dense expectations.
 
-
-def syndrome(model: LatticeModel, state: StateVector) -> list[SyndromeEntry]:
-    """Per-generator eigenvalue, or the raw expectation flagged non-eigenstate.
-
-    Stabilizer-reachable states give exact +/-1 entries; superpositions
-    across syndrome sectors (deliberate in the creation step here) are
-    reported with ``eigenstate=False`` and the expectation value.
+    A value within EIGENVALUE_TOL of +/-1 is snapped to exactly +/-1.0, so
+    ``abs(value) == 1`` marks a generator eigenstate; any other value is the
+    raw expectation of a superposition across syndrome sectors (deliberate
+    in the creation step here).
     """
     if state.n != model.n_qubits:
         raise ValueError(f"state is {state.n}-qubit, model needs {model.n_qubits}")
@@ -177,9 +171,8 @@ def syndrome(model: LatticeModel, state: StateVector) -> list[SyndromeEntry]:
     for gid, g in zip(model.generator_ids, model.generators):
         val = expect_pauli(state, g)
         if abs(abs(val) - 1.0) <= EIGENVALUE_TOL:
-            out.append(SyndromeEntry(gid, 1.0 if val > 0 else -1.0, True))
-        else:
-            out.append(SyndromeEntry(gid, val, False))
+            val = 1.0 if val > 0 else -1.0
+        out.append((gid, val))
     return out
 
 

@@ -1,15 +1,18 @@
-"""Deterministic JSON reports and run manifests.
+"""Deterministic JSON and CSV reports and run manifests.
 
 Reports are byte-identical across reruns of the same (config, seed):
-floats are rounded to 12 significant digits before serialization, keys
-are sorted, and nothing time-dependent goes into a report.  Timestamps,
-wall times, tool versions, and output paths live in a sidecar manifest
-instead.
+floats carry 12 significant digits (``SIGNIFICANT_DIGITS``) in both
+formats, JSON keys are sorted, and nothing time-dependent goes into a
+report.  Timestamps, wall times, tool versions, and output paths live in
+a sidecar manifest instead.  This module is the one place that knows a
+file format or the report precision.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime
+import io
 import json
 import os
 import platform
@@ -51,6 +54,18 @@ def dumps_report(obj) -> str:
     return json.dumps(canonical(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def csv_text(header: list[str], rows) -> str:
+    """CSV of ``header`` then each row of the iterable ``rows``: a float cell
+    carries SIGNIFICANT_DIGITS, None is an empty cell, strings pass through."""
+    spec = f".{SIGNIFICANT_DIGITS}g"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(v, spec) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
 def resolve_out_path(path: str | os.PathLike) -> Path:
     """Relative outputs land in $ANYONLAB_OUT_DIR when it is set."""
     p = Path(path)
@@ -80,7 +95,7 @@ def write_manifest(outputs: list[Path], command: str, argv: list[str],
     manifest = {
         "command": command,
         "argv": argv,
-        "config": canonical(config),
+        "config": config,
         "seed": config.get("seed"),
         "outputs": [str(p) for p in outputs],
         "versions": {
@@ -92,6 +107,5 @@ def write_manifest(outputs: list[Path], command: str, argv: list[str],
         "wall_s": wall_s,
     }
     mpath = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-                     + "\n", encoding="utf-8")
+    mpath.write_text(dumps_report(manifest), encoding="utf-8")
     return mpath

@@ -24,8 +24,6 @@ one table of peak labels and readout states per pipeline role.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -33,6 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dense import StateVector
+from .pauli import DENSE_LIMIT
+from .report import csv_text
 
 INTENSITY_THRESHOLD = 1e-9
 LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays and CSV
@@ -68,7 +68,11 @@ READOUT = {
 
 @dataclass(frozen=True)
 class SpinSystem:
-    """Observed spin plus its coupling partners, in state-bit order."""
+    """Observed spin plus its coupling partners, in state-bit order.
+
+    A state has at most DENSE_LIMIT bits, one per partner, so a system has
+    1..DENSE_LIMIT partners.
+    """
 
     observed: str
     partners: tuple[str, ...]
@@ -92,6 +96,9 @@ class SpinSystem:
             raise ValueError(f"t2 must be positive, got {self.t2_s}")
         if self.t2_s is not None and not math.isfinite(self.t2_s):
             raise ValueError(f"t2_s is not finite: {self.t2_s}")
+        if not 1 <= len(self.partners) <= DENSE_LIMIT:
+            raise ValueError(f"a spin system needs 1..{DENSE_LIMIT} partners, "
+                             f"got {len(self.partners)}")
 
     @property
     def linewidth_hz(self) -> float | None:
@@ -309,20 +316,10 @@ def sample_lineshape(report: SpectrumReport, points: int = 4001
 
 
 def spectrum_to_csv(report: SpectrumReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["freq_hz", "intensity", "state", "linewidth_hz", "label"])
-    for p in report.peaks:
-        writer.writerow([f"{p.frequency_hz:.12g}", f"{p.intensity:.12g}", p.state,
-                         "" if p.linewidth_hz is None else f"{p.linewidth_hz:.12g}",
-                         p.label or ""])
-    return buf.getvalue()
+    return csv_text(["freq_hz", "intensity", "state", "linewidth_hz", "label"],
+                    ([p.frequency_hz, p.intensity, p.state, p.linewidth_hz, p.label]
+                     for p in report.peaks))
 
 
 def lineshape_to_csv(freqs: np.ndarray, values: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["freq_hz", "absorption"])
-    for f, v in zip(freqs, values):
-        writer.writerow([f"{f:.12g}", f"{v:.12g}"])
-    return buf.getvalue()
+    return csv_text(["freq_hz", "absorption"], zip(freqs, values))

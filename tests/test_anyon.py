@@ -69,9 +69,7 @@ class TestGoldenStates:
 class TestAnyonOps:
     def test_creation_flips_b1_b3(self):
         from anyonlab.lattice import build_planar6, syndrome
-        entries = {e.generator: e.value
-                   for e in syndrome(build_planar6(),
-                                     create_anyons(planar6_ground_state()))}
+        entries = dict(syndrome(build_planar6(), create_anyons(planar6_ground_state())))
         assert entries["B1"] == -1.0 and entries["B3"] == -1.0
 
     def test_create_then_fuse_is_identity(self):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from anyonlab import cli
-from anyonlab.report import OUT_DIR_ENV
+from anyonlab.report import OUT_DIR_ENV, round_sig
 from anyonlab.spectrum import READOUT, default_spin_system
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -286,10 +286,13 @@ class TestSpectrumCommand:
 
     def test_spin_config_missing_key(self, tmp_path):
         missing = {k: v for k, v in TWO_SPINS.items() if k != "observed"}
+        names = [f"p{i}" for i in range(13)]
+        thirteen = {**TWO_SPINS, "partners": names, "j_hz": dict.fromkeys(names, 1.0)}
         for config, key in ((missing, "observed"),
                             ({**TWO_SPINS, "j_hz": [1]}, "j_hz"),
                             ({**TWO_SPINS, "partners": "ab"}, "partners"),
-                            ({**TWO_SPINS, "placeholder": "a"}, "placeholder")):
+                            ({**TWO_SPINS, "placeholder": "a"}, "placeholder"),
+                            (thirteen, "1..12 partners, got 13")):
             (tmp_path / "spins.json").write_text(json.dumps(config))
             res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
                            "--out", "sp"], tmp_path)
@@ -369,6 +372,26 @@ class TestParseGrid:
         assert cli.main(["sweep", "--eta-grid=0:1:1e-320", "--out", "x.csv"]) == 1
         assert "cap" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "x.csv").exists()
+
+    def test_sweep_rows_capped(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        # each grid is under the cap, their 1.8e11 rows are not
+        argv = ["sweep", "--eta-grid=-0.3:0.3:1e-6", "--admix-grid=0:0.3:1e-6",
+                "--out", "x.csv"]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == (
+            f"sweep of 600001 eta x 300001 admix points passes the cap of "
+            f"{cli.GRID_LIMIT} rows")
+        assert not (tmp_path / "x.csv").exists()
+        # at the cap a sweep runs; one row past it, none does
+        monkeypatch.setattr(cli, "GRID_LIMIT", 4)
+        assert cli.main(["sweep", "--eta-grid", "0,0.1", "--admix-grid", "0,0.1",
+                         "--out", "x.csv"]) == 0
+        assert len((tmp_path / "x.csv").read_text().splitlines()) == 5
+        assert cli.main(["sweep", "--eta-grid", "0,0.1,0.2", "--admix-grid", "0,0.1",
+                         "--out", "y.csv"]) == 1
+        assert "cap of 4 rows" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
 
 
 class TestSweep:
@@ -464,6 +487,7 @@ class TestManifest:
         manifest = self.manifest(argv, tmp_path, monkeypatch, outputs[0])
         wall_s = manifest["wall_s"]
         assert isinstance(wall_s, float) and math.isfinite(wall_s) and wall_s >= 0
+        assert wall_s == round_sig(wall_s)    # the 12-digit report precision
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [*outputs, f"{outputs[0]}.manifest.json"])
 

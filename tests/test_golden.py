@@ -1,9 +1,9 @@
 """Golden CLI outputs: exit code, stderr and the sha256 of every report.
 
 Each case runs in process through ``cli.main`` with $ANYONLAB_OUT_DIR
-pointing at a fresh directory.  Manifests and ``.bench.json`` sidecars
-hold timestamps and timings, so they are left out.  A change that keeps
-these hashes keeps every report byte-identical.
+pointing at a fresh directory.  Manifests hold timestamps and timings,
+so they are left out.  A change that keeps these hashes keeps every
+report byte-identical.
 """
 
 import hashlib
@@ -167,10 +167,10 @@ def make_inputs(directory) -> dict[str, str]:
 
 
 def output_hashes(directory) -> dict[str, str]:
-    """sha256 of every output file, manifests and bench sidecars left out."""
+    """sha256 of every output file, manifests left out."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(directory.iterdir())
-            if not p.name.endswith((".manifest.json", ".bench.json"))}
+            if not p.name.endswith(".manifest.json")}
 
 
 @pytest.fixture(scope="module")

@@ -90,6 +90,11 @@ class TestSpinSystemConfig:
             SpinSystem("O", ("a",), {"a": 1.0}, t2_s=0.0)
         with pytest.raises(ValueError, match="unique"):
             SpinSystem("O", ("a", "a"), {"a": 1.0})
+        # a state has at most DENSE_LIMIT = 12 bits, one per partner
+        names = tuple(f"p{i}" for i in range(13))
+        for partners in (names, ()):
+            with pytest.raises(ValueError, match=rf"1\.\.12 partners, got {len(partners)}"):
+                SpinSystem("O", partners, dict.fromkeys(names, 1.0))
         for field in ("offset_hz", "t2_s"):
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=field):

@@ -262,9 +262,9 @@ class TestToricGround:
     def test_measurement_circuit_on_tableau_matches_dense(self):
         # the repository's other fixed 6-qubit Clifford network
         from anyonlab.anyon import measurement_circuit
-        circ = ground_state_circuit(planar6_graph_spec()) + measurement_circuit()
-        dense = dense_run(circ, StateVector.zero(6))
-        for row in run(circ, Tableau(6)).stabilizer_paulis():
+        prep, readout = ground_state_circuit(planar6_graph_spec()), measurement_circuit()
+        dense = dense_run(readout, dense_run(prep, StateVector.zero(6)))
+        for row in run(readout, run(prep, Tableau(6))).stabilizer_paulis():
             assert abs(expect_pauli(dense, row) - 1.0) < 1e-9
 
 
