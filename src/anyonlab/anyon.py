@@ -26,7 +26,38 @@ from .dense import (Circuit, Gate, StateVector, apply_gate, apply_pauli,
 from .lattice import ground_state_circuit, planar6_graph_spec
 from .pauli import PauliString
 
+
+def _measurement_circuit(preparation: Circuit) -> Circuit:
+    """Fixed Clifford network mapping ground/excited onto two-peak states.
+
+    Uninvert the preparation (sending the ground state to |000000> and
+    the excited one to |100001>), fold the excitation flag onto qubit 3,
+    then re-entangle qubits (1,2,4,5,6) into the GHZ-like readout pair.
+    Golden-tested against the target amplitudes.
+    """
+    def cnot(c, t):
+        return [Gate("h", (t,)), Gate("cz", (c, t)), Gate("h", (t,))]
+
+    gates = list(preparation.inverse().gates)
+    gates += cnot(1, 6)
+    gates += [Gate("swap", (1, 3))]
+    gates += [Gate("h", (1,))]
+    for t in (2, 4, 5, 6):
+        gates += cnot(1, t)
+    return Circuit(preparation.n, tuple(gates))
+
+
+# The fixed pieces of the experiment; none of them applies a gate.
+PREPARATION = ground_state_circuit(planar6_graph_spec())
 CREATION = Circuit(6, (Gate("x", (4,)), Gate("s", (3,))))
+BRAIDING_LOOP = PauliString.x_on(6, 6, 5, 3, 4)   # drags m around e
+FUSION = CREATION.inverse()
+MEASUREMENT = _measurement_circuit(PREPARATION)
+
+# Largest admix_beta.  Each dominant control peak holds alpha^2 / 2 =
+# 1 / (2 (1 + beta^2)) at gamma = 0, which at this cap (5e-9) still clears
+# spec.INTENSITY_THRESHOLD; from about 2.2e4 up the peak is dropped.
+ADMIX_LIMIT = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -39,8 +70,9 @@ class ExperimentConfig:
     standing in for relaxation losses.  Weights are normalized so
     alpha^2 + beta^2 + gamma^2 = 1.
 
-    ``eta_inject`` must lie in (-pi/2, pi/2 - atan(admix_beta)), the range
-    in which ``extract_phase`` recovers it; any other eta is rejected here.
+    ``admix_beta`` must lie in [0, ADMIX_LIMIT], and ``eta_inject`` in
+    (-pi/2, pi/2 - atan(admix_beta)), the range in which ``extract_phase``
+    recovers it; any other value is rejected here.
     """
 
     with_braiding: bool = True
@@ -54,8 +86,9 @@ class ExperimentConfig:
             raise ValueError(f"eta_inject must be finite, got {self.eta_inject}")
         if not math.isfinite(self.admix_beta):
             raise ValueError(f"admix_beta must be finite, got {self.admix_beta}")
-        if self.admix_beta < 0:
-            raise ValueError(f"admix_beta must be >= 0, got {self.admix_beta}")
+        if not 0 <= self.admix_beta <= ADMIX_LIMIT:
+            raise ValueError(f"admix_beta must be in [0, ADMIX_LIMIT = {ADMIX_LIMIT}], "
+                             f"got {self.admix_beta}")
         lo, hi = -math.pi / 2, math.pi / 2 - math.atan(self.admix_beta)
         if not lo < self.eta_inject < hi:
             raise ValueError(
@@ -97,24 +130,15 @@ class PhaseResult:
 
 
 @lru_cache(maxsize=1)
-def _ground_amps() -> StateVector:
-    return run(ground_state_circuit(planar6_graph_spec()), StateVector.zero(6))
-
-
 def planar6_ground_state() -> StateVector:
-    """Eq-exact ground state of the planar model, via the graph circuit."""
-    g = _ground_amps()
-    return StateVector(6, g.amps.copy())
+    """Eq-exact ground state of the planar model, via the graph circuit (built once)."""
+    return run(PREPARATION, StateVector.zero(6))
 
 
+@lru_cache(maxsize=1)
 def planar6_excited_state() -> StateVector:
     """Z on qubit 3 applied to the ground state (the e-pair excitation)."""
     return apply_gate(planar6_ground_state(), "z", 3)
-
-
-def braiding_loop() -> PauliString:
-    """The loop X6 X5 X3 X4 that drags the m anyon around the e anyon."""
-    return PauliString.x_on(6, 6, 5, 3, 4)
 
 
 # -- anyon manipulations ----------------------------------------------------
@@ -126,13 +150,13 @@ def create_anyons(state: StateVector) -> StateVector:
 
 
 def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
-    """Move the m anyon around the e anyon: the loop L = ``braiding_loop()``.
+    """Move the m anyon around the e anyon: the loop L = ``BRAIDING_LOOP``.
 
     A nonzero ``eta_inject`` applies exp(-i * eta * L) after the loop, which
     is cos(eta) L psi - i sin(eta) psi because L^2 = 1; it rotates the
     relative phase of L's -1 eigenspace by 2*eta.
     """
-    looped = apply_pauli(state, braiding_loop())
+    looped = apply_pauli(state, BRAIDING_LOOP)
     if not eta_inject:
         return looped
     return StateVector(state.n, math.cos(eta_inject) * looped.amps
@@ -141,57 +165,35 @@ def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
 
 def fuse(state: StateVector) -> StateVector:
     """Inverse creation: sqrt(sigma_z)^-1 on qubit 3 then X on qubit 4."""
-    return run(CREATION.inverse(), state)
+    return run(FUSION, state)
 
 
 # -- measurement reduction ---------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def measurement_circuit() -> Circuit:
-    """Fixed Clifford network mapping ground/excited onto two-peak states.
-
-    Uninvert the preparation (sending the ground state to |000000> and
-    the excited one to |100001>), fold the excitation flag onto qubit 3,
-    then re-entangle qubits (1,2,4,5,6) into the GHZ-like readout pair.
-    Golden-tested against the target amplitudes.
-    """
-    n = 6
-
-    def cnot(c, t):
-        return [Gate("h", (t,)), Gate("cz", (c, t)), Gate("h", (t,))]
-
-    spec6 = planar6_graph_spec()
-    prep = ground_state_circuit(spec6)
-    gates = list(prep.inverse().gates)
-    gates += cnot(1, 6)
-    gates += [Gate("swap", (1, 3))]
-    gates += [Gate("h", (1,))]
-    for t in (2, 4, 5, 6):
-        gates += cnot(1, t)
-    return Circuit(n, tuple(gates))
-
-
 def measurement_reduction(state: StateVector) -> StateVector:
-    """Apply the fixed readout circuit."""
-    return run(measurement_circuit(), state)
+    """Apply the fixed readout circuit ``MEASUREMENT``."""
+    return run(MEASUREMENT, state)
 
 
 # -- imperfect preparation ---------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _labeled_subspace() -> np.ndarray:
     """Orthonormal basis (columns) of the span whose readout peaks carry labels.
 
     Columns run over the ground readout pair, then the excited one, each in
     bit order; the order sets the QR's rounding, which gamma > 0 reports print.
+    Built once and read-only.
     """
     readout = spec.READOUT["unbraided"]
-    minv = measurement_circuit().inverse()
+    minv = MEASUREMENT.inverse()
     cols = [run(minv, StateVector.basis(bits)).amps
             for pair in (readout.dominant, readout.contamination)
             for bits in sorted(state for _, state in pair)]
     q, _ = np.linalg.qr(np.array(cols).T)
+    q.setflags(write=False)
     return q
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import anyon, report, spectrum
 from .dense import dump_amplitudes, state_from_dump
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
-                      ground_state_circuit, planar6_graph_spec, syndrome)
+                      syndrome)
 from .pauli import DENSE_LIMIT, PauliString
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
@@ -99,7 +99,7 @@ def cmd_ground(args) -> list[Path]:
         out["syndrome"] = _syndrome_rows(syndrome(model, state))
     else:
         if model.geometry == "planar6":
-            t = tableau_run(ground_state_circuit(planar6_graph_spec()), Tableau(6))
+            t = tableau_run(anyon.PREPARATION, Tableau(6))
         else:
             t = init_toric_ground(model, tuple(args.logical), seed=args.seed)
         out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=("dense", "tableau"), default="dense")
     p.add_argument("--logical", type=_logical_bits, default=(0, 0),
                    help="two bits choosing the toric Z-loop sector")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted but changes no report: every vertex outcome is forced")
     p.add_argument("--describe", action="store_true")
     p.add_argument("--out", default="ground.json")
     p.set_defaults(func=cmd_ground)

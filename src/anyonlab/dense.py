@@ -75,7 +75,8 @@ def _validate_gate(n: int, kind: str, targets: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class StateVector:
-    """Dense complex amplitudes over n qubits (qubit 1 = MSB)."""
+    """Dense complex amplitudes over n qubits (qubit 1 = MSB); read-only, so a
+    state can be shared without copies."""
 
     n: int
     amps: np.ndarray = field(repr=False)
@@ -83,6 +84,7 @@ class StateVector:
     def __post_init__(self):
         if self.amps.shape != (2 ** self.n,):
             raise ValueError(f"expected {2 ** self.n} amplitudes, got {self.amps.shape}")
+        self.amps.setflags(write=False)
 
     @classmethod
     def zero(cls, n: int) -> StateVector:

@@ -32,21 +32,13 @@ def round_sig(x: float, digits: int = SIGNIFICANT_DIGITS) -> float:
 
 
 def canonical(obj):
-    """Recursively normalize floats/ndarrays/complex for stable JSON."""
+    """Recursively round floats (np.float64 is one) for stable JSON."""
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (float, np.floating)):
-        return round_sig(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, complex):
-        return {"re": round_sig(obj.real), "im": round_sig(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return canonical(obj.tolist())
+    if isinstance(obj, float):
+        return round_sig(obj)
     return obj
 
 

@@ -36,6 +36,10 @@ from .report import csv_text
 
 INTENSITY_THRESHOLD = 1e-9
 LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays and CSV
+# Accepted t2_s in seconds.  The Lorentzian half-width 1/(2 pi t2) then lies
+# within about 1e+-100 Hz, so it, its square and the squared offsets of a
+# lineshape grid ten linewidths wide stay finite and nonzero in doubles.
+T2_RANGE_S = (1e-100, 1e100)
 
 MEASURED_J_H1_HZ = 155.42
 MEASURED_J_H2_HZ = 0.66
@@ -54,7 +58,7 @@ class Readout:
     orientation: int
 
 
-# anyon.measurement_circuit sends ground/excited to phase +1 sums of the control
+# anyon.MEASUREMENT sends ground/excited to phase +1 sums of the control
 # run's dominant/contamination pair; the braided run swaps the two roles.
 READOUT = {
     "unbraided": Readout(dominant=(("i", "110111"), ("j", "000000")),
@@ -92,10 +96,9 @@ class SpinSystem:
                 raise ValueError(f"J[{p}] is not finite: {j}")
         if not math.isfinite(self.offset_hz):
             raise ValueError(f"offset_hz is not finite: {self.offset_hz}")
-        if self.t2_s is not None and self.t2_s <= 0:
-            raise ValueError(f"t2 must be positive, got {self.t2_s}")
-        if self.t2_s is not None and not math.isfinite(self.t2_s):
-            raise ValueError(f"t2_s is not finite: {self.t2_s}")
+        lo, hi = T2_RANGE_S
+        if self.t2_s is not None and not lo <= self.t2_s <= hi:
+            raise ValueError(f"t2_s must be in [{lo:g}, {hi:g}] s, got {self.t2_s}")
         if not 1 <= len(self.partners) <= DENSE_LIMIT:
             raise ValueError(f"a spin system needs 1..{DENSE_LIMIT} partners, "
                              f"got {len(self.partners)}")

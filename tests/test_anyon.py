@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonlab.anyon import (ExperimentConfig, braid, braiding_loop,
-                            create_anyons, extract_phase, fuse,
-                            ideal_fidelities, measurement_circuit,
+from anyonlab.anyon import (BRAIDING_LOOP, MEASUREMENT, ExperimentConfig,
+                            _labeled_subspace, braid, create_anyons,
+                            extract_phase, fuse, ideal_fidelities,
                             measurement_reduction, planar6_excited_state,
                             planar6_ground_state, prepare_initial_state,
                             run_braided_pipeline, run_experiment,
@@ -81,7 +81,7 @@ class TestAnyonOps:
         assert abs(overlap(g, braid(g)) - 1.0) < 1e-12
 
     def test_braid_acts_as_loop_sign_on_eigenspaces(self):
-        loop = braiding_loop()
+        loop = BRAIDING_LOOP
         g = planar6_ground_state()
         plus = StateVector(6, (g.amps + apply_pauli(g, loop).amps))
         plus = StateVector(6, plus.amps / np.linalg.norm(plus.amps))
@@ -102,7 +102,7 @@ class TestAnyonOps:
         np.testing.assert_allclose(c_excited, 1j * math.cos(eta), atol=1e-12)
 
     def test_measurement_circuit_is_unitary(self):
-        circ = measurement_circuit()
+        circ = MEASUREMENT
         cols = []
         for i in range(64):
             basis = StateVector.basis(format(i, "06b"))
@@ -144,6 +144,11 @@ class TestConfig:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="admix_beta must be finite"):
                 ExperimentConfig(admix_beta=bad)
+        # above ADMIX_LIMIT = 1e4 the control run's dominant peaks fall under
+        # the intensity threshold, so eta could not be recovered
+        for bad in (1e308, 3e4):
+            with pytest.raises(ValueError, match=r"admix_beta must be in \[0, ADMIX_LIMIT"):
+                ExperimentConfig(eta_inject=-0.1, admix_beta=bad)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((0.0, 0.1, 0.18, 0.3)),
@@ -283,3 +288,26 @@ class TestRunExperiment:
         result = run_experiment(ExperimentConfig(with_braiding=False))
         assert "phase" not in result and "braided" not in result
         assert set(result["unbraided"]["run"].states) == {"psi_f", "psi_g"}
+
+
+class TestFixedPieces:
+    """The fixed pieces of the experiment are built once and shared read-only."""
+
+    def test_state_amplitudes_are_read_only(self):
+        g = planar6_ground_state()
+        states = [StateVector.zero(6), StateVector.basis("01"),
+                  StateVector.from_amplitudes(1, {"1": 1.0}), g, braid(g, 0.1),
+                  apply_pauli(g, BRAIDING_LOOP), measurement_reduction(g),
+                  prepare_initial_state(ExperimentConfig(gamma_leak=0.2), seed=3)]
+        for state in states:
+            with pytest.raises(ValueError, match="read-only"):
+                state.amps[0] = 0.0
+
+    def test_builders_return_one_read_only_value(self):
+        for build in (planar6_ground_state, planar6_excited_state):
+            assert build() is build()
+            assert not build().amps.flags.writeable
+        basis = _labeled_subspace()
+        assert basis is _labeled_subspace() and not basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            basis[0, 0] = 0.0

@@ -148,6 +148,17 @@ class TestBraidDemo:
         assert "admix_beta" in json.loads(res.stderr)["error"]
         assert not (tmp_path / "demo.json").exists()
 
+    def test_admix_above_cap_rejected(self, tmp_path, monkeypatch, capsys):
+        # 1e308 used to overflow in ExperimentConfig.weights(); 3e4 lost peak 'i'
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for argv in (["braid-demo", "--eta=-0.1", "--admix", "1e308"],
+                     ["braid-demo", "--eta=-0.1", "--admix", "3e4"],
+                     ["sweep", "--eta-grid=-0.1", "--admix-grid=1e200"]):
+            assert cli.main([*argv, "--out", "x.out"]) == 1
+            assert "admix_beta must be in [0, ADMIX_LIMIT" in \
+                json.loads(capsys.readouterr().err)["error"]
+            assert not (tmp_path / "x.out").exists()
+
     def test_non_finite_spin_config_rejected(self, tmp_path):
         (tmp_path / "spins.json").write_text(
             '{"observed": "C2", "partners": [], "j_hz": {}, '
@@ -325,6 +336,17 @@ class TestSpectrumCommand:
         assert "lineshape points" in json.loads(capsys.readouterr().err)["error"]
         assert not (tmp_path / "sp.json").exists()
 
+    def test_extreme_t2_rejected(self, tmp_path, monkeypatch, capsys):
+        # 1e-160 overflowed hwhm ** 2; 1e300 underflowed it to 0 and wrote NaN;
+        # 1e-320 made braid-demo fail on an unnamed infinite float
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for argv in (["spectrum", "--thermal", "--t2", "1e-160", "--lineshape", "11"],
+                     ["spectrum", "--thermal", "--t2", "1e300", "--lineshape", "11"],
+                     ["braid-demo", "--t2", "1e-320"]):
+            assert cli.main([*argv, "--out", "sp"]) == 1
+            assert "t2_s must be in" in json.loads(capsys.readouterr().err)["error"]
+            assert not list(tmp_path.iterdir())
+
     def test_label_choices_are_the_readout_roles(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         for role in READOUT:
@@ -435,6 +457,17 @@ class TestSweep:
             assert res.returncode == 1
             assert "error" in json.loads(res.stderr)
             assert not (tmp_path / "x.csv").exists()
+
+
+def test_import_applies_no_gate():
+    # the experiment's states and readout basis are built on first use only
+    code = ("import anyonlab.cli\n"
+            "from anyonlab import anyon as a\n"
+            "print([f.cache_info().currsize for f in (a.planar6_ground_state, "
+            "a.planar6_excited_state, a._labeled_subspace)])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert out.stdout.strip() == "[0, 0, 0]"
 
 
 class TestOutDirEnv:

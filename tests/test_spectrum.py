@@ -11,7 +11,7 @@ from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
                             run_unbraided_pipeline)
 from anyonlab.dense import StateVector
 from anyonlab.spectrum import (LINESHAPE_LIMIT, MEASURED_J_H1_HZ, MEASURED_J_H2_HZ,
-                               READOUT, SpinSystem,
+                               READOUT, T2_RANGE_S, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
                                peak_frequency, sample_lineshape,
@@ -86,8 +86,13 @@ class TestSpinSystemConfig:
             SpinSystem("O", ("a", "b"), {"a": 1.0})
         with pytest.raises(ValueError, match="finite"):
             SpinSystem("O", ("a",), {"a": math.inf})
-        with pytest.raises(ValueError, match="t2"):
-            SpinSystem("O", ("a",), {"a": 1.0}, t2_s=0.0)
+        for t2 in (0.0, -0.3, 1e-160, 1e300, 1e-320):
+            with pytest.raises(ValueError, match=r"t2_s must be in \[1e-100, 1e\+100\] s"):
+                SpinSystem("O", ("a",), {"a": 1.0}, t2_s=t2)
+        for t2 in T2_RANGE_S + (0.3,):    # both ends, and the T2 of the examples
+            sys_ = SpinSystem("O", ("a",), {"a": 1.0}, t2_s=t2)
+            _, values = sample_lineshape(synthesize_thermal(sys_), 11)
+            assert np.all(np.isfinite(values)) and values.max() > 0
         with pytest.raises(ValueError, match="unique"):
             SpinSystem("O", ("a", "a"), {"a": 1.0})
         # a state has at most DENSE_LIMIT = 12 bits, one per partner
