@@ -104,11 +104,6 @@ class ExperimentConfig:
         alpha = math.sqrt((1 - gamma * gamma) / (1 + self.admix_beta ** 2))
         return alpha, self.admix_beta * alpha, gamma
 
-    def as_dict(self) -> dict:
-        return {"with_braiding": self.with_braiding, "eta_inject": self.eta_inject,
-                "admix_beta": self.admix_beta, "gamma_leak": self.gamma_leak,
-                "damping": self.damping}
-
 
 @dataclass(frozen=True)
 class PhaseResult:

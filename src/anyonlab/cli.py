@@ -124,7 +124,7 @@ def cmd_braid_demo(args) -> list[Path]:
     model = build_planar6()
     result = anyon.run_experiment(config, sys_, seed=args.seed)
 
-    out: dict = {"config": {**config.as_dict(), "seed": args.seed},
+    out: dict = {"config": {**dataclasses.asdict(config), "seed": args.seed},
                  "spin_system": sys_.as_dict()}
     unb = result["unbraided"]
     out["unbraided"] = {
@@ -232,8 +232,7 @@ def cmd_spectrum(args) -> list[Path]:
     else:
         if not args.state:
             raise ValueError("spectrum needs --state FILE or --thermal")
-        with open(args.state, encoding="utf-8") as fh:
-            rows = json.load(fh)
+        rows = report.read_json(args.state, "--state")
         rep = spectrum.synthesize(sys_, state_from_dump(rows))
     if args.label:
         rep = spectrum.assign_peak_labels(rep, args.label)
@@ -347,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     try:
+        if getattr(args, "seed", 0) < 0:     # the one check for every --seed
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         start = time.perf_counter()
         outputs = args.func(args)
         wall_s = time.perf_counter() - start

@@ -34,6 +34,7 @@ _INVERSE = {"x": "x", "z": "z", "h": "h", "s": "sdg", "sdg": "s",
             "cz": "cz", "swap": "swap"}
 
 DUMP_THRESHOLD = 1e-9
+NORM_TOLERANCE = 1e-10    # |norm - 1| a gate may leave; gates never renormalize
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,8 @@ def apply_gate(state: StateVector, kind: str,
     return out
 
 
-def _check_norm(state: StateVector, tol: float = 1e-10):
-    if abs(state.norm() - 1.0) > tol:
+def _check_norm(state: StateVector):
+    if abs(state.norm() - 1.0) > NORM_TOLERANCE:
         raise AssertionError(f"state norm drifted to {state.norm()!r}")
 
 

@@ -40,18 +40,11 @@ DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
 def mul_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
     """Exponent of i picked up when multiplying mask pairs (x1,z1)*(x2,z2).
 
-    Counts, per qubit, the cyclic products XY, YZ, ZX (each +i) against
-    the anti-cyclic ones YX, ZY, XZ (each -i).
+    A mask pair (x, z) is i**|x&z| X^x Z^z (Y = iXZ), and moving Z^z1 past
+    X^x2 costs (-1)**|z1&x2|; the product's own Y factors take i**|x&z| back.
     """
-    y1 = x1 & z1
-    y2 = x2 & z2
-    xo1 = x1 & ~z1
-    xo2 = x2 & ~z2
-    zo1 = z1 & ~x1
-    zo2 = z2 & ~x2
-    plus = (y1 & zo2) | (xo1 & y2) | (zo1 & xo2)
-    minus = (y1 & xo2) | (xo1 & zo2) | (zo1 & y2)
-    return (plus.bit_count() - minus.bit_count()) % 4
+    return ((x1 & z1).bit_count() + (x2 & z2).bit_count() + 2 * (z1 & x2).bit_count()
+            - ((x1 ^ x2) & (z1 ^ z2)).bit_count()) % 4
 
 
 @dataclass(frozen=True)

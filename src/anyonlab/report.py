@@ -27,8 +27,8 @@ SIGNIFICANT_DIGITS = 12
 OUT_DIR_ENV = "ANYONLAB_OUT_DIR"
 
 
-def round_sig(x: float, digits: int = SIGNIFICANT_DIGITS) -> float:
-    return float(f"{x:.{digits}g}")
+def round_sig(x: float) -> float:
+    return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
 def canonical(obj):
@@ -56,6 +56,15 @@ def csv_text(header: list[str], rows) -> str:
     for row in rows:
         writer.writerow([format(v, spec) if isinstance(v, float) else v for v in row])
     return buf.getvalue()
+
+
+def read_json(path: str, what: str):
+    """The JSON value in ``path``; a parse error names ``what`` and the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:     # also a file that is not UTF-8
+            raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
 
 
 def resolve_out_path(path: str | os.PathLike) -> Path:

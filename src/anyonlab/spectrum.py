@@ -24,7 +24,6 @@ one table of peak labels and readout states per pipeline role.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .dense import StateVector
 from .pauli import DENSE_LIMIT
-from .report import csv_text
+from .report import csv_text, read_json
 
 INTENSITY_THRESHOLD = 1e-9
 LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays and CSV
@@ -40,6 +39,11 @@ LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays an
 # within about 1e+-100 Hz, so it, its square and the squared offsets of a
 # lineshape grid ten linewidths wide stay finite and nonzero in doubles.
 T2_RANGE_S = (1e-100, 1e100)
+# Largest accepted |J| in Hz.  Over at most 12 partners a peak sits within
+# 6e150 Hz of the offset, so offset + sum J/2 stays finite, and the squared
+# offsets (f - f0)^2 of a lineshape grid ten linewidths (at most 3.2e100 Hz
+# each) past the outermost peaks stay below 1.5e302, short of overflow.
+J_LIMIT_HZ = 1e150
 
 MEASURED_J_H1_HZ = 155.42
 MEASURED_J_H2_HZ = 0.66
@@ -92,8 +96,9 @@ class SpinSystem:
         if missing:
             raise ValueError(f"no J value for partner(s) {missing}")
         for p, j in self.j_hz.items():
-            if not math.isfinite(j):
-                raise ValueError(f"J[{p}] is not finite: {j}")
+            if not abs(j) <= J_LIMIT_HZ:      # also NaN
+                raise ValueError(f"j_hz[{p}] must be finite with |J| <= {J_LIMIT_HZ:g} Hz, "
+                                 f"got {j}")
         if not math.isfinite(self.offset_hz):
             raise ValueError(f"offset_hz is not finite: {self.offset_hz}")
         lo, hi = T2_RANGE_S
@@ -127,8 +132,7 @@ def default_spin_system() -> SpinSystem:
 
 
 def load_spin_system(path: str) -> SpinSystem:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path, "spin config")
     if not isinstance(raw, dict):
         raise ValueError(f"spin config {path} is not a JSON object")
     missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]

@@ -20,6 +20,8 @@ syndromes come from the error's Pauli frame (``lattice.error_syndrome``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .dense import (Circuit, StateVector, _validate_gate,
@@ -47,10 +49,10 @@ class Tableau:
 
     # -- row helpers ---------------------------------------------------
 
-    def _anticommuting_rows(self, p: PauliString, start: int, stop: int) -> list[int]:
-        """Indices in start..stop-1 of the rows that anticommute with p, ascending."""
+    def _anticommuting_rows(self, p: PauliString) -> list[int]:
+        """Indices of the rows that anticommute with p, ascending (destabilizers first)."""
         xs, zs, px, pz = self.xs, self.zs, p.x_mask, p.z_mask
-        return [i for i in range(start, stop)
+        return [i for i in range(2 * self.n)
                 if ((xs[i] & pz) ^ (zs[i] & px)).bit_count() & 1]
 
     def _rowmult(self, h: int, i: int):
@@ -139,7 +141,7 @@ class Tableau:
         if p.n != self.n:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
         phases = self.phases
-        for i in self._anticommuting_rows(p, 0, 2 * self.n):
+        for i in self._anticommuting_rows(p):
             phases[i] = (phases[i] + 2) % 4
         return self
 
@@ -148,10 +150,10 @@ class Tableau:
     def measure(self, p: PauliString, force: int | None = None) -> tuple[int, bool]:
         """Measure a Hermitian Pauli; returns (outcome +/-1, deterministic).
 
-        Deterministic when +/-p is in the stabilizer group (the outcome
-        is read off without touching the state); otherwise the outcome
-        is sampled from the seeded generator (or pinned by ``force``, +1 or
-        -1) and the tableau collapses.
+        Deterministic when +/-p is in the stabilizer group: the outcome is
+        read off without touching the state, and a ``force`` that contradicts
+        it is refused.  Otherwise the outcome is sampled from the seeded
+        generator (or pinned by ``force``, +1 or -1) and the tableau collapses.
         """
         if force not in (None, 1, -1):
             raise ValueError(f"forced outcome must be +1 or -1, got {force!r}")
@@ -159,15 +161,19 @@ class Tableau:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
         if not p.is_hermitian:
             raise ValueError(f"cannot measure non-Hermitian operator {p}")
-        n = self.n
-        stabilizers = self._anticommuting_rows(p, n, 2 * n)
-        if not stabilizers:
-            return self._deterministic_outcome(p), True
+        rows = self._anticommuting_rows(p)
+        first = bisect_left(rows, self.n)     # first anticommuting stabilizer
+        if first == len(rows):
+            outcome = self._deterministic_outcome(p, rows)
+            if force not in (None, outcome):
+                raise ValueError(f"cannot force {force:+d} on {p}: "
+                                 f"its outcome is deterministic, {outcome:+d}")
+            return outcome, True
 
-        pivot = stabilizers[0]
-        for j in self._anticommuting_rows(p, 0, n) + stabilizers[1:]:
+        pivot = rows.pop(first)
+        for j in rows:
             self._rowmult(j, pivot)
-        d = pivot - n
+        d = pivot - self.n
         self.xs[d] = self.xs[pivot]
         self.zs[d] = self.zs[pivot]
         self.phases[d] = self.phases[pivot]
@@ -181,29 +187,29 @@ class Tableau:
         self._det_cache.clear()
         return outcome, False
 
-    def _det_entry(self, p: PauliString) -> tuple[tuple[int, ...], int]:
-        key = (p.x_mask, p.z_mask)
-        entry = self._det_cache.get(key)
+    def _deterministic_outcome(self, p: PauliString, rows: list[int] | None = None) -> int:
+        """Outcome of a p in the stabilizer group up to sign; ``rows`` is
+        ``_anticommuting_rows(p)`` when the caller has already scanned it.
+
+        The memo maps p's masks to the stabilizer rows whose product is p,
+        with that product's phase; the rows' signs are read live."""
+        entry = self._det_cache.get((p.x_mask, p.z_mask))
         if entry is None:
-            if self._anticommuting_rows(p, self.n, 2 * self.n):
+            if rows is None:
+                rows = self._anticommuting_rows(p)
+            if rows and rows[-1] >= self.n:
                 raise ValueError("operator is not deterministic on this tableau")
-            sel = tuple(self._anticommuting_rows(p, 0, self.n))
+            sel = tuple(self.n + i for i in rows)
             ax = az = acc = 0
-            for i in sel:
-                row = self.n + i
+            for row in sel:
                 acc = (acc + mul_phase_exp(ax, az, self.xs[row], self.zs[row])) % 4
                 ax ^= self.xs[row]
                 az ^= self.zs[row]
             if ax != p.x_mask or az != p.z_mask:
                 raise AssertionError("commuting operator not in stabilizer group")
-            entry = (sel, acc)
-            self._det_cache[key] = entry
-        return entry
-
-    def _deterministic_outcome(self, p: PauliString) -> int:
-        sel, acc = self._det_entry(p)
-        e = (acc + sum(self.phases[self.n + i] for i in sel)) % 4
-        diff = (e - p.phase_exp) % 4
+            entry = self._det_cache[(p.x_mask, p.z_mask)] = (sel, acc)
+        sel, acc = entry
+        diff = (acc + sum(self.phases[row] for row in sel) - p.phase_exp) % 4
         if diff not in (0, 2):
             raise AssertionError("non-Hermitian accumulation in deterministic outcome")
         return 1 if diff == 0 else -1

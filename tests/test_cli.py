@@ -310,6 +310,15 @@ class TestSpectrumCommand:
             assert res.returncode == 1
             assert key in json.loads(res.stderr)["error"]
             assert not (tmp_path / "sp.json").exists()
+        # a file that is not JSON: the error names the file
+        (tmp_path / "spins.json").write_text('{"observed": "O", "partners": [')
+        for path in ("spins.json", "/dev/null"):
+            res = run_cli(["spectrum", "--thermal", "--spin-config", path,
+                           "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            assert json.loads(res.stderr)["error"].startswith(
+                f"spin config {path} is not valid JSON: Expecting value")
+            assert not (tmp_path / "sp.json").exists()
 
     def test_state_not_a_list_of_rows(self, tmp_path):
         for rows, message in (({"a": 1}, "list of [bits, re, im] rows"),
@@ -319,6 +328,29 @@ class TestSpectrumCommand:
             res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
             assert res.returncode == 1
             assert message in json.loads(res.stderr)["error"]
+            assert not (tmp_path / "sp.json").exists()
+        # a truncated file: the error names the option and the file
+        (tmp_path / "state.json").write_text('[["000000", 1.0, ')
+        res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"].startswith(
+            "--state state.json is not valid JSON: Expecting value")
+        assert not (tmp_path / "sp.json").exists()
+
+    def test_j_above_the_cap_rejected(self, tmp_path):
+        # three partners at 1.7e308 summed to -inf; 1e300 overflowed the lineshape
+        huge = {**TWO_SPINS, "partners": ["a", "b", "c"],
+                "j_hz": dict.fromkeys("abc", 1.7e308)}
+        wide = {**TWO_SPINS, "j_hz": {"a": 1e300, "b": 1.0}}
+        for spins, extra, partner in ((huge, [], "a"),
+                                      (wide, ["--t2", "0.3", "--lineshape", "11"], "a")):
+            (tmp_path / "spins.json").write_text(json.dumps(spins))
+            res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
+                           *extra, "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            # one JSON line on stderr: no traceback, no RuntimeWarning
+            assert json.loads(res.stderr)["error"].startswith(
+                f"j_hz[{partner}] must be finite with |J| <= 1e+150 Hz")
             assert not (tmp_path / "sp.json").exists()
 
     def test_unnormalized_state_rejected(self, tmp_path):
@@ -468,6 +500,22 @@ def test_import_applies_no_gate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=cli_env(), check=True)
     assert out.stdout.strip() == "[0, 0, 0]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ground", "--seed", "-1"],
+    ["braid-demo", "--seed", "-1"],
+    ["braid-demo", "--gamma", "0.1", "--seed", "-3"],
+    ["toric", "--k", "4", "--seed", "-1"],
+    ["sweep", "--seed", "-1"],
+])
+def test_negative_seed_named(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    assert cli.main([*argv, "--out", "run.json"]) == 1
+    seed = argv[-1]
+    assert json.loads(capsys.readouterr().err) == {
+        "error": f"--seed must be a non-negative integer, got {seed}"}
+    assert not list(tmp_path.iterdir())
 
 
 class TestOutDirEnv:

@@ -11,7 +11,7 @@ from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
                             run_unbraided_pipeline)
 from anyonlab.dense import StateVector
 from anyonlab.spectrum import (LINESHAPE_LIMIT, MEASURED_J_H1_HZ, MEASURED_J_H2_HZ,
-                               READOUT, T2_RANGE_S, SpinSystem,
+                               J_LIMIT_HZ, READOUT, T2_RANGE_S, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
                                peak_frequency, sample_lineshape,
@@ -93,6 +93,18 @@ class TestSpinSystemConfig:
             sys_ = SpinSystem("O", ("a",), {"a": 1.0}, t2_s=t2)
             _, values = sample_lineshape(synthesize_thermal(sys_), 11)
             assert np.all(np.isfinite(values)) and values.max() > 0
+        for j in (1.7e308, -1e151, 1e300, math.nan):
+            with pytest.raises(ValueError,
+                               match=r"j_hz\[b\] must be finite with \|J\| <= 1e\+150 Hz"):
+                small_system(j_hz={"a": 1.0, "b": j})
+        # 12 partners at the J cap: finite peaks and lineshape at both t2 ends
+        names = tuple(f"p{i}" for i in range(12))
+        for t2 in T2_RANGE_S:
+            sys_ = SpinSystem("O", names, dict.fromkeys(names, J_LIMIT_HZ), t2_s=t2)
+            rep = synthesize_thermal(sys_)
+            assert rep.peaks[-1].frequency_hz == pytest.approx(6 * J_LIMIT_HZ)
+            freqs, values = sample_lineshape(rep, 11)
+            assert np.all(np.isfinite(freqs)) and np.all(np.isfinite(values))
         with pytest.raises(ValueError, match="unique"):
             SpinSystem("O", ("a", "a"), {"a": 1.0})
         # a state has at most DENSE_LIMIT = 12 bits, one per partner

@@ -161,6 +161,20 @@ class TestMeasurement:
         # the rejected calls left |0> untouched
         assert t.measure(PauliString.z_on(1, 1)) == (1, True)
 
+    def test_forcing_a_deterministic_outcome_is_checked(self):
+        t = Tableau(2)
+        z1 = PauliString.z_on(2, 1)
+        with pytest.raises(ValueError,
+                           match=r"cannot force -1 on \+Z1: .*deterministic, \+1"):
+            t.measure(z1, force=-1)
+        assert t.measure(z1, force=1) == (1, True)
+        # on the toric ground state every vertex operator is pinned to +1
+        model = build_toric(3)
+        t = init_toric_ground(model)
+        with pytest.raises(ValueError, match="deterministic, \\+1"):
+            t.measure(model.vertex_ops[0], force=-1)
+        assert all(v == 1 for _, v in syndrome_sweep(t, model))
+
     def test_measurement_collapse_matches_dense(self):
         # measure X1 X2 on |00>, forced +1: state becomes a Bell pair
         t = Tableau(2, seed=3)
