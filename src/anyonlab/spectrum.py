@@ -44,6 +44,10 @@ T2_RANGE_S = (1e-100, 1e100)
 # offsets (f - f0)^2 of a lineshape grid ten linewidths (at most 3.2e100 Hz
 # each) past the outermost peaks stay below 1.5e302, short of overflow.
 J_LIMIT_HZ = 1e150
+# Largest accepted |offset_hz| in Hz.  Doubles near 1e12 are 1.2e-4 Hz apart,
+# so the smallest measured coupling (0.66 Hz) stays thousands of steps wide;
+# near 1e300 they are ~1e284 Hz apart and every peak rounds onto the offset.
+OFFSET_LIMIT_HZ = 1e12
 
 MEASURED_J_H1_HZ = 155.42
 MEASURED_J_H2_HZ = 0.66
@@ -99,8 +103,9 @@ class SpinSystem:
             if not abs(j) <= J_LIMIT_HZ:      # also NaN
                 raise ValueError(f"j_hz[{p}] must be finite with |J| <= {J_LIMIT_HZ:g} Hz, "
                                  f"got {j}")
-        if not math.isfinite(self.offset_hz):
-            raise ValueError(f"offset_hz is not finite: {self.offset_hz}")
+        if not abs(self.offset_hz) <= OFFSET_LIMIT_HZ:      # also NaN
+            raise ValueError(f"offset_hz must be finite with |offset| <= "
+                             f"{OFFSET_LIMIT_HZ:g} Hz, got {self.offset_hz}")
         lo, hi = T2_RANGE_S
         if self.t2_s is not None and not lo <= self.t2_s <= hi:
             raise ValueError(f"t2_s must be in [{lo:g}, {hi:g}] s, got {self.t2_s}")

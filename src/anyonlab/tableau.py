@@ -1,26 +1,32 @@
 """Clifford-only stabilizer tableau for syndrome dynamics at scale.
 
-Standard destabilizer/stabilizer tableau: rows 0..n-1 are destabilizers,
-rows n..2n-1 stabilizers, each a Pauli mask pair plus an i-exponent
-(stabilizer rows stay Hermitian, exponent 0 or 2).  Row masks are plain
-Python ints so conjugation and symplectic products run on machine words.
+Destabilizer/stabilizer tableau (Aaronson & Gottesman 2004) stored by
+columns and bit-packed (Gidney 2021).  ``X`` and ``Z`` are uint64 arrays
+of shape (words, n): word w, bit b of column q-1 holds the x (or z) bit
+on qubit q of the row at position 64*w + b.  Destabilizer i sits at
+position i and stabilizer i at 64*ceil(n/64) + i.  A row's i-exponent is
+lo + 2*hi, read from two bit-planes ``lo`` and ``hi`` (Python ints over
+the same positions); stabilizer rows stay Hermitian, exponent 0 or 2.
+The rows that anticommute with a Pauli are one XOR over its support
+columns, a Pauli error is ``hi ^=`` that mask, H, S and CNOT are column
+operations, and a measurement multiplies every anticommuting row by the
+pivot at once.  A row is read out of the columns only for ``row_pauli``,
+``stabilizer_paulis`` (reports) and a new memo entry.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
 studies and sign-exact cross-validation of the dense engine.
 
-Deterministic generator measurements are memoized per tableau structure,
-for error studies through this API (apply an error string, sweep, undo,
-sweep again): Pauli gates and error strings only flip row signs, which
-the cache reads live, so every sweep after the first costs microseconds
-per generator.  Any other gate or a random measurement invalidates the
-cache.  The ``toric`` command does not use a tableau at all: its
+Deterministic generator measurements are memoized for error studies
+(apply an error string, sweep, undo, sweep again): an entry keeps the
+stabilizer rows whose product is the generator as a bit mask, and
+Pauli gates and errors only flip signs, so a cached outcome is a few
+popcounts of the live phase planes.  Any other gate or a random
+measurement clears the memo.  The ``toric`` command uses no tableau: its
 syndromes come from the error's Pauli frame (``lattice.error_syndrome``).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -30,6 +36,42 @@ from .lattice import LatticeModel
 from .pauli import DENSE_LIMIT, PauliString, mul_phase_exp
 
 
+def _ones(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _int(words: np.ndarray) -> int:
+    """A (words,) uint64 bit-plane as a Python int (word 0 lowest)."""
+    return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+
+
+def _add4(a0, a1, b0, b1):
+    """Mod-4 sum of two bit-sliced counters (a1 a0) + (b1 b0)."""
+    return a0 ^ b0, a1 ^ b1 ^ a0 & b0
+
+
+def _product_phase(x: np.ndarray, z: np.ndarray, a: np.ndarray, c: np.ndarray):
+    """``mul_phase_exp(row, pivot)`` of every row at once, as bit-planes (lo, hi).
+
+    x, z are (words, s): the rows' bits on the pivot's s support qubits;
+    a, c are all ones where the pivot has x (z) there.  Per qubit, an X
+    pivot adds +1 on Z and -1 on Y, a Z pivot +1 on Y and -1 on X, a Y
+    pivot +1 on X and -1 on Z.  The sum mod 4 is (number of steps) + 2
+    (number of -1 steps): the count's parity is the last prefix XOR of the
+    steps, and its second bit the parity of the step pairs, the XOR over j
+    of step_j & ~prefix_j."""
+    step = x & c ^ z & a                    # the factors anticommute: +1 or -1
+    minus = step & (x ^ z ^ a ^ c ^ x & c)
+    prefix = np.bitwise_xor.accumulate(step, axis=1)
+    return prefix[:, -1], np.bitwise_xor.reduce(minus ^ step & ~prefix, axis=1)
+
+
 class Tableau:
     """Mutable stabilizer state on n qubits."""
 
@@ -37,37 +79,61 @@ class Tableau:
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = n
-        self.xs = [0] * (2 * n)
-        self.zs = [0] * (2 * n)
-        self.phases = [0] * (2 * n)     # i-exponent per row
-        for i in range(n):
-            self.xs[i] = 1 << i         # destabilizer i = X_{i+1}
-            self.zs[n + i] = 1 << i     # stabilizer i = Z_{i+1}
+        self._half = -(-n // 64)            # words per half
+        self._stab = 64 * self._half        # position of stabilizer row 0
+        self.X = np.zeros((2 * self._half, n), dtype="<u8")
+        self.Z = np.zeros_like(self.X)
+        q = np.arange(n)
+        bits = np.uint64(1) << (q % 64).astype(np.uint64)
+        self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
+        self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
+        self.lo = self.hi = 0                       # i-exponent bit-planes
         self._rng = np.random.default_rng(seed)
-        # deterministic-measurement memo; cleared wherever row masks change
-        self._det_cache: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+        # deterministic-measurement memo; cleared wherever columns change
+        self._det_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
     # -- row helpers ---------------------------------------------------
 
-    def _anticommuting_rows(self, p: PauliString) -> list[int]:
-        """Indices of the rows that anticommute with p, ascending (destabilizers first)."""
-        xs, zs, px, pz = self.xs, self.zs, p.x_mask, p.z_mask
-        return [i for i in range(2 * self.n)
-                if ((xs[i] & pz) ^ (zs[i] & px)).bit_count() & 1]
+    def _anticommuting(self, p: PauliString) -> int:
+        """Position mask of the rows that anticommute with p."""
+        return _int(np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
+                    ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
 
-    def _rowmult(self, h: int, i: int):
-        """row_h := row_h * row_i with phase tracking."""
-        self.phases[h] = (self.phases[h] + self.phases[i]
-                          + mul_phase_exp(self.xs[h], self.zs[h],
-                                          self.xs[i], self.zs[i])) % 4
-        self.xs[h] ^= self.xs[i]
-        self.zs[h] ^= self.zs[i]
+    def _phase(self, pos: int) -> int:
+        return (self.lo >> pos & 1) + 2 * (self.hi >> pos & 1)
+
+    def _set_phase(self, pos: int, e: int):
+        keep = ~(1 << pos)
+        self.lo, self.hi = self.lo & keep | (e & 1) << pos, self.hi & keep | (e >> 1) << pos
+
+    def _rowmult(self, rows: int, pivot: int):
+        """row r := row r * row ``pivot`` with phase tracking, for every position r in ``rows``."""
+        w, b = divmod(pivot, 64)
+        px, pz = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z))
+        sup = np.flatnonzero(px | pz)
+        m = np.frombuffer(rows.to_bytes(8 * len(self.X), "little"), "<u8")[:, None]
+        x, z, a, c = self.X[:, sup], self.Z[:, sup], -px[sup], -pz[sup]
+        lo, hi = _product_phase(x & m, z & m, a, c)
+        e = self._phase(pivot)
+        lo, hi = _add4(_int(lo), _int(hi), rows if e & 1 else 0, rows if e & 2 else 0)
+        self.lo, self.hi = _add4(self.lo, self.hi, lo, hi)
+        self.X[:, sup] = x ^ m & a
+        self.Z[:, sup] = z ^ m & c
+
+    def _paulis(self, mask: int):
+        """Yield the rows at the positions in ``mask``, ascending, read out of the columns."""
+        for pos in _ones(mask):
+            w, b = divmod(pos, 64)
+            x, z = (np.packbits(cols[w] & np.uint64(1 << b) != 0, bitorder="little").tobytes()
+                    for cols in (self.X, self.Z))
+            yield PauliString(self.n, int.from_bytes(x, "little"), int.from_bytes(z, "little"),
+                              self._phase(pos))
 
     def row_pauli(self, row: int) -> PauliString:
-        return PauliString(self.n, self.xs[row], self.zs[row], self.phases[row])
+        return next(self._paulis(1 << (row if row < self.n else self._stab + row - self.n)))
 
     def stabilizer_paulis(self) -> list[PauliString]:
-        return [self.row_pauli(self.n + i) for i in range(self.n)]
+        return list(self._paulis(((1 << self.n) - 1) << self._stab))
 
     # -- gates -----------------------------------------------------------
 
@@ -98,51 +164,31 @@ class Tableau:
             self._cnot(a, b)
             self._cnot(b, a)
             self._cnot(a, b)
-        self._det_cache.clear()     # masks changed; sign-only gates keep it
+        self._det_cache.clear()     # columns changed; sign-only gates keep it
         return self
 
     def _h(self, q: int):
-        bit = 1 << (q - 1)
-        for i in range(2 * self.n):
-            x = self.xs[i] & bit
-            z = self.zs[i] & bit
-            if x and z:
-                self.phases[i] = (self.phases[i] + 2) % 4
-            if bool(x) != bool(z):
-                self.xs[i] ^= bit
-                self.zs[i] ^= bit
+        x, z = self.X[:, q - 1], self.Z[:, q - 1]
+        self.hi ^= _int(x & z)
+        x[:], z[:] = z, x.copy()
 
     def _s(self, q: int):
-        bit = 1 << (q - 1)
-        for i in range(2 * self.n):
-            x = self.xs[i] & bit
-            if x:
-                if self.zs[i] & bit:
-                    self.phases[i] = (self.phases[i] + 2) % 4
-                self.zs[i] ^= bit
+        x, z = self.X[:, q - 1], self.Z[:, q - 1]
+        self.hi ^= _int(x & z)
+        z ^= x
 
     def _cnot(self, c: int, t: int):
-        bc = 1 << (c - 1)
-        bt = 1 << (t - 1)
-        for i in range(2 * self.n):
-            xc = bool(self.xs[i] & bc)
-            zc = bool(self.zs[i] & bc)
-            xt = bool(self.xs[i] & bt)
-            zt = bool(self.zs[i] & bt)
-            if xc and zt and (xt == zc):
-                self.phases[i] = (self.phases[i] + 2) % 4
-            if xc:
-                self.xs[i] ^= bt
-            if zt:
-                self.zs[i] ^= bc
+        xc, zc = self.X[:, c - 1], self.Z[:, c - 1]
+        xt, zt = self.X[:, t - 1], self.Z[:, t - 1]
+        self.hi ^= _int(xc & zt & ~(xt ^ zc))
+        xt ^= xc
+        zc ^= zt
 
     def apply_pauli(self, p: PauliString) -> Tableau:
         """Conjugate by a Pauli error string: pure sign flips."""
         if p.n != self.n:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
-        phases = self.phases
-        for i in self._anticommuting_rows(p):
-            phases[i] = (phases[i] + 2) % 4
+        self.hi ^= self._anticommuting(p)
         return self
 
     # -- measurement -----------------------------------------------------
@@ -161,55 +207,56 @@ class Tableau:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
         if not p.is_hermitian:
             raise ValueError(f"cannot measure non-Hermitian operator {p}")
-        rows = self._anticommuting_rows(p)
-        first = bisect_left(rows, self.n)     # first anticommuting stabilizer
-        if first == len(rows):
+        rows = self._anticommuting(p)
+        stabs = rows >> self._stab
+        if not stabs:
             outcome = self._deterministic_outcome(p, rows)
             if force not in (None, outcome):
                 raise ValueError(f"cannot force {force:+d} on {p}: "
                                  f"its outcome is deterministic, {outcome:+d}")
             return outcome, True
 
-        pivot = rows.pop(first)
-        for j in rows:
-            self._rowmult(j, pivot)
-        d = pivot - self.n
-        self.xs[d] = self.xs[pivot]
-        self.zs[d] = self.zs[pivot]
-        self.phases[d] = self.phases[pivot]
+        d = (stabs & -stabs).bit_length() - 1     # first anticommuting stabilizer
+        pivot = self._stab + d
+        self._rowmult(rows ^ 1 << pivot, pivot)
         if force is None:
             outcome = 1 if self._rng.integers(0, 2) == 0 else -1
         else:
             outcome = force
-        self.xs[pivot] = p.x_mask
-        self.zs[pivot] = p.z_mask
-        self.phases[pivot] = (p.phase_exp + (0 if outcome == 1 else 2)) % 4
+        w, b = divmod(d, 64)
+        bit = np.uint64(1 << b)
+        for cols, mask in ((self.X, p.x_mask), (self.Z, p.z_mask)):
+            row = cols[w + self._half]
+            cols[w] = cols[w] & ~bit | row & bit        # destabilizer d := pivot
+            row &= ~bit                                 # pivot := p
+            row[_ones(mask)] |= bit
+        self._set_phase(d, self._phase(pivot))
+        self._set_phase(pivot, (p.phase_exp + (0 if outcome == 1 else 2)) % 4)
         self._det_cache.clear()
         return outcome, False
 
-    def _deterministic_outcome(self, p: PauliString, rows: list[int] | None = None) -> int:
-        """Outcome of a p in the stabilizer group up to sign; ``rows`` is
-        ``_anticommuting_rows(p)`` when the caller has already scanned it.
-
-        The memo maps p's masks to the stabilizer rows whose product is p,
-        with that product's phase; the rows' signs are read live."""
+    def _deterministic_outcome(self, p: PauliString, rows: int | None = None) -> int:
+        """Outcome of a p in the stabilizer group up to sign (``rows``: its
+        ``_anticommuting`` mask, if known).  The memo maps p's masks to the
+        stabilizer rows whose product is p, as a mask over stabilizer
+        indices, and that product's phase; the rows' exponents are read live."""
         entry = self._det_cache.get((p.x_mask, p.z_mask))
         if entry is None:
             if rows is None:
-                rows = self._anticommuting_rows(p)
-            if rows and rows[-1] >= self.n:
+                rows = self._anticommuting(p)
+            if rows >> self._stab:
                 raise ValueError("operator is not deterministic on this tableau")
-            sel = tuple(self.n + i for i in rows)
-            ax = az = acc = 0
-            for row in sel:
-                acc = (acc + mul_phase_exp(ax, az, self.xs[row], self.zs[row])) % 4
-                ax ^= self.xs[row]
-                az ^= self.zs[row]
+            ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
+            for row in self._paulis(rows << self._stab):
+                acc = (acc + mul_phase_exp(ax, az, row.x_mask, row.z_mask)) % 4
+                ax ^= row.x_mask
+                az ^= row.z_mask
             if ax != p.x_mask or az != p.z_mask:
                 raise AssertionError("commuting operator not in stabilizer group")
-            entry = self._det_cache[(p.x_mask, p.z_mask)] = (sel, acc)
+            entry = self._det_cache[(p.x_mask, p.z_mask)] = (rows, acc)
         sel, acc = entry
-        diff = (acc + sum(self.phases[row] for row in sel) - p.phase_exp) % 4
+        lo, hi = self.lo >> self._stab, self.hi >> self._stab
+        diff = (acc + (lo & sel).bit_count() + 2 * (hi & sel).bit_count() - p.phase_exp) % 4
         if diff not in (0, 2):
             raise AssertionError("non-Hermitian accumulation in deterministic outcome")
         return 1 if diff == 0 else -1
@@ -248,17 +295,6 @@ def run(circuit: Circuit, t: Tableau) -> Tableau:
 
 
 # -- toric ground state --------------------------------------------------
-
-
-def logical_z_loops(model: LatticeModel) -> tuple[PauliString, PauliString]:
-    """Non-contractible Z loops: horizontal bonds of row 0, vertical of column 0."""
-    k = model.torus_k
-    if k is None:
-        raise ValueError("logical loops are defined for torus models only")
-    n = model.n_qubits
-    loop_h = PauliString.z_on(n, *(model.qubit_layout[("h", 0, c)] for c in range(k)))
-    loop_v = PauliString.z_on(n, *(model.qubit_layout[("v", r, 0)] for r in range(k)))
-    return loop_h, loop_v
 
 
 def logical_x_strings(model: LatticeModel) -> tuple[PauliString, PauliString]:

@@ -353,6 +353,17 @@ class TestSpectrumCommand:
                 f"j_hz[{partner}] must be finite with |J| <= 1e+150 Hz")
             assert not (tmp_path / "sp.json").exists()
 
+    def test_offset_above_the_cap_rejected(self, tmp_path):
+        # at 1e300 every peak and lineshape point rounded onto the offset, exit 0
+        spins = {**TWO_SPINS, "j_hz": {"a": 10.0, "b": 4.0}, "offset_hz": 1e300}
+        (tmp_path / "spins.json").write_text(json.dumps(spins))
+        res = run_cli(["spectrum", "--thermal", "--t2", "0.3", "--lineshape", "5",
+                       "--spin-config", "spins.json", "--out", "sp"], tmp_path)
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"].startswith(
+            "offset_hz must be finite with |offset| <= 1e+12 Hz, got 1e+300")
+        assert not list(tmp_path.glob("sp.*"))
+
     def test_unnormalized_state_rejected(self, tmp_path):
         (tmp_path / "state.json").write_text(json.dumps([["000000", 5.0, 0.0]]))
         res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)

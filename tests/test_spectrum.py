@@ -11,7 +11,7 @@ from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
                             run_unbraided_pipeline)
 from anyonlab.dense import StateVector
 from anyonlab.spectrum import (LINESHAPE_LIMIT, MEASURED_J_H1_HZ, MEASURED_J_H2_HZ,
-                               J_LIMIT_HZ, READOUT, T2_RANGE_S, SpinSystem,
+                               J_LIMIT_HZ, OFFSET_LIMIT_HZ, READOUT, T2_RANGE_S, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
                                peak_frequency, sample_lineshape,
@@ -116,6 +116,14 @@ class TestSpinSystemConfig:
             for value in (math.nan, math.inf):
                 with pytest.raises(ValueError, match=field):
                     small_system(**{field: value})
+        for offset in (-1.0000001e12, 1e300):
+            with pytest.raises(ValueError, match=r"\|offset\| <= 1e\+12 Hz"):
+                small_system(offset_hz=offset)
+        # at the cap the 0.66 Hz coupling is still resolved
+        rep = synthesize_thermal(small_system(offset_hz=-OFFSET_LIMIT_HZ,
+                                              j_hz={"a": 0.66, "b": 6.0}))
+        freqs = sorted(peak.frequency_hz for peak in rep.peaks)
+        assert freqs[1] - freqs[0] == pytest.approx(0.66, rel=1e-3)
 
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "spins.json"

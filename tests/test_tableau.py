@@ -11,9 +11,9 @@ from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli, overlap
 from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
                               planar6_graph_spec)
-from anyonlab.pauli import PauliString
-from anyonlab.tableau import (Tableau, init_toric_ground, logical_x_strings,
-                              logical_z_loops, run, syndrome_sweep)
+from anyonlab.pauli import PauliString, mul_phase_exp
+from anyonlab.tableau import (Tableau, init_toric_ground, logical_x_strings, run,
+                              syndrome_sweep)
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
 GATES_2Q = ("cz", "swap")
@@ -48,6 +48,108 @@ def small_circuits(draw) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
+def logical_z_loops(model):
+    """Non-contractible Z loops: horizontal bonds of row 0, vertical of column 0."""
+    k, n = model.torus_k, model.n_qubits
+    return (PauliString.z_on(n, *(model.qubit_layout[("h", 0, c)] for c in range(k))),
+            PauliString.z_on(n, *(model.qubit_layout[("v", r, 0)] for r in range(k))))
+
+
+class RowTableau:
+    """Row-major CHP reference: one (x, z, i-exponent) triple per row, no memo."""
+
+    def __init__(self, n: int, seed: int | None = None):
+        self.n = n
+        self.xs = [1 << i for i in range(n)] + [0] * n
+        self.zs = [0] * n + [1 << i for i in range(n)]
+        self.phases = [0] * (2 * n)
+        self._rng = np.random.default_rng(seed)
+
+    def _anticommuting_rows(self, p: PauliString) -> list[int]:
+        return [i for i in range(2 * self.n)
+                if ((self.xs[i] & p.z_mask) ^ (self.zs[i] & p.x_mask)).bit_count() & 1]
+
+    def _rowmult(self, h: int, i: int):
+        self.phases[h] = (self.phases[h] + self.phases[i]
+                          + mul_phase_exp(self.xs[h], self.zs[h], self.xs[i], self.zs[i])) % 4
+        self.xs[h] ^= self.xs[i]
+        self.zs[h] ^= self.zs[i]
+
+    def row_pauli(self, row: int) -> PauliString:
+        return PauliString(self.n, self.xs[row], self.zs[row], self.phases[row])
+
+    def _h(self, q: int):
+        for i in range(2 * self.n):
+            x, z = self.xs[i] >> (q - 1) & 1, self.zs[i] >> (q - 1) & 1
+            self.phases[i] = (self.phases[i] + 2 * (x & z)) % 4
+            self.xs[i] ^= (x ^ z) << (q - 1)
+            self.zs[i] ^= (x ^ z) << (q - 1)
+
+    def _s(self, q: int):
+        for i in range(2 * self.n):
+            x, z = self.xs[i] >> (q - 1) & 1, self.zs[i] >> (q - 1) & 1
+            self.phases[i] = (self.phases[i] + 2 * (x & z)) % 4
+            self.zs[i] ^= x << (q - 1)
+
+    def _cnot(self, c: int, t: int):
+        for i in range(2 * self.n):
+            xc, zc = self.xs[i] >> (c - 1) & 1, self.zs[i] >> (c - 1) & 1
+            xt, zt = self.xs[i] >> (t - 1) & 1, self.zs[i] >> (t - 1) & 1
+            self.phases[i] = (self.phases[i] + 2 * (xc & zt & (1 ^ xt ^ zc))) % 4
+            self.xs[i] ^= xc << (t - 1)
+            self.zs[i] ^= zt << (c - 1)
+
+    def apply_gate(self, kind: str, targets: tuple[int, ...]):
+        a, b = targets[0], targets[-1]
+        if kind in ("x", "z", "sdg"):     # Sdg = S Z
+            self.apply_pauli(PauliString.from_ops(self.n, {a: "X" if kind == "x" else "Z"}))
+        if kind in ("s", "sdg"):
+            self._s(a)
+        elif kind == "h":
+            self._h(a)
+        elif kind == "cz":
+            self._h(b)
+            self._cnot(a, b)
+            self._h(b)
+        elif kind == "swap":
+            self._cnot(a, b)
+            self._cnot(b, a)
+            self._cnot(a, b)
+
+    def apply_pauli(self, p: PauliString):
+        for i in self._anticommuting_rows(p):
+            self.phases[i] = (self.phases[i] + 2) % 4
+
+    def measure(self, p: PauliString, force: int | None = None) -> tuple[int, bool]:
+        if force not in (None, 1, -1):
+            raise ValueError(f"forced outcome must be +1 or -1, got {force!r}")
+        if not p.is_hermitian:
+            raise ValueError(f"cannot measure non-Hermitian operator {p}")
+        rows = self._anticommuting_rows(p)
+        stabs = [i for i in rows if i >= self.n]
+        if not stabs:
+            acc = PauliString.identity(self.n)
+            for i in rows:
+                acc = acc * self.row_pauli(self.n + i)
+            outcome = 1 if acc.phase_exp == p.phase_exp else -1
+            if force not in (None, outcome):
+                raise ValueError(f"cannot force {force:+d} on {p}: "
+                                 f"its outcome is deterministic, {outcome:+d}")
+            return outcome, True
+        pivot = stabs[0]
+        for j in rows:
+            if j != pivot:
+                self._rowmult(j, pivot)
+        d = pivot - self.n
+        self.xs[d], self.zs[d], self.phases[d] = (self.xs[pivot], self.zs[pivot],
+                                                  self.phases[pivot])
+        outcome = force if force is not None else (
+            1 if self._rng.integers(0, 2) == 0 else -1)
+        self.xs[pivot], self.zs[pivot] = p.x_mask, p.z_mask
+        self.phases[pivot] = (p.phase_exp + (0 if outcome == 1 else 2)) % 4
+        return outcome, False
+
+
 def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Columns are the circuit applied to each basis state."""
     n = circuit.n
@@ -58,9 +160,9 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
 class TestGateConjugation:
     def test_x_twice_restores(self):
         t = Tableau(3)
-        before = (list(t.xs), list(t.zs), list(t.phases))
+        before = [t.row_pauli(r) for r in range(2 * t.n)]
         t.apply_gate("x", 2).apply_gate("x", 2)
-        assert (t.xs, t.zs, t.phases) == before
+        assert [t.row_pauli(r) for r in range(2 * t.n)] == before
 
     def test_hundred_random_circuits_match_dense_signs(self):
         rng = np.random.default_rng(2024)
@@ -222,6 +324,92 @@ class TestMeasurement:
         sweep = dict(syndrome_sweep(t, model))
         defects = {gid for gid, v in sweep.items() if v == -1}
         assert defects == {f"B({r},{c1})", f"B({r},{c2})"}
+
+
+SIZES = (1, 2, 63, 64, 65, 127, 128, 130)     # around the 64-bit word edges
+
+
+def random_pauli(n: int, rng) -> PauliString:
+    """A Hermitian Pauli on 1..5 random qubits with a random sign."""
+    support = rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 6))),
+                         replace=False)
+    return PauliString.from_ops(n, {int(q): "XYZ"[rng.integers(0, 3)] for q in support},
+                                2 * int(rng.integers(0, 2)))
+
+
+def outcome_or_error(measure, p, force):
+    try:
+        return measure(p, force)
+    except ValueError as err:
+        return str(err)
+
+
+class TestRowOracle:
+    """The column tableau against the row-major reference, row for row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
+    def test_same_outcomes_errors_and_rows(self, n, seed):
+        rng = np.random.default_rng(seed)
+        fast, ref = Tableau(n, seed=seed), RowTableau(n, seed=seed)
+        kinds = GATES_1Q + (GATES_2Q if n >= 2 else ())
+        seen = []
+        for _ in range(40):
+            roll = rng.random()
+            if roll < 0.35:
+                kind = kinds[rng.integers(0, len(kinds))]
+                size = 2 if kind in GATES_2Q else 1
+                targets = tuple(int(q) for q in rng.choice(np.arange(1, n + 1), size=size,
+                                                           replace=False))
+                fast.apply_gate(kind, targets)
+                ref.apply_gate(kind, targets)
+                continue
+            if roll < 0.5:
+                err = random_pauli(n, rng)
+                fast.apply_pauli(err)
+                ref.apply_pauli(err)
+                continue
+            if roll < 0.7:
+                p = random_pauli(n, rng)
+            elif roll < 0.85 or not seen:     # a product of stabilizers: deterministic
+                p = PauliString.identity(n)
+                for i in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False):
+                    p = p * ref.row_pauli(n + int(i))
+                p = PauliString(n, p.x_mask, p.z_mask, (p.phase_exp + 2 * (roll < 0.8)) % 4)
+            else:                             # again, after errors and gates
+                p = seen[rng.integers(0, len(seen))]
+            if rng.random() < 0.05:
+                p = PauliString(n, p.x_mask, p.z_mask, 1)
+            seen.append(p)
+            force = (None, None, 1, -1, 2)[rng.integers(0, 5)]
+            assert (outcome_or_error(fast.measure, p, force)
+                    == outcome_or_error(ref.measure, p, force)), (p, force)
+        assert ([fast.row_pauli(r) for r in range(2 * n)]
+                == [ref.row_pauli(r) for r in range(2 * n)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
+    def test_bulk_rowmult_phase_matches_mul_phase_exp(self, n, seed):
+        # rounds of row_r := row_r * row_pivot on random row sets; products
+        # of anticommuting rows leave odd exponents for later pivots
+        rng = np.random.default_rng(seed)
+        t = run(random_circuit(n, depth=2 * n, rng=rng), Tableau(n))
+        pos = [r if r < n else t._stab + r - n for r in range(2 * n)]
+        for _ in range(3):
+            before = [t.row_pauli(r) for r in range(2 * n)]
+            pivot = int(rng.integers(0, 2 * n))
+            rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5}
+            t._rowmult(sum(1 << pos[r] for r in rows), pos[pivot])
+            for r in range(2 * n):
+                want = before[r]
+                if r in rows:
+                    want = PauliString(n, want.x_mask ^ before[pivot].x_mask,
+                                       want.z_mask ^ before[pivot].z_mask,
+                                       (want.phase_exp + before[pivot].phase_exp
+                                        + mul_phase_exp(want.x_mask, want.z_mask,
+                                                        before[pivot].x_mask,
+                                                        before[pivot].z_mask)) % 4)
+                assert t.row_pauli(r) == want, r
 
 
 class TestToricGround:
