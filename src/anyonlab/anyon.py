@@ -221,9 +221,7 @@ class PipelineRun:
     final: StateVector
 
 
-def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
-    """Creation, braiding, fusion, measurement (labeled states a..e)."""
-    psi_a = prepare_initial_state(config, seed)
+def _braided(config: ExperimentConfig, psi_a: StateVector) -> PipelineRun:
     psi_b = create_anyons(psi_a)
     psi_c = braid(psi_b, config.eta_inject)
     psi_d = fuse(psi_c)
@@ -232,11 +230,19 @@ def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun
                         "psi_d": psi_d, "psi_e": psi_e}, psi_e)
 
 
-def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
-    """Control run: preparation then measurement only (labeled states f, g)."""
-    psi_f = prepare_initial_state(config, seed)
+def _unbraided(psi_f: StateVector) -> PipelineRun:
     psi_g = measurement_reduction(psi_f)
     return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
+
+
+def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
+    """Creation, braiding, fusion, measurement (labeled states a..e)."""
+    return _braided(config, prepare_initial_state(config, seed))
+
+
+def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
+    """Control run: preparation then measurement only (labeled states f, g)."""
+    return _unbraided(prepare_initial_state(config, seed))
 
 
 # -- phase extraction ---------------------------------------------------------
@@ -298,12 +304,13 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem | None
     spectra exist.
     """
     sys_ = spin_system if spin_system is not None else spec.default_spin_system()
-    unbraided = run_unbraided_pipeline(config, seed)
+    psi_a = prepare_initial_state(config, seed)     # both runs start from it
+    unbraided = _unbraided(psi_a)
     r_u = spec.assign_peak_labels(
         spec.synthesize(sys_, unbraided.final, config.damping), "unbraided")
     out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
     if config.with_braiding:
-        braided = run_braided_pipeline(config, seed)
+        braided = _braided(config, psi_a)
         r_b = spec.assign_peak_labels(
             spec.synthesize(sys_, braided.final, config.damping), "braided")
         out["braided"] = {"run": braided, "spectrum": r_b}

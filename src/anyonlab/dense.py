@@ -5,15 +5,18 @@ gates, each of which the tableau builds from the CHP kernels H, S and CNOT.
 
 Ordering convention: qubit 1 is the most significant bit of the basis
 index, so the ket label ``|110111>`` reads left to right as qubits
-1..6.  Gates never renormalize; global phases are part of the state and
-are kept exactly (the S-gate definition sqrt(sigma_z) = diag(1, i)
-follows from e^{i pi/4} e^{-i pi/4 sigma_z}).
+1..6.  Global phases are part of the state and are kept exactly (the
+S-gate definition sqrt(sigma_z) = diag(1, i) follows from
+e^{i pi/4} e^{-i pi/4 sigma_z}).  Gates never renormalize, so drift adds
+up and one check at the end sees it: ``run`` checks the norm once, after
+its last gate; a direct ``apply_gate`` call checks after its gate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,17 +122,25 @@ def _index_mask(mask: int, n: int) -> int:
     return out
 
 
-def apply_gate(state: StateVector, kind: str,
-               targets: tuple[int, ...] | int) -> StateVector:
-    """Apply one gate, returning a new StateVector."""
+@lru_cache(maxsize=None)
+def _axis_transposes(n: int, ax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders moving axis ``ax`` of an n-axis tensor last and back: the
+    views of ``np.moveaxis``, without its per-call argument handling."""
+    fwd = tuple(a for a in range(n) if a != ax) + (ax,)
+    return fwd, tuple(range(ax)) + (n - 1,) + tuple(range(ax, n - 1))
+
+
+def apply_gate(state: StateVector, kind: str, targets: tuple[int, ...] | int,
+               *, check_norm: bool = True) -> StateVector:
+    """Apply one gate, returning a new StateVector (``run`` alone skips the norm check)."""
     if isinstance(targets, int):
         targets = (targets,)
     n = state.n
     _validate_gate(n, kind, targets)
     t = state.amps.reshape([2] * n)
     if kind in GATE_MATRICES:
-        ax = targets[0] - 1
-        t = np.moveaxis(np.moveaxis(t, ax, -1) @ GATE_MATRICES[kind].T, -1, ax)
+        fwd, back = _axis_transposes(n, targets[0] - 1)
+        t = (t.transpose(fwd) @ GATE_MATRICES[kind].T).transpose(back)
     elif kind == "cz":
         t = t.copy()
         idx = [slice(None)] * n
@@ -139,20 +150,22 @@ def apply_gate(state: StateVector, kind: str,
     elif kind == "swap":
         t = np.swapaxes(t, targets[0] - 1, targets[1] - 1)
     out = StateVector(n, np.ascontiguousarray(t.reshape(-1)))
-    _check_norm(out)
+    if check_norm:
+        _check_norm(out, f"gate {kind} on {targets}")
     return out
 
 
-def _check_norm(state: StateVector):
+def _check_norm(state: StateVector, where: str):
     if abs(state.norm() - 1.0) > NORM_TOLERANCE:
-        raise AssertionError(f"state norm drifted to {state.norm()!r}")
+        raise AssertionError(f"state norm drifted to {state.norm()!r} after {where}")
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
     if circuit.n != state.n:
         raise ValueError(f"circuit is {circuit.n}-qubit, state is {state.n}-qubit")
     for g in circuit.gates:
-        state = apply_gate(state, g.kind, g.targets)
+        state = apply_gate(state, g.kind, g.targets, check_norm=False)
+    _check_norm(state, f"run of a {len(circuit.gates)}-gate circuit")
     return state
 
 

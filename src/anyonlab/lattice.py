@@ -129,34 +129,6 @@ def ground_state_circuit(spec: GraphSpec) -> Circuit:
     return Circuit(spec.n, tuple(gates))
 
 
-def graph_state_circuit(spec: GraphSpec) -> Circuit:
-    """The same network without the local layer (pure graph state)."""
-    gates = [Gate("h", (q,)) for q in range(1, spec.n + 1)]
-    gates += [Gate("cz", edge) for edge in spec.edges]
-    return Circuit(spec.n, tuple(gates))
-
-
-def graph_state_stabilizers(spec: GraphSpec) -> tuple[PauliString, ...]:
-    """X_i Z_{N(i)} for each vertex i."""
-    out = []
-    for i in range(1, spec.n + 1):
-        ops = {i: "X"}
-        for (a, b) in spec.edges:
-            if a == i:
-                ops[b] = "Z"
-            elif b == i:
-                ops[a] = "Z"
-        out.append(PauliString.from_ops(spec.n, ops))
-    return tuple(out)
-
-
-def hamiltonian_energy(model: LatticeModel, state: StateVector) -> float:
-    """Energy -sum<A_v> - sum<B_f> of the model Hamiltonian."""
-    if state.n != model.n_qubits:
-        raise ValueError(f"state is {state.n}-qubit, model needs {model.n_qubits}")
-    return -sum(expect_pauli(state, g) for g in model.generators)
-
-
 def syndrome(model: LatticeModel, state: StateVector) -> list[tuple[str, float]]:
     """(generator, value) pairs in generator order, from dense expectations.
 

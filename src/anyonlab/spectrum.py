@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,13 @@ class SpinSystem:
         """Lorentzian FWHM 1/(pi*t2), when a t2 is configured."""
         return None if self.t2_s is None else 1.0 / (math.pi * self.t2_s)
 
+    @cached_property
+    def peak_frequencies(self) -> tuple[float, ...]:
+        """``peak_frequency`` of each configuration by basis index, built on first
+        use; not a field, so ``==``, ``replace`` and ``as_dict`` never see it."""
+        m = len(self.partners)
+        return tuple(peak_frequency(self, format(i, f"0{m}b")) for i in range(2 ** m))
+
     def as_dict(self) -> dict:
         return {"observed": self.observed, "partners": list(self.partners),
                 "j_hz": dict(self.j_hz), "offset_hz": self.offset_hz,
@@ -207,9 +215,6 @@ class SpectrumReport:
     peaks: tuple[Peak, ...]
     metadata: dict = field(default_factory=dict)
 
-    def total_intensity(self) -> float:
-        return sum(p.intensity for p in self.peaks)
-
     def peak_for_state(self, state: str) -> Peak | None:
         for p in self.peaks:
             if p.state == state:
@@ -245,15 +250,16 @@ def synthesize(sys_: SpinSystem, state: StateVector, damping: float = 1.0,
         raise ValueError(f"damping must be in [0, 1], got {damping}")
     width = sys_.linewidth_hz
     root = math.sqrt(damping)
+    freqs = sys_.peak_frequencies
     peaks = []
+    # scalar abs per amplitude: np.abs over the array rounds some weights differently
     for index, amp in enumerate(state.amps):
         weight = abs(amp) ** 2
         if weight <= threshold:
             continue
-        bits = format(index, f"0{m}b")
-        peaks.append(Peak(frequency_hz=peak_frequency(sys_, bits),
-                          intensity=damping * weight, state=bits,
-                          linewidth_hz=width, amplitude=root * complex(amp)))
+        peaks.append(Peak(frequency_hz=freqs[index], intensity=damping * weight,
+                          state=format(index, f"0{m}b"), linewidth_hz=width,
+                          amplitude=root * complex(amp)))
     peaks.sort(key=lambda p: (p.frequency_hz, p.state))
     meta = {"observed": sys_.observed, "damping": damping,
             "reference": "unit-population basis peak = 1.0",
@@ -267,9 +273,9 @@ def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
     m = len(sys_.partners)
     width = sys_.linewidth_hz
     weight = 1.0 / 2 ** m
-    peaks = [Peak(frequency_hz=peak_frequency(sys_, format(i, f"0{m}b")),
-                  intensity=weight, state=format(i, f"0{m}b"), linewidth_hz=width)
-             for i in range(2 ** m)]
+    peaks = [Peak(frequency_hz=f, intensity=weight, state=format(i, f"0{m}b"),
+                  linewidth_hz=width)
+             for i, f in enumerate(sys_.peak_frequencies)]
     peaks.sort(key=lambda p: (p.frequency_hz, p.state))
     meta = {"observed": sys_.observed, "thermal": True,
             "reference": "total population = 1.0",

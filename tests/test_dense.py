@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anyonlab.dense import (Circuit, Gate, StateVector, apply_gate, apply_pauli,
-                            dump_amplitudes, expect_pauli, overlap, run,
-                            state_from_dump)
+from anyonlab import anyon, dense
+from anyonlab.dense import (GATE_MATRICES, Circuit, Gate, StateVector, apply_gate,
+                            apply_pauli, dump_amplitudes, expect_pauli, overlap,
+                            run, state_from_dump)
 from anyonlab.lattice import (build_planar6, ground_state_circuit,
                               planar6_graph_spec)
 from anyonlab.pauli import DENSE_LIMIT, PauliString
@@ -77,6 +78,54 @@ class TestGates:
             apply_gate(StateVector.zero(2), "cz", (1, 1))
         with pytest.raises(ValueError, match="unknown gate"):
             apply_gate(StateVector.zero(2), "t", 1)
+
+
+def count_apply_gate(monkeypatch) -> list:
+    """Route dense.apply_gate through a wrapper that logs each call's arguments."""
+    calls = []
+    original = dense.apply_gate
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dense, "apply_gate", counting)
+    return calls
+
+
+class TestOneQubitKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=8), st.sampled_from(sorted(GATE_MATRICES)),
+           st.data(), st.integers(min_value=0, max_value=10 ** 6))
+    def test_same_bytes_as_moveaxis_oracle(self, n, kind, data, seed):
+        ax = data.draw(st.integers(min_value=0, max_value=n - 1))
+        s = random_state(n, seed)
+        t = s.amps.reshape([2] * n)
+        oracle = np.moveaxis(np.moveaxis(t, ax, -1) @ GATE_MATRICES[kind].T, -1, ax)
+        got = apply_gate(s, kind, ax + 1).amps
+        assert got.tobytes() == np.ascontiguousarray(oracle.reshape(-1)).tobytes()
+
+    def test_run_goes_through_apply_gate_once_per_gate(self, monkeypatch):
+        ground = planar6_ground()
+        calls = count_apply_gate(monkeypatch)
+        run(anyon.MEASUREMENT, ground)
+        assert len(calls) == len(anyon.MEASUREMENT.gates)
+
+
+class TestNormCheck:
+    def test_direct_gate_checks_its_result(self):
+        drifted = StateVector(3, random_state(3, seed=7).amps * (1 + 1e-9))
+        with pytest.raises(AssertionError, match=r"after gate h on \(2,\)"):
+            apply_gate(drifted, "h", 2)
+
+    def test_run_checks_once_after_its_last_gate(self, monkeypatch):
+        drifted = StateVector(6, planar6_ground().amps * (1 + 1e-9))
+        calls = count_apply_gate(monkeypatch)
+        n_gates = len(anyon.MEASUREMENT.gates)
+        with pytest.raises(AssertionError,
+                           match=f"after run of a {n_gates}-gate circuit"):
+            run(anyon.MEASUREMENT, drifted)
+        assert len(calls) == n_gates
 
 
 class TestApplyPauli:
