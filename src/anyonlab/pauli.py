@@ -15,7 +15,8 @@ Conventions, fixed once for the whole package:
     the reversed orders pick up -i).
 
 Masks are plain Python ints, so popcounts and XORs run on machine words
-regardless of qubit count.
+regardless of qubit count, and ``support`` and ``str`` walk only the set
+bits (``_ones``): they cost O(weight), not O(n).
 """
 
 from __future__ import annotations
@@ -35,6 +36,17 @@ _PAULI_MATS = {
 }
 
 DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
+
+
+def _ones(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending; one step per set bit."""
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def mul_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -116,15 +128,13 @@ class PauliString:
 
     def symbol(self, q: int) -> str:
         """Pauli letter on qubit q (1-based)."""
-        bit = 1 << (q - 1)
-        x = bool(self.x_mask & bit)
-        z = bool(self.z_mask & bit)
-        return "IXZY"[x + 2 * z]
+        if not 1 <= q <= self.n:
+            raise ValueError(f"qubit {q} outside 1..{self.n}")
+        return "IXZY"[(self.x_mask >> (q - 1) & 1) + 2 * (self.z_mask >> (q - 1) & 1)]
 
     def support(self) -> tuple[int, ...]:
-        """1-based qubits carrying a non-identity factor, ascending."""
-        mask = self.x_mask | self.z_mask
-        return tuple(q for q in range(1, self.n + 1) if mask & (1 << (q - 1)))
+        """1-based qubits carrying a non-identity factor, ascending; O(weight)."""
+        return tuple(i + 1 for i in _ones(self.x_mask | self.z_mask))
 
     # -- algebra -----------------------------------------------------------
 
@@ -160,7 +170,9 @@ class PauliString:
         return mat
 
     def __str__(self) -> str:
-        factors = [f"{self.symbol(q)}{q}" for q in self.support()]
-        body = " ".join(factors) if factors else "I"
+        """Phase label, then ``<letter><qubit>`` per support qubit; O(weight)."""
+        x, z = self.x_mask, self.z_mask
+        body = " ".join([f"{'IXZY'[(x >> i & 1) + 2 * (z >> i & 1)]}{i + 1}"
+                         for i in _ones(x | z)]) or "I"
         return f"{PHASE_LABELS[self.phase_exp]}{body}" if self.phase_exp in (0, 2) \
             else f"{PHASE_LABELS[self.phase_exp]} {body}"

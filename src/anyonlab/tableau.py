@@ -11,7 +11,10 @@ The rows that anticommute with a Pauli are one XOR over its support
 columns, a Pauli error is ``hi ^=`` that mask, H, S and CNOT are column
 operations, and a measurement multiplies every anticommuting row by the
 pivot at once.  A row is read out of the columns only for ``row_pauli``,
-``stabilizer_paulis`` (reports) and a new memo entry.
+``stabilizer_paulis`` (reports) and a new memo entry, and always by
+``_paulis``, one 64-row word at a time: each word it touches is
+transposed once, in bulk, and a ``syndrome_sweep`` shares those
+transposes between all its memo misses.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -33,22 +36,24 @@ import numpy as np
 from .dense import (Circuit, StateVector, _validate_gate,
                     apply_pauli as dense_apply_pauli)
 from .lattice import LatticeModel
-from .pauli import DENSE_LIMIT, PauliString, mul_phase_exp
-
-
-def _ones(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .pauli import DENSE_LIMIT, PauliString, _ones, mul_phase_exp
 
 
 def _int(words: np.ndarray) -> int:
     """A (words,) uint64 bit-plane as a Python int (word 0 lowest)."""
     return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+
+
+def _word_rows(col: np.ndarray) -> list[int]:
+    """The 64 rows of one word of a column array (one ``X[w]`` or ``Z[w]``), as masks.
+
+    One bulk transpose: the (n, 64) bit matrix of the word's columns is
+    turned into 64 rows of n bits, each a Python int with qubit q at bit q-1."""
+    n = len(col)
+    bits = np.unpackbits(col.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
+    raw = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
+    size = len(raw) // 64
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 def _add4(a0, a1, b0, b1):
@@ -120,16 +125,25 @@ class Tableau:
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
-    def _paulis(self, mask: int):
-        """Yield the rows at the positions in ``mask``, ascending, read out of the columns."""
+    def _paulis(self, mask: int, words: dict | None = None):
+        """Yield the rows at the positions in ``mask``, ascending, read out of the columns.
+
+        Each 64-row word that ``mask`` touches is transposed once.  ``words``
+        (word index -> its rows' x and z masks) shares those transposes
+        between calls while the columns stay unchanged; phases are read live."""
+        if words is None:
+            words = {}
         for pos in _ones(mask):
             w, b = divmod(pos, 64)
-            x, z = (np.packbits(cols[w] & np.uint64(1 << b) != 0, bitorder="little").tobytes()
-                    for cols in (self.X, self.Z))
-            yield PauliString(self.n, int.from_bytes(x, "little"), int.from_bytes(z, "little"),
-                              self._phase(pos))
+            rows = words.get(w)
+            if rows is None:
+                rows = words[w] = (_word_rows(self.X[w]), _word_rows(self.Z[w]))
+            yield PauliString(self.n, rows[0][b], rows[1][b], self._phase(pos))
 
     def row_pauli(self, row: int) -> PauliString:
+        """Destabilizer ``row`` for row < n, stabilizer ``row - n`` for n <= row < 2n."""
+        if not 0 <= row < 2 * self.n:
+            raise ValueError(f"row {row} outside 0..{2 * self.n - 1}")
         return next(self._paulis(1 << (row if row < self.n else self._stab + row - self.n)))
 
     def stabilizer_paulis(self) -> list[PauliString]:
@@ -235,9 +249,11 @@ class Tableau:
         self._det_cache.clear()
         return outcome, False
 
-    def _deterministic_outcome(self, p: PauliString, rows: int | None = None) -> int:
+    def _deterministic_outcome(self, p: PauliString, rows: int | None = None,
+                               words: dict | None = None) -> int:
         """Outcome of a p in the stabilizer group up to sign (``rows``: its
-        ``_anticommuting`` mask, if known).  The memo maps p's masks to the
+        ``_anticommuting`` mask, if known; ``words``: transposed words shared
+        with other misses, see ``_paulis``).  The memo maps p's masks to the
         stabilizer rows whose product is p, as a mask over stabilizer
         indices, and that product's phase; the rows' exponents are read live."""
         entry = self._det_cache.get((p.x_mask, p.z_mask))
@@ -247,7 +263,7 @@ class Tableau:
             if rows >> self._stab:
                 raise ValueError("operator is not deterministic on this tableau")
             ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
-            for row in self._paulis(rows << self._stab):
+            for row in self._paulis(rows << self._stab, words):
                 acc = (acc + mul_phase_exp(ax, az, row.x_mask, row.z_mask)) % 4
                 ax ^= row.x_mask
                 az ^= row.z_mask
@@ -334,9 +350,10 @@ def syndrome_sweep(t: Tableau, model: LatticeModel) -> list[tuple[str, int]]:
     if t.n != model.n_qubits:
         raise ValueError(f"tableau is {t.n}-qubit, model needs {model.n_qubits}")
     out = []
+    words: dict = {}    # a memo miss transposes each stabilizer word once per sweep
     for gid, g in zip(model.generator_ids, model.generators):
         try:
-            out.append((gid, t._deterministic_outcome(g)))
+            out.append((gid, t._deterministic_outcome(g, None, words)))
         except ValueError as err:
             raise ValueError(f"generator {gid}: {err}") from None
     return out

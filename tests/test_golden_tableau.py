@@ -1,0 +1,31 @@
+"""Golden tableau ground reports on tori of more than one 64-row word.
+
+``tests/test_golden.py`` pins torus:2 and torus:4, whose 8 and 32 rows fit
+in one word per half of the tableau.  torus:8 (128 qubits) and torus:16
+(512 qubits) span two and eight words, so these hashes pin the word-at-a-time
+row read-out and the sweep's shared transposes.
+"""
+
+import hashlib
+
+import pytest
+
+from anyonlab import cli
+from anyonlab.report import OUT_DIR_ENV
+
+EXPECTED = {
+    (8, "00"): "604b4ac1e653f64ec15b4e4838ce60c4b394521f0e8ccf979e221b1679cd990c",
+    (8, "11"): "518aa5484dce0e128beca1cfd5b1b3b110a7437b84d5fa5ec59c0e1aa32fc72a",
+    (16, "00"): "36db5f787719584453d5dac9012a2fa673b62b6555a730bf323c0d590ad1938e",
+    (16, "11"): "2aecd793cd4e5fc4accb2413a93978a72d0e595ecb444e9a33f3d3a1391b599b",
+}
+
+
+@pytest.mark.parametrize("k, logical", sorted(EXPECTED))
+def test_multiword_ground_report(k, logical, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    code = cli.main(["ground", "--model", f"torus:{k}", "--backend", "tableau",
+                     "--logical", logical])
+    assert (code, capsys.readouterr().err) == (0, "")
+    report = (tmp_path / "ground.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == EXPECTED[(k, logical)]

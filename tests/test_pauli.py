@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonlab.lattice import build_planar6, build_toric
-from anyonlab.pauli import PauliString
+from anyonlab.pauli import PHASE_LABELS, PauliString
 
 # independent single-qubit matrices for the oracle (not via to_dense)
 I2 = np.eye(2, dtype=complex)
@@ -166,3 +166,53 @@ class TestText:
                         (PauliString.identity(2), "+I"),
                         (PauliString.from_ops(2, {1: "X"}, phase_exp=1), "+i X1")):
             assert str(p) == text
+
+
+def per_qubit_support(p: PauliString) -> tuple[int, ...]:
+    """The O(n) oracle: test every qubit's bit."""
+    mask = p.x_mask | p.z_mask
+    return tuple(q for q in range(1, p.n + 1) if mask & (1 << (q - 1)))
+
+
+def per_qubit_str(p: PauliString) -> str:
+    """The O(n) oracle: one letter per support qubit, read bit by bit."""
+    factors = []
+    for q in per_qubit_support(p):
+        bit = 1 << (q - 1)
+        factors.append(f"{'IXZY'[bool(p.x_mask & bit) + 2 * bool(p.z_mask & bit)]}{q}")
+    body = " ".join(factors) if factors else "I"
+    label = PHASE_LABELS[p.phase_exp]
+    return f"{label}{body}" if p.phase_exp in (0, 2) else f"{label} {body}"
+
+
+@st.composite
+def wide_pauli_strings(draw):
+    n = draw(st.one_of(st.sampled_from((1, 63, 64, 65, 2048)), st.integers(1, 2100)))
+
+    def mask():
+        sparse = st.sets(st.integers(0, n - 1), max_size=60).map(
+            lambda qs: sum(1 << q for q in qs))
+        return draw(st.one_of(st.integers(0, 2 ** n - 1), sparse))
+
+    return PauliString(n, mask(), mask(), draw(st.integers(0, 3)))
+
+
+class TestWalkOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(wide_pauli_strings())
+    def test_support_and_str_match_per_qubit_formulas(self, p):
+        assert p.support() == per_qubit_support(p)
+        assert str(p) == per_qubit_str(p)
+
+    def test_word_edges(self):
+        for n in (63, 64, 65, 2048):
+            p = PauliString.from_ops(n, {1: "X", 63: "Y", n: "Z"}, phase_exp=3)
+            assert p.support() == per_qubit_support(p) == tuple(sorted({1, 63, n}))
+            assert str(p) == per_qubit_str(p)
+
+
+class TestSymbol:
+    @pytest.mark.parametrize("q", [0, -1, 4, 200])
+    def test_qubit_outside_range_is_named(self, q):
+        with pytest.raises(ValueError, match=rf"qubit {q} outside 1\.\.3"):
+            PauliString.x_on(3, 1).symbol(q)

@@ -386,6 +386,7 @@ class TestRowOracle:
                     == outcome_or_error(ref.measure, p, force)), (p, force)
         assert ([fast.row_pauli(r) for r in range(2 * n)]
                 == [ref.row_pauli(r) for r in range(2 * n)])
+        assert fast.stabilizer_paulis() == [ref.row_pauli(n + i) for i in range(n)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
@@ -410,6 +411,13 @@ class TestRowOracle:
                                                         before[pivot].x_mask,
                                                         before[pivot].z_mask)) % 4)
                 assert t.row_pauli(r) == want, r
+
+
+class TestRowRange:
+    @pytest.mark.parametrize("row", [6, 7, 64, 200, -1])
+    def test_row_outside_tableau_is_named(self, row):
+        with pytest.raises(ValueError, match=rf"row {row} outside 0\.\.5"):
+            Tableau(3).row_pauli(row)
 
 
 class TestToricGround:
@@ -502,6 +510,28 @@ class TestSweeps:
             vertex_defects = sum(1 for _, v in sweep[:n_vertex] if v == -1)
             assert vertex_defects % 2 == 0
             t.apply_pauli(err)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_first_sweep_matches_generator_by_generator(self, k, logical):
+        # the sweep shares its word transposes between memo misses; the
+        # oracle builds every entry alone, from an empty memo
+        model = build_toric(k)
+        rng = np.random.default_rng(k)
+        errors = [PauliString.from_ops(model.n_qubits, {int(q): kind}) for kind in "XZ"
+                  for q in rng.integers(1, model.n_qubits + 1, size=2)]
+        swept, alone = (init_toric_ground(model, logical) for _ in range(2))
+        for t in (swept, alone):
+            for err in errors:
+                t.apply_pauli(err)
+        sweep = syndrome_sweep(swept, model)
+        want, memo = [], {}
+        for gid, g in zip(model.generator_ids, model.generators):
+            alone._det_cache.clear()
+            want.append((gid, alone._deterministic_outcome(g)))
+            memo.update(alone._det_cache)
+        assert sweep == want
+        assert swept._det_cache == memo
 
     def test_k16_sweep_under_one_second(self):
         model = build_toric(16)
