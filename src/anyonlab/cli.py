@@ -42,25 +42,28 @@ def _parse_model(text: str):
     raise ValueError(f"unknown model {text!r}; use planar6 or torus:K")
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Comma list ("0,0.1") or inclusive range ("start:stop:step")."""
-    if ":" in text:
-        start, stop, step = (float(tok) for tok in text.split(":"))
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ValueError(f"grid bounds must be finite: {text!r}")
-        if step <= 0:
-            raise ValueError(f"grid step must be positive: {text!r}")
-        span = (stop - start) / step + 1e-9
-        if span >= GRID_LIMIT:    # also an infinite span, before any list is built
-            raise ValueError(f"grid {text!r} has more than the cap of {GRID_LIMIT} points")
-        count = math.floor(span)
-        if count < 0:
-            raise ValueError(f"empty grid: {text!r}")
-        return [start + i * step for i in range(count + 1)]
-    grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not grid:
-        raise ValueError(f"empty grid: {text!r}")
-    return grid
+def _parse_grid(option: str, text: str) -> list[float]:
+    """Comma list ("0,0.1") or inclusive range ("start:stop:step") of ``option``."""
+    try:
+        if ":" in text:
+            start, stop, step = (float(tok) for tok in text.split(":"))
+            if not all(math.isfinite(v) for v in (start, stop, step)):
+                raise ValueError("grid bounds must be finite")
+            if step <= 0:
+                raise ValueError("grid step must be positive")
+            span = (stop - start) / step + 1e-9
+            if span >= GRID_LIMIT:    # also an infinite span, before any list is built
+                raise ValueError(f"grid has more than the cap of {GRID_LIMIT} points")
+            count = math.floor(span)
+            if count < 0:
+                raise ValueError("empty grid")
+            return [start + i * step for i in range(count + 1)]
+        grid = [float(tok) for tok in text.split(",") if tok.strip()]
+        if not grid:
+            raise ValueError("empty grid")
+        return grid
+    except ValueError as err:       # every error names the option and the grid text
+        raise ValueError(f"{option} {text!r}: {err}") from None
 
 
 def _syndrome_rows(pairs):
@@ -252,8 +255,8 @@ def cmd_spectrum(args) -> list[Path]:
 
 
 def cmd_sweep(args) -> list[Path]:
-    etas = _parse_grid(args.eta_grid)
-    admixes = _parse_grid(args.admix_grid)
+    etas = _parse_grid("--eta-grid", args.eta_grid)
+    admixes = _parse_grid("--admix-grid", args.admix_grid)
     if len(etas) * len(admixes) > GRID_LIMIT:
         raise ValueError(f"sweep of {len(etas)} eta x {len(admixes)} admix points "
                          f"passes the cap of {GRID_LIMIT} rows")

@@ -161,11 +161,12 @@ def load_spin_system(path: str) -> SpinSystem:
                              f"got {value!r}")
 
     def number(key, value) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"spin config {path}: {key} must be a number, got {value!r}")
         try:
             return float(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"spin config {path}: {key} must be a number, "
-                             f"got {value!r}") from None
+        except OverflowError:       # an integer past any double; SpinSystem refuses inf
+            return math.inf if value > 0 else -math.inf
 
     return SpinSystem(
         observed=raw["observed"],
@@ -233,55 +234,47 @@ class SpectrumReport:
         return {"metadata": meta, "peaks": [p.as_dict() for p in self.peaks]}
 
 
-def synthesize(sys_: SpinSystem, state: StateVector, damping: float = 1.0,
-               threshold: float = INTENSITY_THRESHOLD) -> SpectrumReport:
+def _report(sys_: SpinSystem, rows, **meta) -> SpectrumReport:
+    """Report of (basis index, intensity, amplitude) rows with the system's metadata
+    and ``meta``: the one place that names a configuration, reads its frequency and
+    sorts a new spectrum (by (frequency, index), which orders like the state string)."""
+    freqs, width = sys_.peak_frequencies, sys_.linewidth_hz
+    spec = f"0{len(sys_.partners)}b"
+    ordered = sorted((freqs[i], i, intensity, amp) for i, intensity, amp in rows)
+    peaks = tuple(Peak(f, intensity, format(i, spec), width, amp)
+                  for f, i, intensity, amp in ordered)
+    return SpectrumReport(peaks, {"observed": sys_.observed, "offset_hz": sys_.offset_hz,
+                                  "t2_s": sys_.t2_s, "spin_system": sys_, **meta})
+
+
+def synthesize(sys_: SpinSystem, state: StateVector,
+               damping: float = 1.0) -> SpectrumReport:
     """Spectrum of the observed spin conditioned on the partner state.
 
     One peak per partner configuration whose squared amplitude clears
-    the reporting threshold; intensity = damping * |amplitude|^2.  The
+    ``INTENSITY_THRESHOLD``; intensity = damping * |amplitude|^2.  The
     threshold drops populations below ~1e-9, which floors how small a
-    contamination ratio downstream analysis can see; pass threshold=0
-    to keep every numerically nonzero configuration.
+    contamination ratio downstream analysis can see.
     """
     m = len(sys_.partners)
     if state.n != m:
         raise ValueError(f"state has {state.n} qubits, system has {m} partners")
     if not 0 <= damping <= 1:
         raise ValueError(f"damping must be in [0, 1], got {damping}")
-    width = sys_.linewidth_hz
     root = math.sqrt(damping)
-    freqs = sys_.peak_frequencies
-    peaks = []
     # scalar abs per amplitude: np.abs over the array rounds some weights differently
-    for index, amp in enumerate(state.amps):
-        weight = abs(amp) ** 2
-        if weight <= threshold:
-            continue
-        peaks.append(Peak(frequency_hz=freqs[index], intensity=damping * weight,
-                          state=format(index, f"0{m}b"), linewidth_hz=width,
-                          amplitude=root * complex(amp)))
-    peaks.sort(key=lambda p: (p.frequency_hz, p.state))
-    meta = {"observed": sys_.observed, "damping": damping,
-            "reference": "unit-population basis peak = 1.0",
-            "offset_hz": sys_.offset_hz, "t2_s": sys_.t2_s,
-            "spin_system": sys_}
-    return SpectrumReport(tuple(peaks), meta)
+    rows = [(index, damping * weight, root * complex(amp))
+            for index, amp in enumerate(state.amps)
+            if (weight := abs(amp) ** 2) > INTENSITY_THRESHOLD]
+    return _report(sys_, rows, damping=damping,
+                   reference="unit-population basis peak = 1.0")
 
 
 def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
     """Equal-weight spectrum over every partner configuration."""
-    m = len(sys_.partners)
-    width = sys_.linewidth_hz
-    weight = 1.0 / 2 ** m
-    peaks = [Peak(frequency_hz=f, intensity=weight, state=format(i, f"0{m}b"),
-                  linewidth_hz=width)
-             for i, f in enumerate(sys_.peak_frequencies)]
-    peaks.sort(key=lambda p: (p.frequency_hz, p.state))
-    meta = {"observed": sys_.observed, "thermal": True,
-            "reference": "total population = 1.0",
-            "offset_hz": sys_.offset_hz, "t2_s": sys_.t2_s,
-            "spin_system": sys_}
-    return SpectrumReport(tuple(peaks), meta)
+    count = 2 ** len(sys_.partners)
+    return _report(sys_, ((index, 1.0 / count, None) for index in range(count)),
+                   thermal=True, reference="total population = 1.0")
 
 
 def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
@@ -302,8 +295,8 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
         if state not in present:
             raise ValueError(f"missing expected peak {label!r} (state {state})")
     sys_ = report.metadata["spin_system"]
-    peaks += [Peak(frequency_hz=peak_frequency(sys_, state), intensity=0.0, state=state,
-                   linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)
+    peaks += [Peak(frequency_hz=sys_.peak_frequencies[int(state, 2)], intensity=0.0,
+                   state=state, linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)
               for label, state in readout.contamination if state not in present]
     peaks.sort(key=lambda p: (p.frequency_hz, p.state))
     return SpectrumReport(tuple(peaks), {**report.metadata, "role": role})

@@ -2,12 +2,14 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anyonlab import spectrum
 from anyonlab.anyon import (BRAIDING_LOOP, MEASUREMENT, ExperimentConfig,
                             _labeled_subspace, braid, create_anyons,
                             extract_phase, fuse, ideal_fidelities,
@@ -188,15 +190,13 @@ class TestConfig:
         assert not np.allclose(s1.amps, s3.amps)
 
 
-def _spectra_for(config: ExperimentConfig, seed: int = 0, threshold: float = 1e-9):
+def _spectra_for(config: ExperimentConfig, seed: int = 0):
     sys_ = default_spin_system()
     r_u = assign_peak_labels(
-        synthesize(sys_, run_unbraided_pipeline(config, seed).final, config.damping,
-                   threshold=threshold),
+        synthesize(sys_, run_unbraided_pipeline(config, seed).final, config.damping),
         "unbraided")
     r_b = assign_peak_labels(
-        synthesize(sys_, run_braided_pipeline(config, seed).final, config.damping,
-                   threshold=threshold),
+        synthesize(sys_, run_braided_pipeline(config, seed).final, config.damping),
         "braided")
     return r_b, r_u
 
@@ -227,10 +227,12 @@ class TestExtractPhase:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-0.3, max_value=0.3),
            st.floats(min_value=0.0, max_value=0.499))
+    @example(eta=0.2, admix=1e-5)    # its p/q populations fall under the default floor
     def test_eta_recovery_property(self, eta, admix):
         # threshold 0: the tan-subtraction identity itself, no reporting floor
-        r_b, r_u = _spectra_for(ExperimentConfig(eta_inject=eta, admix_beta=admix),
-                                threshold=0.0)
+        # (patched in the body: hypothesis refuses function-scoped fixtures)
+        with mock.patch.object(spectrum, "INTENSITY_THRESHOLD", 0.0):
+            r_b, r_u = _spectra_for(ExperimentConfig(eta_inject=eta, admix_beta=admix))
         result = extract_phase(r_b, r_u)
         assert abs(result.eta - eta) < 1e-9
 

@@ -412,25 +412,41 @@ class TestSpectrumCommand:
 
 class TestParseGrid:
     def test_range_keeps_points_short_of_stop(self):
-        assert cli._parse_grid("0:1:0.6") == [0.0, 0.6]
-        assert cli._parse_grid("0:1:0.35") == [0.0, 0.35, 0.7]
-        assert cli._parse_grid("0:0.3:0.1") == [0.0, 0.1, 0.2, 0.30000000000000004]
-        assert cli._parse_grid("0.2:0.2:0.1") == [0.2]
-        assert len(cli._parse_grid("-0.3:0.3:0.02")) == 31
+        assert cli._parse_grid("--eta-grid", "0:1:0.6") == [0.0, 0.6]
+        assert cli._parse_grid("--eta-grid", "0:1:0.35") == [0.0, 0.35, 0.7]
+        assert cli._parse_grid("--eta-grid", "0:0.3:0.1") == \
+            [0.0, 0.1, 0.2, 0.30000000000000004]
+        assert cli._parse_grid("--eta-grid", "0.2:0.2:0.1") == [0.2]
+        assert len(cli._parse_grid("--eta-grid", "-0.3:0.3:0.02")) == 31
 
     def test_range_rejects_empty_and_non_positive_step(self):
         for text, message in (("1:0:0.1", "empty grid"), ("0:1:0", "positive"),
                               ("0:1:-0.5", "positive")):
             with pytest.raises(ValueError, match=message):
-                cli._parse_grid(text)
+                cli._parse_grid("--eta-grid", text)
 
     def test_range_above_the_cap_refused(self):
-        assert len(cli._parse_grid(f"1:{cli.GRID_LIMIT}:1")) == cli.GRID_LIMIT
+        assert len(cli._parse_grid("--eta-grid", f"1:{cli.GRID_LIMIT}:1")) == cli.GRID_LIMIT
         # 0:1:1e-10 would build 1e10 floats; 1e-320 overflows the point count
         for text in (f"0:{cli.GRID_LIMIT}:1", "0:1:1e-10", "0:1:1e-320", "-1e308:1e308:1"):
-            with pytest.raises(ValueError, match=f"grid {text!r} has more than the cap "
+            with pytest.raises(ValueError, match=f"grid has more than the cap "
                                                  f"of {cli.GRID_LIMIT} points"):
-                cli._parse_grid(text)
+                cli._parse_grid("--eta-grid", text)
+
+    @pytest.mark.parametrize("option", ["--eta-grid", "--admix-grid"])
+    def test_every_error_names_option_and_text(self, option):
+        for text, message in (
+                ("0:1", "not enough values to unpack (expected 3, got 2)"),
+                ("0:1:0.1:2", "too many values to unpack (expected 3)"),
+                ("a,b", "could not convert string to float: 'a'"),
+                ("0:inf:0.1", "grid bounds must be finite"),
+                ("0:1:0", "grid step must be positive"),
+                ("0:1:1e-10", f"grid has more than the cap of {cli.GRID_LIMIT} points"),
+                ("1:0:0.1", "empty grid"),
+                (",", "empty grid")):
+            with pytest.raises(ValueError) as err:
+                cli._parse_grid(option, text)
+            assert str(err.value) == f"{option} {text!r}: {message}"
 
     def test_sweep_above_the_cap_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
@@ -493,6 +509,26 @@ class TestSweep:
         res = run_cli(["sweep", "--eta-grid", ",", "--out", "x.csv"], tmp_path)
         assert res.returncode == 1
         assert "grid" in json.loads(res.stderr)["error"]
+
+    def test_grid_errors_name_the_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for option in ("--eta-grid", "--admix-grid"):
+            for text, message in (("0:1", "not enough values to unpack (expected 3, got 2)"),
+                                  ("a,b", "could not convert string to float: 'a'")):
+                assert cli.main(["sweep", f"{option}={text}", "--out", "x.csv"]) == 1
+                assert json.loads(capsys.readouterr().err) == {
+                    "error": f"{option} {text!r}: {message}"}
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_grid_errors_name_the_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        for option in ("--eta-grid", "--admix-grid"):
+            for text, message in (("0:1", "not enough values to unpack (expected 3, got 2)"),
+                                  ("a,b", "could not convert string to float: 'a'")):
+                assert cli.main(["sweep", f"{option}={text}", "--out", "x.csv"]) == 1
+                assert json.loads(capsys.readouterr().err) == {
+                    "error": f"{option} {text!r}: {message}"}
+        assert not (tmp_path / "x.csv").exists()
 
     def test_non_finite_admix_rejected(self, tmp_path):
         for grid in ("nan,inf", "0:inf:0.1"):

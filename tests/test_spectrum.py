@@ -89,6 +89,27 @@ class TestFrequencyTable:
             for i, f in enumerate(table):
                 assert f == peak_frequency(sys_, format(i, f"0{m}b"))
 
+    def test_fill_in_is_peak_frequency(self, tmp_path):
+        # READOUT states have six bits, so labels need a six-partner system
+        names = [f"p{i}" for i in range(6)]
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({
+            "observed": "O", "partners": names, "offset_hz": 12.5,
+            "j_hz": {p: 0.66 * 3.1 ** i * (-1) ** i for i, p in enumerate(names)}}))
+        sys_ = load_spin_system(str(path))
+        finals = {"unbraided": run_unbraided_pipeline(ExperimentConfig()).final,
+                  "braided": run_braided_pipeline(ExperimentConfig()).final}
+        for role, final in finals.items():
+            report = assign_peak_labels(synthesize(sys_, final), role)
+            for label, state in READOUT[role].contamination:
+                peak = report.labeled_peak(label)
+                assert peak.intensity == 0.0     # filled in, not synthesized
+                assert peak.frequency_hz == peak_frequency(sys_, state)
+        # twelve-bit states never hold a dominant peak, so no fill-in is reached
+        twelve = synthesize_thermal(self.twelve_partner_system(tmp_path))
+        with pytest.raises(ValueError, match="missing expected peak 'i'"):
+            assign_peak_labels(twelve, "unbraided")
+
     def test_table_is_not_a_field(self, tmp_path):
         sys_ = self.twelve_partner_system(tmp_path)
         fresh = load_spin_system(str(tmp_path / "spins.json"))
@@ -170,6 +191,16 @@ class TestSpinSystemConfig:
                                 ({"j_hz": [1]}, "j_hz must be a JSON object"),
                                 ({"j_hz": {"a": [1]}}, r"j_hz\[a\] must be a number"),
                                 ({"offset_hz": {}}, "offset_hz must be a number"),
+                                # JSON numbers only: no numeric strings, no booleans
+                                ({"j_hz": {"a": "155.42"}}, r"j_hz\[a\] must be a number"),
+                                ({"j_hz": {"a": True}}, r"j_hz\[a\] must be a number"),
+                                ({"offset_hz": "12"}, "offset_hz must be a number"),
+                                ({"offset_hz": False}, "offset_hz must be a number"),
+                                ({"t2_s": True}, "t2_s must be a number"),
+                                ({"t2_s": "0.3"}, "t2_s must be a number"),
+                                # an integer past any double is infinite, so out of range
+                                ({"j_hz": {"a": 10 ** 400}}, r"j_hz\[a\] must be finite"),
+                                ({"offset_hz": -10 ** 400}, "offset_hz must be finite"),
                                 ({"placeholder": "a"}, "placeholder must be a list")):
             path.write_text(json.dumps({**good, **change}))
             with pytest.raises(ValueError, match=message):
@@ -177,6 +208,11 @@ class TestSpinSystemConfig:
         path.write_text("[]")
         with pytest.raises(ValueError, match="not a JSON object"):
             load_spin_system(str(path))
+        # JSON integers are numbers
+        path.write_text(json.dumps({**good, "j_hz": {"a": 155}, "offset_hz": -12, "t2_s": 1}))
+        loaded = load_spin_system(str(path))
+        assert (loaded.j_hz, loaded.offset_hz, loaded.t2_s) == ({"a": 155.0}, -12.0, 1.0)
+        assert all(type(v) is float for v in (loaded.j_hz["a"], loaded.offset_hz, loaded.t2_s))
 
 
 class TestSynthesize:
@@ -230,6 +266,30 @@ class TestSynthesize:
         freqs = {round(p.frequency_hz, 9) for p in report.peaks}
         assert len(freqs) == 64
         assert abs(total_intensity(report) - 1.0) < 1e-12
+
+
+class TestEqualFrequencies:
+    """Peaks at one frequency sort by state, in every spectrum."""
+
+    def test_synthesize_and_thermal(self):
+        sys_ = small_system(j_hz={"a": 5.0, "b": 5.0})    # 01 and 10 both at 0 Hz
+        amps = np.array([0.5, 0.5, 0.5j, -0.5], dtype=complex)
+        for report in (synthesize(sys_, StateVector(2, amps)), synthesize_thermal(sys_)):
+            assert [p.state for p in report.peaks] == ["00", "01", "10", "11"]
+            assert report.peaks[1].frequency_hz == report.peaks[2].frequency_hz == 0.0
+
+    def test_labeled_fill_in(self):
+        # J = 0 on the third partner: each fill-in shares its frequency with a dominant
+        names = tuple(f"p{i}" for i in range(6))
+        sys_ = SpinSystem("O", names, dict(zip(names, (40.0, 2.0, 0.0, 64.0, 0.66, 28.0))))
+        finals = {"unbraided": run_unbraided_pipeline(ExperimentConfig()).final,
+                  "braided": run_braided_pipeline(ExperimentConfig()).final}
+        for role, final in finals.items():
+            report = assign_peak_labels(synthesize(sys_, final), role)
+            assert [p.state for p in report.peaks] == \
+                ["000000", "001000", "110111", "111111"]
+            freqs = [p.frequency_hz for p in report.peaks]
+            assert freqs[0] == freqs[1] and freqs[2] == freqs[3]
 
 
 class TestLabels:
