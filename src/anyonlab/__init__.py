@@ -1,19 +1,3 @@
 """Kitaev spin-lattice simulator with abelian-anyon braiding and NMR readout."""
 
 __version__ = "0.1.0"
-
-from .pauli import PauliString
-from .dense import Circuit, Gate, StateVector
-from .lattice import LatticeModel, GraphSpec, build_planar6, build_toric
-from .tableau import Tableau, init_toric_ground, syndrome_sweep
-from .anyon import ExperimentConfig, PhaseResult, extract_phase
-from .spectrum import SpinSystem, SpectrumReport, default_spin_system
-
-__all__ = [
-    "PauliString", "Circuit", "Gate", "StateVector",
-    "LatticeModel", "GraphSpec", "build_planar6", "build_toric",
-    "Tableau", "init_toric_ground", "syndrome_sweep",
-    "ExperimentConfig", "PhaseResult", "extract_phase",
-    "SpinSystem", "SpectrumReport", "default_spin_system",
-    "__version__",
-]

@@ -295,7 +295,7 @@ def extract_phase(with_braid: spec.SpectrumReport,
                        beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
 
 
-def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem | None = None,
+def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
                    seed: int = 0) -> dict:
     """Full comparison experiment: pipelines, labeled spectra, phase result.
 
@@ -303,16 +303,15 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem | None
     run when ``config.with_braiding``, and the PhaseResult when both
     spectra exist.
     """
-    sys_ = spin_system if spin_system is not None else spec.default_spin_system()
     psi_a = prepare_initial_state(config, seed)     # both runs start from it
     unbraided = _unbraided(psi_a)
     r_u = spec.assign_peak_labels(
-        spec.synthesize(sys_, unbraided.final, config.damping), "unbraided")
+        spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
     out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
     if config.with_braiding:
         braided = _braided(config, psi_a)
         r_b = spec.assign_peak_labels(
-            spec.synthesize(sys_, braided.final, config.damping), "braided")
+            spec.synthesize(spin_system, braided.final, config.damping), "braided")
         out["braided"] = {"run": braided, "spectrum": r_b}
         out["phase"] = extract_phase(r_b, r_u)
     return out

@@ -61,6 +61,8 @@ def _parse_grid(option: str, text: str) -> list[float]:
         grid = [float(tok) for tok in text.split(",") if tok.strip()]
         if not grid:
             raise ValueError("empty grid")
+        if not all(math.isfinite(v) for v in grid):
+            raise ValueError("grid values must be finite")
         return grid
     except ValueError as err:       # every error names the option and the grid text
         raise ValueError(f"{option} {text!r}: {err}") from None
@@ -84,6 +86,9 @@ def _spin_system(path: str | None, t2: float | None) -> spectrum.SpinSystem:
 
 def cmd_ground(args) -> list[Path]:
     model = _parse_model(args.model)
+    if model.geometry == "planar6" and args.logical != (0, 0):
+        raise ValueError(f"--logical {args.logical[0]}{args.logical[1]}: planar6 has no "
+                         f"logical sector; only torus:K takes one")
     out: dict = {"model": args.model, "backend": args.backend,
                  "n_qubits": model.n_qubits,
                  "generators": [str(g) for g in model.generators],
@@ -260,18 +265,15 @@ def cmd_sweep(args) -> list[Path]:
     if len(etas) * len(admixes) > GRID_LIMIT:
         raise ValueError(f"sweep of {len(etas)} eta x {len(admixes)} admix points "
                          f"passes the cap of {GRID_LIMIT} rows")
-    sys_ = _spin_system(args.spin_config, None)
-
-    def rows():
-        for eta in etas:
-            for r in admixes:
-                config = anyon.ExperimentConfig(
-                    eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
-                ph = anyon.run_experiment(config, sys_, seed=args.seed)["phase"]
-                yield [eta, r, ph.eta, ph.delta, ph.delta / math.pi]
-
+    # every point is built, and so checked by ExperimentConfig, before the first run
+    configs = [anyon.ExperimentConfig(eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
+               for eta in etas for r in admixes]
+    sys_ = spectrum.default_spin_system()   # eta never reads a peak frequency
+    phases = (anyon.run_experiment(c, sys_, seed=args.seed)["phase"] for c in configs)
     text = report.csv_text(
-        ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"], rows())
+        ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"],
+        ([c.eta_inject, c.admix_beta, p.eta, p.delta, p.delta / math.pi]
+         for c, p in zip(configs, phases)))
     return [report.write_text(args.out, text)]
 
 
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="planar6", help="planar6 or torus:K")
     p.add_argument("--backend", choices=("dense", "tableau"), default="dense")
     p.add_argument("--logical", type=_logical_bits, default=(0, 0),
-                   help="two bits choosing the toric Z-loop sector")
+                   help="two bits choosing the toric Z-loop sector (planar6: 00 only)")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted but changes no report: every vertex outcome is forced")
     p.add_argument("--describe", action="store_true")
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--admix-grid", default="0")
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--spin-config", default=None)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -168,7 +168,7 @@ class TestConfig:
             return
         config = ExperimentConfig(eta_inject=eta, admix_beta=admix)
         try:
-            recovered = run_experiment(config)["phase"].eta
+            recovered = run_experiment(config, default_spin_system())["phase"].eta
         except ValueError:
             return
         assert abs(recovered - eta) < 1e-9
@@ -281,15 +281,29 @@ class TestExtractPhase:
 
 class TestRunExperiment:
     def test_braided_run_has_phase(self):
-        result = run_experiment(ExperimentConfig(eta_inject=0.05))
+        result = run_experiment(ExperimentConfig(eta_inject=0.05), default_spin_system())
         assert abs(result["phase"].eta - 0.05) < 1e-9
         assert set(result["braided"]["run"].states) == \
             {"psi_a", "psi_b", "psi_c", "psi_d", "psi_e"}
 
     def test_no_braid_omits_phase(self):
-        result = run_experiment(ExperimentConfig(with_braiding=False))
+        result = run_experiment(ExperimentConfig(with_braiding=False),
+                                default_spin_system())
         assert "phase" not in result and "braided" not in result
         assert set(result["unbraided"]["run"].states) == {"psi_f", "psi_g"}
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_phase_reads_no_peak_frequency(self, gamma):
+        """Peaks are found by readout state, so a table that puts all 64 peaks
+        on one frequency gives the same phase as the default table."""
+        degenerate = spectrum.SpinSystem(
+            observed="O", partners=tuple("abcdef"), j_hz=dict.fromkeys("abcdef", 0.0),
+            offset_hz=123.0, t2_s=0.01)
+        assert len(set(degenerate.peak_frequencies)) == 1
+        config = ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=gamma)
+        phase = run_experiment(config, degenerate, seed=7)["phase"]
+        assert phase == run_experiment(config, default_spin_system(), seed=7)["phase"]
+        assert abs(phase.eta - 0.06) < 1e-9
 
 
 class TestFixedPieces:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from anyonlab import cli
+from anyonlab import anyon, cli
 from anyonlab.report import OUT_DIR_ENV, round_sig
 from anyonlab.spectrum import READOUT, default_spin_system
 
@@ -70,6 +70,18 @@ class TestGround:
         err = json.loads(res.stderr)
         assert "tableau" in err["error"]
         assert "32" in err["error"]
+
+    @pytest.mark.parametrize("backend", ["dense", "tableau"])
+    def test_planar6_refuses_logical(self, backend, tmp_path, monkeypatch, capsys):
+        """planar6 has no logical sector: only the default 00 is accepted."""
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        argv = ["ground", "--model", "planar6", "--backend", backend, "--out", "g.json"]
+        for bits in ("01", "10", "11"):
+            assert cli.main([*argv, "--logical", bits]) == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error.startswith(f"--logical {bits}: planar6")
+        assert not list(tmp_path.iterdir())
+        assert cli.main([*argv, "--logical", "00"]) == 0
 
     def test_unknown_model(self, tmp_path):
         for model in ("cube:3", "torus:x", "torus:", "torus:-2"):
@@ -443,7 +455,10 @@ class TestParseGrid:
                 ("0:1:0", "grid step must be positive"),
                 ("0:1:1e-10", f"grid has more than the cap of {cli.GRID_LIMIT} points"),
                 ("1:0:0.1", "empty grid"),
-                (",", "empty grid")):
+                (",", "empty grid"),
+                ("nan", "grid values must be finite"),
+                ("inf,0", "grid values must be finite"),
+                ("1e400", "grid values must be finite")):
             with pytest.raises(ValueError) as err:
                 cli._parse_grid(option, text)
             assert str(err.value) == f"{option} {text!r}: {message}"
@@ -520,15 +535,33 @@ class TestSweep:
                     "error": f"{option} {text!r}: {message}"}
         assert not (tmp_path / "x.csv").exists()
 
-    def test_grid_errors_name_the_option(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("eta_grid, admix_grid, message", [
+        ("0.1,2.0", "0,0.1,0.2", "to be recoverable, got 2.0"),   # past pi/2 - atan(admix)
+        ("0.1", "0,0.1,20000", "admix_beta must be in [0, ADMIX_LIMIT"),
+        ("0.1,nan", "0", "--eta-grid '0.1,nan': grid values must be finite"),
+    ], ids=["eta-past-band", "admix-past-cap", "eta-nan"])
+    def test_bad_point_refused_before_the_first_run(self, eta_grid, admix_grid, message,
+                                                    tmp_path, monkeypatch, capsys):
+        """A bad point anywhere in the grid exits 1 before any row runs."""
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
-        for option in ("--eta-grid", "--admix-grid"):
-            for text, message in (("0:1", "not enough values to unpack (expected 3, got 2)"),
-                                  ("a,b", "could not convert string to float: 'a'")):
-                assert cli.main(["sweep", f"{option}={text}", "--out", "x.csv"]) == 1
-                assert json.loads(capsys.readouterr().err) == {
-                    "error": f"{option} {text!r}: {message}"}
-        assert not (tmp_path / "x.csv").exists()
+        calls = []
+        monkeypatch.setattr(anyon, "run_experiment", lambda *a, **kw: calls.append(a))
+        assert cli.main(["sweep", f"--eta-grid={eta_grid}", "--admix-grid", admix_grid,
+                         "--out", "x.csv"]) == 1
+        assert message in json.loads(capsys.readouterr().err)["error"]
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
+    def test_spin_config_refused(self, tmp_path, monkeypatch, capsys):
+        """eta reads no peak frequency, so the sweep takes no spin table."""
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        (tmp_path / "spins.json").write_text(json.dumps(DEFAULT_SPINS))
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["sweep", "--spin-config", str(tmp_path / "spins.json"),
+                      "--out", "s.csv"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --spin-config" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["spins.json"]
 
     def test_non_finite_admix_rejected(self, tmp_path):
         for grid in ("nan,inf", "0:inf:0.1"):
@@ -595,13 +628,6 @@ class TestManifest:
         assert manifest["seed"] == 3
         assert manifest["config"]["eta"] == 0.06
         assert manifest["outputs"] == [str(tmp_path / "b.json")]
-
-    def test_sweep_records_spin_config(self, tmp_path, monkeypatch):
-        (tmp_path / "spins.json").write_text(json.dumps(DEFAULT_SPINS))
-        spins = str(tmp_path / "spins.json")
-        manifest = self.manifest(["sweep", "--spin-config", spins, "--out", "s.csv"],
-                                 tmp_path, monkeypatch, "s.csv")
-        assert manifest["config"]["spin_config"] == spins
 
     @pytest.mark.parametrize("argv, outputs", [
         (["ground", "--out", "g.json"], ["g.json"]),
