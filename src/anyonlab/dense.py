@@ -233,10 +233,3 @@ def state_from_dump(rows: list) -> StateVector:
     if abs(state.norm() - 1.0) > 1e-9:
         raise ValueError(f"state dump has norm {state.norm()!r}, not 1")
     return state
-
-
-__all__ = [
-    "Circuit", "Gate", "StateVector", "apply_gate", "apply_pauli",
-    "dump_amplitudes", "expect_pauli", "overlap", "run",
-    "state_from_dump", "DUMP_THRESHOLD",
-]

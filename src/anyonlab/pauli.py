@@ -23,17 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_VALUES = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
-
-_PAULI_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
 
@@ -158,16 +149,6 @@ class PauliString:
         return PauliString(self.n, self.x_mask, self.z_mask, (-self.phase_exp) % 4)
 
     # -- conversion --------------------------------------------------------
-
-    def to_dense(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; qubit 1 is the most significant bit."""
-        if self.n > DENSE_LIMIT:
-            raise ValueError(
-                f"{self.n} qubits exceeds the dense limit of {DENSE_LIMIT}")
-        mat = np.array([[self.phase]], dtype=complex)
-        for q in range(1, self.n + 1):
-            mat = np.kron(mat, _PAULI_MATS[self.symbol(q)])
-        return mat
 
     def __str__(self) -> str:
         """Phase label, then ``<letter><qubit>`` per support qubit; O(weight)."""

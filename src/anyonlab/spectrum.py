@@ -84,7 +84,8 @@ class SpinSystem:
     """Observed spin plus its coupling partners, in state-bit order.
 
     A state has at most DENSE_LIMIT bits, one per partner, so a system has
-    1..DENSE_LIMIT partners.
+    1..DENSE_LIMIT partners.  ``j_hz`` and ``placeholder`` name partners
+    only, so a misspelt name is refused rather than silently unused.
     """
 
     observed: str
@@ -113,6 +114,10 @@ class SpinSystem:
         if not 1 <= len(self.partners) <= DENSE_LIMIT:
             raise ValueError(f"a spin system needs 1..{DENSE_LIMIT} partners, "
                              f"got {len(self.partners)}")
+        for field, names in (("j_hz", self.j_hz), ("placeholder", self.placeholder)):
+            stray = sorted(set(names) - set(self.partners))
+            if stray:
+                raise ValueError(f"{field} names non-partner(s) {stray}")
 
     @property
     def linewidth_hz(self) -> float | None:

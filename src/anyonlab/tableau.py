@@ -4,17 +4,19 @@ Destabilizer/stabilizer tableau (Aaronson & Gottesman 2004) stored by
 columns and bit-packed (Gidney 2021).  ``X`` and ``Z`` are uint64 arrays
 of shape (words, n): word w, bit b of column q-1 holds the x (or z) bit
 on qubit q of the row at position 64*w + b.  Destabilizer i sits at
-position i and stabilizer i at 64*ceil(n/64) + i.  A row's i-exponent is
-lo + 2*hi, read from two bit-planes ``lo`` and ``hi`` (Python ints over
-the same positions); stabilizer rows stay Hermitian, exponent 0 or 2.
-The rows that anticommute with a Pauli are one XOR over its support
-columns, a Pauli error is ``hi ^=`` that mask, H, S and CNOT are column
-operations, and a measurement multiplies every anticommuting row by the
-pivot at once.  A row is read out of the columns only for ``row_pauli``,
-``stabilizer_paulis`` (reports) and a new memo entry, and always by
-``_paulis``, one 64-row word at a time: each word it touches is
-transposed once, in bulk, and a ``syndrome_sweep`` shares those
-transposes between all its memo misses.
+position i and stabilizer i at 64*ceil(n/64) + i.  Rows commute
+pairwise except destabilizer i with stabilizer i, so every row and every
+product of two commuting rows is Hermitian: a row's sign is one bit of
+the plane ``signs`` (a Python int over the same positions), set when the
+row carries -1, and no i-exponent is stored (CHP's one phase bit per
+row).  The rows that anticommute with a Pauli are one XOR over its
+support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
+are column operations, and a measurement multiplies every row that
+anticommutes with the measured Pauli by the pivot at once.  A row is read
+out of the columns only for ``row_pauli``, ``stabilizer_paulis``
+(reports) and a new memo entry, and always by ``_paulis``, one 64-row
+word at a time: each word it touches is transposed once, in bulk, and a
+``syndrome_sweep`` shares those transposes between all its memo misses.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -22,11 +24,12 @@ studies and sign-exact cross-validation of the dense engine.
 
 Deterministic generator measurements are memoized for error studies
 (apply an error string, sweep, undo, sweep again): an entry keeps the
-stabilizer rows whose product is the generator as a bit mask, and
-Pauli gates and errors only flip signs, so a cached outcome is a few
-popcounts of the live phase planes.  Any other gate or a random
-measurement clears the memo.  The ``toric`` command uses no tableau: its
-syndromes come from the error's Pauli frame (``lattice.error_syndrome``).
+stabilizer rows whose product is the generator as a bit mask and the
+sign bit that the product's mask algebra adds.  Pauli gates and errors
+only flip signs, so a cached outcome is one popcount of the live sign
+plane.  Any other gate or a random measurement clears the memo.  The
+``toric`` command uses no tableau: its syndromes come from the error's
+Pauli frame (``lattice.error_syndrome``).
 """
 
 from __future__ import annotations
@@ -56,25 +59,20 @@ def _word_rows(col: np.ndarray) -> list[int]:
     return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
-def _add4(a0, a1, b0, b1):
-    """Mod-4 sum of two bit-sliced counters (a1 a0) + (b1 b0)."""
-    return a0 ^ b0, a1 ^ b1 ^ a0 & b0
-
-
-def _product_phase(x: np.ndarray, z: np.ndarray, a: np.ndarray, c: np.ndarray):
-    """``mul_phase_exp(row, pivot)`` of every row at once, as bit-planes (lo, hi).
+def _product_sign(x: np.ndarray, z: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``mul_phase_exp(row, pivot) // 2`` of every row at once, as a (words,) bit-plane.
 
     x, z are (words, s): the rows' bits on the pivot's s support qubits;
-    a, c are all ones where the pivot has x (z) there.  Per qubit, an X
+    a, c are all ones where the pivot has x (z) there.  Every row must
+    commute with the pivot, so the exponent is 0 or 2.  Per qubit, an X
     pivot adds +1 on Z and -1 on Y, a Z pivot +1 on Y and -1 on X, a Y
     pivot +1 on X and -1 on Z.  The sum mod 4 is (number of steps) + 2
-    (number of -1 steps): the count's parity is the last prefix XOR of the
-    steps, and its second bit the parity of the step pairs, the XOR over j
-    of step_j & ~prefix_j."""
+    (number of -1 steps); the count is even, and its second bit is the
+    parity of the step pairs, the XOR over j of step_j & ~prefix_j."""
     step = x & c ^ z & a                    # the factors anticommute: +1 or -1
     minus = step & (x ^ z ^ a ^ c ^ x & c)
     prefix = np.bitwise_xor.accumulate(step, axis=1)
-    return prefix[:, -1], np.bitwise_xor.reduce(minus ^ step & ~prefix, axis=1)
+    return np.bitwise_xor.reduce(minus ^ step & ~prefix, axis=1)
 
 
 class Tableau:
@@ -92,7 +90,7 @@ class Tableau:
         bits = np.uint64(1) << (q % 64).astype(np.uint64)
         self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
         self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
-        self.lo = self.hi = 0                       # i-exponent bit-planes
+        self.signs = 0                              # bit r: row r carries -1
         self._rng = np.random.default_rng(seed)
         # deterministic-measurement memo; cleared wherever columns change
         self._det_cache: dict[tuple[int, int], tuple[int, int]] = {}
@@ -104,24 +102,21 @@ class Tableau:
         return _int(np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
                     ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
 
-    def _phase(self, pos: int) -> int:
-        return (self.lo >> pos & 1) + 2 * (self.hi >> pos & 1)
-
-    def _set_phase(self, pos: int, e: int):
-        keep = ~(1 << pos)
-        self.lo, self.hi = self.lo & keep | (e & 1) << pos, self.hi & keep | (e >> 1) << pos
+    def _set_sign(self, pos: int, bit: int):
+        self.signs = self.signs & ~(1 << pos) | bit << pos
 
     def _rowmult(self, rows: int, pivot: int):
-        """row r := row r * row ``pivot`` with phase tracking, for every position r in ``rows``."""
+        """row r := row r * row ``pivot`` with sign tracking, for every position r in ``rows``.
+
+        Every row in ``rows`` must commute with the pivot, so each product
+        is Hermitian and its sign is one bit."""
         w, b = divmod(pivot, 64)
         px, pz = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z))
         sup = np.flatnonzero(px | pz)
         m = np.frombuffer(rows.to_bytes(8 * len(self.X), "little"), "<u8")[:, None]
         x, z, a, c = self.X[:, sup], self.Z[:, sup], -px[sup], -pz[sup]
-        lo, hi = _product_phase(x & m, z & m, a, c)
-        e = self._phase(pivot)
-        lo, hi = _add4(_int(lo), _int(hi), rows if e & 1 else 0, rows if e & 2 else 0)
-        self.lo, self.hi = _add4(self.lo, self.hi, lo, hi)
+        flips = _int(_product_sign(x & m, z & m, a, c))
+        self.signs ^= flips ^ rows if self.signs >> pivot & 1 else flips
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
@@ -130,7 +125,7 @@ class Tableau:
 
         Each 64-row word that ``mask`` touches is transposed once.  ``words``
         (word index -> its rows' x and z masks) shares those transposes
-        between calls while the columns stay unchanged; phases are read live."""
+        between calls while the columns stay unchanged; signs are read live."""
         if words is None:
             words = {}
         for pos in _ones(mask):
@@ -138,7 +133,7 @@ class Tableau:
             rows = words.get(w)
             if rows is None:
                 rows = words[w] = (_word_rows(self.X[w]), _word_rows(self.Z[w]))
-            yield PauliString(self.n, rows[0][b], rows[1][b], self._phase(pos))
+            yield PauliString(self.n, rows[0][b], rows[1][b], 2 * (self.signs >> pos & 1))
 
     def row_pauli(self, row: int) -> PauliString:
         """Destabilizer ``row`` for row < n, stabilizer ``row - n`` for n <= row < 2n."""
@@ -183,18 +178,18 @@ class Tableau:
 
     def _h(self, q: int):
         x, z = self.X[:, q - 1], self.Z[:, q - 1]
-        self.hi ^= _int(x & z)
+        self.signs ^= _int(x & z)
         x[:], z[:] = z, x.copy()
 
     def _s(self, q: int):
         x, z = self.X[:, q - 1], self.Z[:, q - 1]
-        self.hi ^= _int(x & z)
+        self.signs ^= _int(x & z)
         z ^= x
 
     def _cnot(self, c: int, t: int):
         xc, zc = self.X[:, c - 1], self.Z[:, c - 1]
         xt, zt = self.X[:, t - 1], self.Z[:, t - 1]
-        self.hi ^= _int(xc & zt & ~(xt ^ zc))
+        self.signs ^= _int(xc & zt & ~(xt ^ zc))
         xt ^= xc
         zc ^= zt
 
@@ -202,7 +197,7 @@ class Tableau:
         """Conjugate by a Pauli error string: pure sign flips."""
         if p.n != self.n:
             raise ValueError(f"operator is {p.n}-qubit, tableau is {self.n}-qubit")
-        self.hi ^= self._anticommuting(p)
+        self.signs ^= self._anticommuting(p)
         return self
 
     # -- measurement -----------------------------------------------------
@@ -232,7 +227,9 @@ class Tableau:
 
         d = (stabs & -stabs).bit_length() - 1     # first anticommuting stabilizer
         pivot = self._stab + d
-        self._rowmult(rows ^ 1 << pivot, pivot)
+        # stabilizer d anticommutes with no row but destabilizer d, which is
+        # overwritten below
+        self._rowmult(rows & ~(1 << pivot | 1 << d), pivot)
         if force is None:
             outcome = 1 if self._rng.integers(0, 2) == 0 else -1
         else:
@@ -244,18 +241,19 @@ class Tableau:
             cols[w] = cols[w] & ~bit | row & bit        # destabilizer d := pivot
             row &= ~bit                                 # pivot := p
             row[_ones(mask)] |= bit
-        self._set_phase(d, self._phase(pivot))
-        self._set_phase(pivot, (p.phase_exp + (0 if outcome == 1 else 2)) % 4)
+        self._set_sign(d, self.signs >> pivot & 1)
+        self._set_sign(pivot, p.phase_exp >> 1 ^ (outcome == -1))
         self._det_cache.clear()
         return outcome, False
 
     def _deterministic_outcome(self, p: PauliString, rows: int | None = None,
                                words: dict | None = None) -> int:
-        """Outcome of a p in the stabilizer group up to sign (``rows``: its
-        ``_anticommuting`` mask, if known; ``words``: transposed words shared
-        with other misses, see ``_paulis``).  The memo maps p's masks to the
-        stabilizer rows whose product is p, as a mask over stabilizer
-        indices, and that product's phase; the rows' exponents are read live."""
+        """Outcome of a Hermitian p in the stabilizer group up to sign
+        (``rows``: its ``_anticommuting`` mask, if known; ``words``:
+        transposed words shared with other misses, see ``_paulis``).  The
+        memo maps p's masks to the stabilizer rows whose product is p, as a
+        mask over stabilizer indices, and the sign bit that the product's
+        mask algebra adds; the rows' signs are read live."""
         entry = self._det_cache.get((p.x_mask, p.z_mask))
         if entry is None:
             if rows is None:
@@ -269,13 +267,12 @@ class Tableau:
                 az ^= row.z_mask
             if ax != p.x_mask or az != p.z_mask:
                 raise AssertionError("commuting operator not in stabilizer group")
-            entry = self._det_cache[(p.x_mask, p.z_mask)] = (rows, acc)
-        sel, acc = entry
-        lo, hi = self.lo >> self._stab, self.hi >> self._stab
-        diff = (acc + (lo & sel).bit_count() + 2 * (hi & sel).bit_count() - p.phase_exp) % 4
-        if diff not in (0, 2):
-            raise AssertionError("non-Hermitian accumulation in deterministic outcome")
-        return 1 if diff == 0 else -1
+            if acc & 1:
+                raise AssertionError("non-Hermitian accumulation in deterministic outcome")
+            entry = self._det_cache[(p.x_mask, p.z_mask)] = (rows, acc >> 1)
+        sel, sign = entry
+        odd = sign + (self.signs >> self._stab & sel).bit_count() + (p.phase_exp >> 1) & 1
+        return -1 if odd else 1
 
     # -- conversion --------------------------------------------------------
 

@@ -1,9 +1,19 @@
-"""Shared pytest hooks: always-visible acceptance-criterion summary, and a
-test environment free of the caller's output directory."""
+"""Shared pytest hooks: always-visible acceptance-criterion summary, a
+test environment free of the caller's output directory, and the dense
+matrix of a Pauli string for the matrix oracles."""
 
+import numpy as np
 import pytest
 
+from anyonlab.pauli import PauliString
 from anyonlab.report import OUT_DIR_ENV
+
+_PAULI_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 CRITERION_RESULTS: list[str] = []
 
@@ -13,6 +23,14 @@ def _no_out_dir_from_the_caller(monkeypatch):
     """Relative outputs land where each test puts them, whatever $ANYONLAB_OUT_DIR
     the calling shell sets; a test that needs the variable sets it itself."""
     monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+
+
+def to_dense(p: PauliString) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of p; qubit 1 is the most significant bit."""
+    mat = np.array([[p.phase]], dtype=complex)
+    for q in range(1, p.n + 1):
+        mat = np.kron(mat, _PAULI_MATS[p.symbol(q)])
+    return mat
 
 
 def pytest_terminal_summary(terminalreporter):

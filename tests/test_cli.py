@@ -315,6 +315,8 @@ class TestSpectrumCommand:
                             ({**TWO_SPINS, "j_hz": [1]}, "j_hz"),
                             ({**TWO_SPINS, "partners": "ab"}, "partners"),
                             ({**TWO_SPINS, "placeholder": "a"}, "placeholder"),
+                            ({**TWO_SPINS, "placeholder": ["typo"]},
+                             "placeholder names non-partner(s) ['typo']"),
                             (thirteen, "1..12 partners, got 13")):
             (tmp_path / "spins.json").write_text(json.dumps(config))
             res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",

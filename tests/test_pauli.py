@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import to_dense
+
 from anyonlab.lattice import build_planar6, build_toric
 from anyonlab.pauli import PHASE_LABELS, PauliString
 
@@ -59,9 +61,9 @@ class TestMultiply:
         z = PauliString.z_on(1, 1)
         prod = x * z
         assert prod.x_mask == 1 and prod.z_mask == 1
-        np.testing.assert_allclose(prod.to_dense(), X2 @ Z2, atol=1e-15)
+        np.testing.assert_allclose(to_dense(prod), X2 @ Z2, atol=1e-15)
         # and the reversed order
-        np.testing.assert_allclose((z * x).to_dense(), Z2 @ X2, atol=1e-15)
+        np.testing.assert_allclose(to_dense(z * x), Z2 @ X2, atol=1e-15)
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -82,8 +84,8 @@ class TestMultiply:
     @settings(max_examples=80, deadline=None)
     @given(pauli_strings(4), pauli_strings(4))
     def test_dense_homomorphism(self, a, b):
-        lhs = (a * b).to_dense()
-        rhs = a.to_dense() @ b.to_dense()
+        lhs = to_dense(a * b)
+        rhs = to_dense(a) @ to_dense(b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -125,7 +127,7 @@ class TestCommutes:
     @settings(max_examples=100, deadline=None)
     @given(pauli_strings(4), pauli_strings(4))
     def test_agrees_with_dense_commutator(self, a, b):
-        am, bm = a.to_dense(), b.to_dense()
+        am, bm = to_dense(a), to_dense(b)
         comm = np.linalg.norm(am @ bm - bm @ am)
         if a.commutes(b):
             assert comm < 1e-12
@@ -139,24 +141,20 @@ class TestCommutes:
 
 class TestToDense:
     def test_identity_two_qubits(self):
-        np.testing.assert_array_equal(PauliString.identity(2).to_dense(), np.eye(4))
+        np.testing.assert_array_equal(to_dense(PauliString.identity(2)), np.eye(4))
 
     def test_z_single_qubit(self):
         np.testing.assert_array_equal(
-            PauliString.z_on(1, 1).to_dense(), np.diag([1.0, -1.0]))
+            to_dense(PauliString.z_on(1, 1)), np.diag([1.0, -1.0]))
 
     def test_a1_squares_to_identity(self):
         a1 = PauliString.x_on(6, 1, 2, 3)
-        m = a1.to_dense()
+        m = to_dense(a1)
         np.testing.assert_allclose(m @ m, np.eye(64), atol=1e-12)
 
     def test_matches_kron_oracle_with_phase(self):
         p = PauliString.from_ops(5, {1: "X", 3: "Y", 4: "Z"}, phase_exp=3)
-        np.testing.assert_allclose(p.to_dense(), kron_oracle("XIYZI", -1j), atol=1e-15)
-
-    def test_dense_limit(self):
-        with pytest.raises(ValueError, match="dense limit"):
-            PauliString.identity(13).to_dense()
+        np.testing.assert_allclose(to_dense(p), kron_oracle("XIYZI", -1j), atol=1e-15)
 
 
 class TestText:

@@ -179,6 +179,15 @@ class TestSpinSystemConfig:
         freqs = sorted(peak.frequency_hz for peak in rep.peaks)
         assert freqs[1] - freqs[0] == pytest.approx(0.66, rel=1e-3)
 
+    def test_stray_names_refused(self):
+        # a coupling or placeholder flag on a name that is not a partner
+        # would be silently unused
+        with pytest.raises(ValueError, match=r"j_hz names non-partner\(s\) \['zz'\]"):
+            SpinSystem("O", ("a",), {"a": 1.0, "zz": 5.0}, placeholder=frozenset({"typo"}))
+        with pytest.raises(ValueError, match=r"placeholder names non-partner\(s\) \['c', 'x'\]"):
+            small_system(placeholder=frozenset({"a", "x", "c"}))
+        assert small_system(placeholder=frozenset({"b"})).as_dict()["placeholder"] == ["b"]
+
     def test_missing_key_named(self, tmp_path):
         path = tmp_path / "spins.json"
         path.write_text(json.dumps({"partners": ["a"], "j_hz": {"a": 1.0}}))
@@ -201,7 +210,12 @@ class TestSpinSystemConfig:
                                 # an integer past any double is infinite, so out of range
                                 ({"j_hz": {"a": 10 ** 400}}, r"j_hz\[a\] must be finite"),
                                 ({"offset_hz": -10 ** 400}, "offset_hz must be finite"),
-                                ({"placeholder": "a"}, "placeholder must be a list")):
+                                ({"placeholder": "a"}, "placeholder must be a list"),
+                                # every name is a partner's: a typo is refused
+                                ({"j_hz": {"a": 1.0, "zz": 5.0}},
+                                 r"j_hz names non-partner\(s\) \['zz'\]"),
+                                ({"placeholder": ["typo", "a"]},
+                                 r"placeholder names non-partner\(s\) \['typo'\]")):
             path.write_text(json.dumps({**good, **change}))
             with pytest.raises(ValueError, match=message):
                 load_spin_system(str(path))

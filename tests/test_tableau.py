@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import to_dense
+
 from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli, overlap
 from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
@@ -225,8 +227,8 @@ class TestGateConjugation:
         for r in range(2 * n):
             q = r % n + 1
             p0 = PauliString.x_on(n, q) if r < n else PauliString.z_on(n, q)
-            want = u @ p0.to_dense() @ u.conj().T
-            assert np.allclose(t.row_pauli(r).to_dense(), want, atol=1e-12), r
+            want = u @ to_dense(p0) @ u.conj().T
+            assert np.allclose(to_dense(t.row_pauli(r)), want, atol=1e-12), r
 
 
 class TestMeasurement:
@@ -363,43 +365,48 @@ class TestRowOracle:
                                                            replace=False))
                 fast.apply_gate(kind, targets)
                 ref.apply_gate(kind, targets)
-                continue
-            if roll < 0.5:
+            elif roll < 0.5:
                 err = random_pauli(n, rng)
                 fast.apply_pauli(err)
                 ref.apply_pauli(err)
-                continue
-            if roll < 0.7:
-                p = random_pauli(n, rng)
-            elif roll < 0.85 or not seen:     # a product of stabilizers: deterministic
-                p = PauliString.identity(n)
-                for i in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False):
-                    p = p * ref.row_pauli(n + int(i))
-                p = PauliString(n, p.x_mask, p.z_mask, (p.phase_exp + 2 * (roll < 0.8)) % 4)
-            else:                             # again, after errors and gates
-                p = seen[rng.integers(0, len(seen))]
-            if rng.random() < 0.05:
-                p = PauliString(n, p.x_mask, p.z_mask, 1)
-            seen.append(p)
-            force = (None, None, 1, -1, 2)[rng.integers(0, 5)]
-            assert (outcome_or_error(fast.measure, p, force)
-                    == outcome_or_error(ref.measure, p, force)), (p, force)
+            else:
+                if roll < 0.7:
+                    p = random_pauli(n, rng)
+                elif roll < 0.85 or not seen:     # a product of stabilizers: deterministic
+                    p = PauliString.identity(n)
+                    for i in rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)),
+                                        replace=False):
+                        p = p * ref.row_pauli(n + int(i))
+                    p = PauliString(n, p.x_mask, p.z_mask, (p.phase_exp + 2 * (roll < 0.8)) % 4)
+                else:                             # again, after errors and gates
+                    p = seen[rng.integers(0, len(seen))]
+                if rng.random() < 0.05:
+                    p = PauliString(n, p.x_mask, p.z_mask, 1)
+                seen.append(p)
+                force = (None, None, 1, -1, 2)[rng.integers(0, 5)]
+                assert (outcome_or_error(fast.measure, p, force)
+                        == outcome_or_error(ref.measure, p, force)), (p, force)
+            # the one-sign-bit tableau rests on this: every row, destabilizers
+            # included, stays Hermitian
+            assert all(e in (0, 2) for e in ref.phases), ref.phases
         assert ([fast.row_pauli(r) for r in range(2 * n)]
                 == [ref.row_pauli(r) for r in range(2 * n)])
         assert fast.stabilizer_paulis() == [ref.row_pauli(n + i) for i in range(n)]
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
-    def test_bulk_rowmult_phase_matches_mul_phase_exp(self, n, seed):
-        # rounds of row_r := row_r * row_pivot on random row sets; products
-        # of anticommuting rows leave odd exponents for later pivots
+    def test_bulk_rowmult_sign_matches_mul_phase_exp(self, n, seed):
+        # rounds of row_r := row_r * row_pivot on random sets of rows that
+        # commute with the pivot (the kernel's contract), so every product
+        # is Hermitian; earlier rounds change which rows commute
         rng = np.random.default_rng(seed)
         t = run(random_circuit(n, depth=2 * n, rng=rng), Tableau(n))
         pos = [r if r < n else t._stab + r - n for r in range(2 * n)]
         for _ in range(3):
             before = [t.row_pauli(r) for r in range(2 * n)]
             pivot = int(rng.integers(0, 2 * n))
-            rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5}
+            rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5
+                    and before[r].commutes(before[pivot])}
             t._rowmult(sum(1 << pos[r] for r in rows), pos[pivot])
             for r in range(2 * n):
                 want = before[r]
