@@ -317,14 +317,20 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
     return out
 
 
-def ideal_fidelities() -> dict[str, float]:
-    """Round-trip figures of the noiseless pipelines (for reports)."""
+def ideal_fidelities(unbraided: StateVector | None = None,
+                     braided: StateVector | None = None) -> dict[str, float]:
+    """Round-trip figures of the noiseless pipelines (for reports).
+
+    ``unbraided`` and ``braided`` are the pipelines' final states from the
+    ideal config, when a caller has already run them; each one not given
+    is run here.
+    """
     cfg = ExperimentConfig()
-    unbraided = run_unbraided_pipeline(cfg)
-    braided = run_braided_pipeline(cfg)
-    ground = planar6_ground_state()
-    excited = planar6_excited_state()
-    ov_u = overlap(measurement_reduction(ground), unbraided.final)
-    ov_b = overlap(measurement_reduction(excited), braided.final)
+    if unbraided is None:
+        unbraided = run_unbraided_pipeline(cfg).final
+    if braided is None:
+        braided = run_braided_pipeline(cfg).final
+    ov_u = overlap(measurement_reduction(planar6_ground_state()), unbraided)
+    ov_b = overlap(measurement_reduction(planar6_excited_state()), braided)
     return {"unbraided_fidelity": abs(ov_u), "braided_fidelity": abs(ov_b),
             "braided_relative_phase": math.atan2(ov_b.imag, ov_b.real)}

@@ -6,7 +6,11 @@ paths it wrote, report first; ``main`` then writes the one sidecar
 ``*.manifest.json`` (argv, every parsed option, seed, versions,
 timestamp, and ``wall_s``, the command's wall time in seconds) and
 prints the one ``wrote`` line.  Relative output paths resolve against
-$ANYONLAB_OUT_DIR.
+$ANYONLAB_OUT_DIR, and an error writing an output names its path.
+
+The argument parser is built once per process, at import (``PARSER``);
+each ``main`` call parses into a fresh namespace, and no option default is
+mutable, so repeated calls in one process behave like fresh processes.
 """
 
 from __future__ import annotations
@@ -150,7 +154,10 @@ def cmd_braid_demo(args) -> list[Path]:
         }
         out["phase"] = result["phase"].as_dict()
     if config.eta_inject == 0 and config.admix_beta == 0 and config.gamma_leak == 0:
-        out["ideal_fidelities"] = anyon.ideal_fidelities()
+        # this run is the ideal one (damping and seed change no state), so
+        # its finals are the ideal pipelines' finals
+        out["ideal_fidelities"] = anyon.ideal_fidelities(
+            unb["run"].final, result["braided"]["run"].final if "braided" in result else None)
 
     path = report.write_report(args.out, out)
     if "phase" in out:
@@ -301,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted but changes no report: every vertex outcome is forced")
     p.add_argument("--describe", action="store_true")
     p.add_argument("--out", default="ground.json")
-    p.set_defaults(func=cmd_ground)
 
     p = sub.add_parser("braid-demo", help="run the braided/unbraided comparison")
     p.add_argument("--no-braid", action="store_true")
@@ -313,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t2", type=float, default=None, help="T2 in seconds (linewidth)")
     p.add_argument("--spin-config", default=None)
     p.add_argument("--out", default="braid_demo.json")
-    p.set_defaults(func=cmd_braid_demo)
 
     p = sub.add_parser("toric", help="syndromes of error strings on a k x k torus")
     p.add_argument("--k", type=int, required=True)
@@ -321,18 +326,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logical", type=_logical_bits, default=(0, 0))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="syndromes.json")
-    p.set_defaults(func=cmd_toric)
 
     p = sub.add_parser("spectrum", help="synthesize a label-qubit spectrum")
     p.add_argument("--spin-config", default=None)
     p.add_argument("--state", default=None, help="state dump JSON ([bits, re, im] rows)")
     p.add_argument("--thermal", action="store_true")
     p.add_argument("--t2", type=float, default=None)
-    p.add_argument("--label", choices=sorted(spectrum.READOUT), default=None)
+    # the table itself, not a copy: membership is checked on each call
+    p.add_argument("--label", choices=spectrum.READOUT, default=None)
     p.add_argument("--lineshape", type=int, default=0,
                    help="also emit a sampled lineshape CSV with this many points")
     p.add_argument("--out", default="spectrum", help="output base path")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="eta-recovery sweep over parameter grids")
     p.add_argument("--eta-grid", default="0", help='"start:stop:step" or comma list')
@@ -340,20 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="sweep.csv")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    args = PARSER.parse_args(argv)
+    config = {k: v for k, v in vars(args).items() if k != "command"}
+    # looked up at call time, so that a rebound cmd_* (a tracing wrapper) is the one run
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         if getattr(args, "seed", 0) < 0:     # the one check for every --seed
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         start = time.perf_counter()
-        outputs = args.func(args)
+        outputs = command(args)
         wall_s = time.perf_counter() - start
         report.write_manifest(outputs, args.command, argv, config, wall_s)
     except (ValueError, OSError) as err:

@@ -6,6 +6,14 @@ formats, JSON keys are sorted, and nothing time-dependent goes into a
 report.  Timestamps, wall times, tool versions, and output paths live in
 a sidecar manifest instead.  This module is the one place that knows a
 file format or the report precision.
+
+A JSON report is the text of ``json.dumps(obj, indent=2, sort_keys=True,
+allow_nan=False) + "\\n"`` with every float first rounded to 12
+significant digits and every key turned into ``str(key)`` (when two keys
+give the same string, the later one wins): two-space indents, ``","`` at
+line ends, ``": "`` after a key, ASCII escapes (``\\uXXXX``) in strings,
+and ``[]`` or ``{}`` for an empty container.  ``dumps_report`` writes that
+text in one walk of the object.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ import csv
 import datetime
 import io
 import json
+import math
 import os
 import platform
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -31,19 +41,58 @@ def round_sig(x: float) -> float:
     return float(f"{x:.{SIGNIFICANT_DIGITS}g}")
 
 
-def canonical(obj):
-    """Recursively round floats (np.float64 is one) for stable JSON."""
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, float):
-        return round_sig(obj)
-    return obj
-
-
 def dumps_report(obj) -> str:
-    return json.dumps(canonical(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The report text of ``obj`` (see the module docstring).  NaN and
+    +/-inf raise ValueError; a value that is not a dict, list, tuple, str,
+    int, float, bool or None raises TypeError."""
+    parts: list[str] = []
+    _emit(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, parts: list[str], newline: str) -> None:
+    """Append the text of ``obj`` to ``parts``; ``newline`` is the line break
+    plus the indent of the line ``obj`` starts on."""
+    if isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        x = round_sig(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        parts.append(float.__repr__(x))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _emit(value, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            parts.append(sep + _encode_str(key) + ": ")
+            _emit(value, parts, inner)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def csv_text(header: list[str], rows) -> str:
@@ -73,20 +122,25 @@ def resolve_out_path(path: str | os.PathLike) -> Path:
     base = os.environ.get(OUT_DIR_ENV)
     if base and not p.is_absolute():
         p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
+
+
+def _save(p: Path, text: str) -> Path:
+    """Write ``text`` to ``p``, creating its directories; an error names ``p``."""
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise OSError(f"cannot write {p}: {err}") from None
     return p
 
 
 def write_report(path: str | os.PathLike, obj) -> Path:
-    p = resolve_out_path(path)
-    p.write_text(dumps_report(obj), encoding="utf-8")
-    return p
+    return _save(resolve_out_path(path), dumps_report(obj))
 
 
 def write_text(path: str | os.PathLike, text: str) -> Path:
-    p = resolve_out_path(path)
-    p.write_text(text, encoding="utf-8")
-    return p
+    return _save(resolve_out_path(path), text)
 
 
 def write_manifest(outputs: list[Path], command: str, argv: list[str],
@@ -108,5 +162,4 @@ def write_manifest(outputs: list[Path], command: str, argv: list[str],
         "wall_s": wall_s,
     }
     mpath = outputs[0].with_name(outputs[0].name + ".manifest.json")
-    mpath.write_text(dumps_report(manifest), encoding="utf-8")
-    return mpath
+    return _save(mpath, dumps_report(manifest))

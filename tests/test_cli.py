@@ -657,6 +657,66 @@ class TestManifest:
         assert len(manifest["outputs"]) == 3
 
 
+class TestRepeatedMain:
+    """``main`` parses with one parser per process; each call must still
+    behave like a fresh process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["braid-demo", "--eta", "0.06", "--admix", "0.18", "--damping", "0.7"],
+        ["toric", "--k", "8", "--errors", "rand:20", "--seed", "3"],
+    ])
+    def test_reruns_match_a_cold_run(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        reports = []
+        for name in ("first.json", "second.json"):
+            assert cli.main([*argv, "--out", name]) == 0
+            reports.append((tmp_path / name).read_bytes())
+        res = run_cli([*argv, "--out", "cold.json"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert reports[0] == reports[1] == (tmp_path / "cold.json").read_bytes()
+
+    def test_refusal_then_good_call(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["braid-demo", "--out", "fresh.json"]) == 0
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["braid-demo", "--eta", "x", "--out", "bad.json"])
+        assert exit_.value.code == 2
+        assert cli.main(["braid-demo", "--out", "after.json"]) == 0
+        assert ((tmp_path / "after.json").read_bytes()
+                == (tmp_path / "fresh.json").read_bytes())
+        assert not (tmp_path / "bad.json").exists()
+
+    def test_option_does_not_leak_into_the_next_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        argv = ["ground", "--model", "torus:2", "--backend", "tableau"]
+        assert cli.main([*argv, "--logical", "11", "--out", "g11.json"]) == 0
+        assert cli.main([*argv, "--out", "g00.json"]) == 0
+        config = json.loads((tmp_path / "g00.json.manifest.json").read_text())["config"]
+        assert config["logical"] == [0, 0]
+
+    def test_each_parse_is_a_fresh_namespace(self, tmp_path, monkeypatch):
+        argv = ["toric", "--k", "4"]
+        first, second = cli.PARSER.parse_args(argv), cli.PARSER.parse_args(argv)
+        assert first is not second and vars(first) == vars(second)
+        # main parses with the parser built at import, not a new one per call
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(cli, "build_parser", None)
+        assert cli.main([*argv, "--out", "t.json"]) == 0
+
+
+@pytest.mark.parametrize("out", ["taken/r.json", "folder"])
+def test_unwritable_out_names_the_path(out, tmp_path, monkeypatch, capsys):
+    """The parent is a file, or the output is a directory: exit 1, the error
+    names the output path."""
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "folder").mkdir()
+    assert cli.main(["braid-demo", "--out", out]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith(f"cannot write {tmp_path / out}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["folder", "taken"]
+
+
 class TestReadme:
     def test_quick_start_lines_run(self, tmp_path, monkeypatch, capsys):
         """Every ``anyonlab`` line of README's quick start exits 0."""
