@@ -147,13 +147,11 @@ def create_anyons(state: StateVector) -> StateVector:
 def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
     """Move the m anyon around the e anyon: the loop L = ``BRAIDING_LOOP``.
 
-    A nonzero ``eta_inject`` applies exp(-i * eta * L) after the loop, which
-    is cos(eta) L psi - i sin(eta) psi because L^2 = 1; it rotates the
-    relative phase of L's -1 eigenspace by 2*eta.
+    ``eta_inject`` applies exp(-i * eta * L) after the loop, which is
+    cos(eta) L psi - i sin(eta) psi because L^2 = 1; it rotates the
+    relative phase of L's -1 eigenspace by 2*eta (at eta = 0, L psi itself).
     """
     looped = apply_pauli(state, BRAIDING_LOOP)
-    if not eta_inject:
-        return looped
     return StateVector(state.n, math.cos(eta_inject) * looped.amps
                        - 1j * math.sin(eta_inject) * state.amps)
 

@@ -28,8 +28,8 @@ import numpy as np
 from . import anyon, report, spectrum
 from .dense import dump_amplitudes, state_from_dump
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
-                      syndrome)
-from .pauli import DENSE_LIMIT, PauliString
+                      syndrome, toric_ground_state)
+from .pauli import PauliString
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
@@ -98,22 +98,17 @@ def cmd_ground(args) -> list[Path]:
                  "generators": [str(g) for g in model.generators],
                  "generator_ids": list(model.generator_ids)}
     if args.backend == "dense":
-        if model.n_qubits > DENSE_LIMIT:
-            raise ValueError(
-                f"dense backend refuses {model.n_qubits} qubits "
-                f"(limit {DENSE_LIMIT}); use --backend tableau")
         if model.geometry == "planar6":
             state = anyon.planar6_ground_state()
         else:
-            state = init_toric_ground(model, tuple(args.logical),
-                                      seed=args.seed).to_statevector()
+            state = toric_ground_state(model, args.logical)
         out["amplitudes"] = dump_amplitudes(state)
         out["syndrome"] = _syndrome_rows(syndrome(model, state))
     else:
         if model.geometry == "planar6":
             t = tableau_run(anyon.PREPARATION, Tableau(6))
         else:
-            t = init_toric_ground(model, tuple(args.logical), seed=args.seed)
+            t = init_toric_ground(model, args.logical, seed=args.seed)
         out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
         out["syndrome"] = _syndrome_rows(syndrome_sweep(t, model))
     if args.describe:
@@ -241,12 +236,12 @@ def cmd_toric(args) -> list[Path]:
 
 
 def cmd_spectrum(args) -> list[Path]:
+    if (args.state is not None) == args.thermal:
+        raise ValueError("spectrum needs exactly one of --state FILE and --thermal")
     sys_ = _spin_system(args.spin_config, args.t2)
     if args.thermal:
         rep = spectrum.synthesize_thermal(sys_)
     else:
-        if not args.state:
-            raise ValueError("spectrum needs --state FILE or --thermal")
         rows = report.read_json(args.state, "--state")
         rep = spectrum.synthesize(sys_, state_from_dump(rows))
     if args.label:

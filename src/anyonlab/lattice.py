@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dense import Circuit, Gate, StateVector, expect_pauli
-from .pauli import PauliString
+from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
+from .pauli import DENSE_LIMIT, PauliString
 
 EIGENVALUE_TOL = 1e-9
 # largest toric k: the 2k^2 generators hold two 2k^2-bit masks each, about
@@ -80,6 +80,41 @@ def build_toric(k: int) -> LatticeModel:
     return LatticeModel(n, tuple(vertex_ops), tuple(face_ops),
                         tuple(vertex_ids), tuple(face_ids),
                         f"torus:{k}", layout)
+
+
+def sector_x_strings(model: LatticeModel,
+                     logical_choice: tuple[int, int]) -> list[PauliString]:
+    """The dual X strings that take |0...0>'s Z loops (both +1) to ``logical_choice``:
+    string j crosses loop j once, so it flips that sign alone, and it commutes
+    with every generator."""
+    k = model.torus_k
+    if k is None:
+        raise ValueError(f"toric ground needs a torus model, got {model.geometry}")
+    if len(logical_choice) != 2 or any(b not in (0, 1) for b in logical_choice):
+        raise ValueError(f"logical_choice must be two bits, got {logical_choice}")
+    n = model.n_qubits
+    strings = (PauliString.x_on(n, *(model.qubit_layout[("h", r, 0)] for r in range(k))),
+               PauliString.x_on(n, *(model.qubit_layout[("v", 0, c)] for c in range(k))))
+    return [s for bit, s in zip(logical_choice, strings) if bit]
+
+
+def toric_ground_state(model: LatticeModel,
+                       logical_choice: tuple[int, int] = (0, 0)) -> StateVector:
+    """Dense toric ground state in the Z-loop sector ``logical_choice``:
+    prod_v (1 + A_v)/2 on |0...0> (a +1 eigenstate of every face and both Z
+    loops), normalized, then the sector's dual X strings."""
+    flips = sector_x_strings(model, logical_choice)
+    n = model.n_qubits
+    if n > DENSE_LIMIT:
+        raise ValueError(f"dense toric ground of {n} qubits is above the dense "
+                         f"limit of {DENSE_LIMIT}; use the tableau backend")
+    state = StateVector.zero(n)
+    for av in model.vertex_ops:
+        state = StateVector(n, 0.5 * (state.amps + apply_pauli(state, av).amps))
+    state = StateVector(n, state.amps / state.norm())
+    for xstr in flips:
+        state = apply_pauli(state, xstr)
+    return state
 
 
 def build_planar6() -> LatticeModel:

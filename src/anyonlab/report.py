@@ -108,12 +108,14 @@ def csv_text(header: list[str], rows) -> str:
 
 
 def read_json(path: str, what: str):
-    """The JSON value in ``path``; a parse error names ``what`` and the path."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """The JSON value in ``path``; an error reading it names ``what`` and the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except ValueError as err:     # also a file that is not UTF-8
-            raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
+    except OSError as err:
+        raise OSError(f"cannot read {what} {path}: {err.strerror}") from None
+    except ValueError as err:     # also a file that is not UTF-8
+        raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
 
 
 def resolve_out_path(path: str | os.PathLike) -> Path:

@@ -150,24 +150,24 @@ def default_spin_system() -> SpinSystem:
 
 
 def load_spin_system(path: str) -> SpinSystem:
-    raw = read_json(path, "spin config")
+    raw = read_json(path, "--spin-config")
     if not isinstance(raw, dict):
-        raise ValueError(f"spin config {path} is not a JSON object")
+        raise ValueError(f"--spin-config {path} is not a JSON object")
     missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]
     if missing:
-        raise ValueError(f"spin config {path} is missing {', '.join(missing)}")
+        raise ValueError(f"--spin-config {path} is missing {', '.join(missing)}")
     for key, kind in (("observed", str), ("partners", list), ("j_hz", dict),
                       ("placeholder", list)):
         value = raw.get(key, [])
         if not isinstance(value, kind) or (
                 kind is list and not all(isinstance(v, str) for v in value)):
             what = {str: "a string", list: "a list of strings", dict: "a JSON object"}
-            raise ValueError(f"spin config {path}: {key} must be {what[kind]}, "
+            raise ValueError(f"--spin-config {path}: {key} must be {what[kind]}, "
                              f"got {value!r}")
 
     def number(key, value) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"spin config {path}: {key} must be a number, got {value!r}")
+            raise ValueError(f"--spin-config {path}: {key} must be a number, got {value!r}")
         try:
             return float(value)
         except OverflowError:       # an integer past any double; SpinSystem refuses inf

@@ -20,7 +20,9 @@ word at a time: each word it touches is transposed once, in bulk, and a
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
-studies and sign-exact cross-validation of the dense engine.
+studies; it holds stabilizer code only and never builds a dense state,
+so a dense state built on its own (``dense.run``,
+``lattice.toric_ground_state``) is an independent check of its rows.
 
 Deterministic generator measurements are memoized for error studies
 (apply an error string, sweep, undo, sweep again): an entry keeps the
@@ -36,10 +38,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import (Circuit, StateVector, _validate_gate,
-                    apply_pauli as dense_apply_pauli)
-from .lattice import LatticeModel
-from .pauli import DENSE_LIMIT, PauliString, _ones, mul_phase_exp
+from .dense import Circuit, _validate_gate
+from .lattice import LatticeModel, sector_x_strings
+from .pauli import PauliString, _ones, mul_phase_exp
 
 
 def _int(words: np.ndarray) -> int:
@@ -274,29 +275,6 @@ class Tableau:
         odd = sign + (self.signs >> self._stab & sel).bit_count() + (p.phase_exp >> 1) & 1
         return -1 if odd else 1
 
-    # -- conversion --------------------------------------------------------
-
-    def to_statevector(self) -> StateVector:
-        """Dense +1 joint eigenvector of all stabilizer rows (deterministic)."""
-        if self.n > DENSE_LIMIT:
-            raise ValueError(
-                f"{self.n} qubits exceeds the dense limit of {DENSE_LIMIT}")
-        rows = self.stabilizer_paulis()
-        for start in range(2 ** self.n):
-            amps = np.zeros(2 ** self.n, dtype=complex)
-            amps[start] = 1.0
-            state = StateVector(self.n, amps)
-            for r in rows:
-                state = StateVector(
-                    self.n, 0.5 * (state.amps + dense_apply_pauli(state, r).amps))
-            nrm = state.norm()
-            if nrm > 1e-9:
-                amps = state.amps / nrm
-                lead = np.argmax(np.abs(amps) > 1e-12)
-                amps = amps * (abs(amps[lead]) / amps[lead])
-                return StateVector(self.n, amps)
-        raise AssertionError("projector annihilated every basis state")
-
 
 def run(circuit: Circuit, t: Tableau) -> Tableau:
     """Apply a Clifford circuit to ``t`` in place; the tableau twin of ``dense.run``."""
@@ -310,35 +288,21 @@ def run(circuit: Circuit, t: Tableau) -> Tableau:
 # -- toric ground state --------------------------------------------------
 
 
-def logical_x_strings(model: LatticeModel) -> tuple[PauliString, PauliString]:
-    """Dual X strings crossing each Z loop exactly once."""
-    k = model.torus_k
-    if k is None:
-        raise ValueError("logical strings are defined for torus models only")
-    n = model.n_qubits
-    x1 = PauliString.x_on(n, *(model.qubit_layout[("h", r, 0)] for r in range(k)))
-    x2 = PauliString.x_on(n, *(model.qubit_layout[("v", 0, c)] for c in range(k)))
-    return x1, x2
-
-
 def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0, 0),
                       seed: int | None = None) -> Tableau:
     """Toric ground-state tableau with the Z-loop signs set by logical_choice.
 
     Built by forcing every vertex operator to +1 starting from |0...0>
     (already a +1 eigenstate of all face operators and both Z loops),
-    then flipping loop signs with dual X strings as requested.
+    then the sector's dual X strings; ``lattice.toric_ground_state`` is the
+    dense twin.
     """
-    if model.torus_k is None:
-        raise ValueError(f"toric ground init needs a torus model, got {model.geometry}")
-    if len(logical_choice) != 2 or any(b not in (0, 1) for b in logical_choice):
-        raise ValueError(f"logical_choice must be two bits, got {logical_choice}")
+    flips = sector_x_strings(model, logical_choice)
     t = Tableau(model.n_qubits, seed=seed)
     for av in model.vertex_ops:
         t.measure(av, force=1)
-    for bit, xstr in zip(logical_choice, logical_x_strings(model)):
-        if bit:
-            t.apply_pauli(xstr)
+    for xstr in flips:
+        t.apply_pauli(xstr)
     return t
 
 

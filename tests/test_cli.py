@@ -273,9 +273,27 @@ class TestSpectrumCommand:
         data = json.loads((tmp_path / "sp.json").read_text())
         assert data["peaks"][0]["frequency_hz"] == 47.0
 
-    def test_needs_state_or_thermal(self, tmp_path):
-        res = run_cli(["spectrum", "--out", "sp"], tmp_path)
-        assert res.returncode == 1
+    def test_needs_state_or_thermal(self, tmp_path, monkeypatch, capsys):
+        # exactly one: --thermal used to ignore --state, even a missing file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "state.json").write_text(json.dumps([["10", 1.0, 0.0]]))
+        for extra in ([], ["--thermal", "--state", "nope.json"],
+                      ["--thermal", "--state", "state.json"]):
+            assert cli.main(["spectrum", *extra, "--out", "sp"]) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "spectrum needs exactly one of --state FILE and --thermal"}
+            assert not list(tmp_path.glob("sp*"))
+
+    def test_missing_input_file_names_the_option(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv, option in ((["spectrum", "--state", "nope.json"], "--state"),
+                             (["spectrum", "--thermal", "--spin-config", "nope.json"],
+                              "--spin-config"),
+                             (["braid-demo", "--spin-config", "nope.json"], "--spin-config")):
+            assert cli.main([*argv, "--out", "out"]) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"cannot read {option} nope.json: No such file or directory"}
+            assert not list(tmp_path.iterdir())
 
     def test_t2_overrides_spin_config(self, tmp_path):
         (tmp_path / "spins.json").write_text(json.dumps(TWO_SPINS))
@@ -331,7 +349,7 @@ class TestSpectrumCommand:
                            "--out", "sp"], tmp_path)
             assert res.returncode == 1
             assert json.loads(res.stderr)["error"].startswith(
-                f"spin config {path} is not valid JSON: Expecting value")
+                f"--spin-config {path} is not valid JSON: Expecting value")
             assert not (tmp_path / "sp.json").exists()
 
     def test_state_not_a_list_of_rows(self, tmp_path):

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anyonlab.dense import (Circuit, Gate, StateVector, apply_pauli, expect_pauli,
-                            run)
+                            overlap, run)
 from anyonlab.lattice import (GraphSpec, build_planar6, build_toric,
                               error_syndrome, ground_state_circuit,
-                              planar6_graph_spec, syndrome)
-from anyonlab.pauli import PauliString
-from anyonlab.tableau import init_toric_ground, syndrome_sweep
+                              planar6_graph_spec, syndrome, toric_ground_state)
+from anyonlab.pauli import DENSE_LIMIT, PauliString
+from anyonlab.tableau import Tableau, init_toric_ground, syndrome_sweep
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -273,11 +273,42 @@ SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 @cache
 def toric_ground_dense(logical):
-    return init_toric_ground(build_toric(2), logical).to_statevector()
+    return toric_ground_state(build_toric(2), logical)
+
+
+class TestToricGroundState:
+    """The dense toric ground from the vertex projectors, against the tableau."""
+
+    @pytest.mark.parametrize("logical", SECTORS)
+    def test_tableau_rows_are_plus_one_on_dense_sector(self, logical):
+        state = toric_ground_dense(logical)
+        assert abs(state.norm() - 1.0) < 1e-12
+        for row in init_toric_ground(build_toric(2), logical).stabilizer_paulis():
+            assert abs(expect_pauli(state, row) - 1.0) < 1e-10
+
+    def test_sectors_are_orthogonal(self):
+        for i, a in enumerate(SECTORS):
+            for b in SECTORS[i + 1:]:
+                assert abs(overlap(toric_ground_dense(a), toric_ground_dense(b))) < 1e-10
+
+    def test_refusals(self, monkeypatch):
+        with pytest.raises(ValueError, match="torus model, got planar6"):
+            toric_ground_state(build_planar6())
+        assert build_toric(3).n_qubits == 18 > DENSE_LIMIT
+        with pytest.raises(ValueError,
+                           match=f"18 qubits is above the dense limit of {DENSE_LIMIT}"):
+            toric_ground_state(build_toric(3))
+        # the sector check runs before the tableau's first measurement
+        monkeypatch.setattr(Tableau, "measure", lambda *a, **kw: pytest.fail("measured"))
+        for build in (toric_ground_state, init_toric_ground):
+            for bad in ((0, 2), (1,), (0, 0, 1)):
+                with pytest.raises(ValueError, match="must be two bits"):
+                    build(build_toric(2), bad)
 
 
 class TestErrorSyndromeOracles:
-    """The Pauli-frame syndrome against the tableau and, at k=2, the dense engine."""
+    """The Pauli-frame syndrome against the tableau and, at k=2, the dense
+    ground built from the vertex projectors."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

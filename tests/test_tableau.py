@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import to_dense
 
-from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli, overlap
+from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli
 from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
-                              planar6_graph_spec)
+                              planar6_graph_spec, sector_x_strings, toric_ground_state)
 from anyonlab.pauli import PauliString, mul_phase_exp
-from anyonlab.tableau import (Tableau, init_toric_ground, logical_x_strings, run,
-                              syndrome_sweep)
+from anyonlab.tableau import Tableau, init_toric_ground, run, syndrome_sweep
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
 GATES_2Q = ("cz", "swap")
@@ -282,11 +281,14 @@ class TestMeasurement:
     def test_measurement_collapse_matches_dense(self):
         # measure X1 X2 on |00>, forced +1: state becomes a Bell pair
         t = Tableau(2, seed=3)
-        xx = PauliString.x_on(2, 1, 2)
+        xx, zz = PauliString.x_on(2, 1, 2), PauliString.z_on(2, 1, 2)
         t.measure(xx, force=1)
-        state = t.to_statevector()
-        assert abs(expect_pauli(state, xx) - 1.0) < 1e-10
-        assert abs(expect_pauli(state, PauliString.z_on(2, 1, 2)) - 1.0) < 1e-10
+        bell = dense_run(Circuit(2, (Gate("h", (1,)), Gate("h", (2,)), Gate("cz", (1, 2)),
+                                     Gate("h", (2,)))), StateVector.zero(2))
+        for row in t.stabilizer_paulis():
+            assert abs(expect_pauli(bell, row) - 1.0) < 1e-10
+        assert t.measure(xx) == (1, True)
+        assert t.measure(zz) == (1, True)
 
     def test_non_hermitian_rejected(self):
         t = Tableau(2)
@@ -434,22 +436,25 @@ class TestToricGround:
         assert all(v == 1 for _, v in syndrome_sweep(t, model))
 
     def test_k2_dense_matches_projector_construction(self):
+        # the dense state comes from the vertex projectors, not from the tableau
         model = build_toric(2)
-        state = init_toric_ground(model).to_statevector()
+        state = toric_ground_state(model)
         for g in model.generators:
             assert abs(expect_pauli(state, g) - 1.0) < 1e-10
         for loop in logical_z_loops(model):
             assert abs(expect_pauli(state, loop) - 1.0) < 1e-10
 
     def test_logical_choices_give_orthogonal_states(self):
+        # a sector's rows hold on its own dense state (tests/test_lattice.py)
+        # and some row reads -1 on every other sector's state
         model = build_toric(2)
-        states = {}
-        for choice in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            states[choice] = init_toric_ground(model, choice).to_statevector()
-        choices = list(states)
-        for i, a in enumerate(choices):
-            for b in choices[i + 1:]:
-                assert abs(overlap(states[a], states[b])) < 1e-10
+        choices = ((0, 0), (0, 1), (1, 0), (1, 1))
+        for a in choices:
+            rows = init_toric_ground(model, a).stabilizer_paulis()
+            for b in choices:
+                if b != a:
+                    state = toric_ground_state(model, b)
+                    assert min(expect_pauli(state, row) for row in rows) < -1 + 1e-10
 
     def test_logical_choice_sets_loop_signs(self):
         model = build_toric(2)
@@ -462,7 +467,7 @@ class TestToricGround:
 
     def test_logical_operators_commute_with_generators(self):
         model = build_toric(3)
-        for op in (*logical_z_loops(model), *logical_x_strings(model)):
+        for op in (*logical_z_loops(model), *sector_x_strings(model, (1, 1))):
             for g in model.generators:
                 assert op.commutes(g)
 
@@ -472,9 +477,11 @@ class TestToricGround:
 
     def test_planar6_circuit_on_tableau_matches_dense(self):
         circ = ground_state_circuit(planar6_graph_spec())
-        state = run(circ, Tableau(6)).to_statevector()
+        state = dense_run(circ, StateVector.zero(6))
         for gen in build_planar6().generators:
             assert abs(expect_pauli(state, gen) - 1.0) < 1e-10
+        for row in run(circ, Tableau(6)).stabilizer_paulis():
+            assert abs(expect_pauli(state, row) - 1.0) < 1e-10
 
     def test_measurement_circuit_on_tableau_matches_dense(self):
         # the repository's other fixed 6-qubit Clifford network
