@@ -6,7 +6,10 @@ creates an m pair (X on qubit 4) together with a superposed e pair
 the loop X6 X5 X3 X4, and fuses everything back; and a control run that
 only prepares the ground state.  Both end in a fixed measurement
 circuit that maps the ground/excited flag onto qubit 3 of two-peak
-readout states.  The braiding phase deviation eta is injected as
+readout states.  The control run reads no eta: ``run_control`` makes it
+once for any number of ``run_braided`` calls that share its preparation
+(admix, gamma, damping, seed), and ``run_experiment`` is the two halves
+for one config.  The braiding phase deviation eta is injected as
 exp(-i * eta * L) after the ideal loop L, so the loop's -1 eigenspace
 picks up e^{i(pi + 2 eta)} relative to the +1 eigenspace (a global
 phase is dropped relative to the textbook parametrization).
@@ -293,25 +296,46 @@ def extract_phase(with_braid: spec.SpectrumReport,
                        beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
 
 
+def run_control(config: ExperimentConfig, spin_system: spec.SpinSystem,
+                seed: int = 0) -> dict:
+    """The control half: preparation, the unbraided pipeline, its labeled spectrum.
+
+    Reads no ``eta_inject`` and no ``with_braiding``, so configs that differ
+    only in those share one control.  Returns the ``"unbraided"`` entry of
+    ``run_experiment``'s result: the run (psi_f is the prepared psi_a) and
+    the spectrum.
+    """
+    unbraided = _unbraided(prepare_initial_state(config, seed))
+    r_u = spec.assign_peak_labels(
+        spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
+    return {"run": unbraided, "spectrum": r_u}
+
+
+def run_braided(config: ExperimentConfig, spin_system: spec.SpinSystem,
+                control: dict) -> dict:
+    """The braided half, from the psi_a of ``control`` (a ``run_control`` result
+    for the same preparation): the braided run, its labeled spectrum, and the
+    PhaseResult against the control spectrum.  Returns the ``"braided"`` and
+    ``"phase"`` entries of ``run_experiment``'s result.
+    """
+    braided = _braided(config, control["run"].states["psi_f"])
+    r_b = spec.assign_peak_labels(
+        spec.synthesize(spin_system, braided.final, config.damping), "braided")
+    return {"braided": {"run": braided, "spectrum": r_b},
+            "phase": extract_phase(r_b, control["spectrum"])}
+
+
 def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
                    seed: int = 0) -> dict:
-    """Full comparison experiment: pipelines, labeled spectra, phase result.
+    """Full comparison experiment: the control half, then the braided half.
 
     Returns a dict with the unbraided run always present, the braided
     run when ``config.with_braiding``, and the PhaseResult when both
     spectra exist.
     """
-    psi_a = prepare_initial_state(config, seed)     # both runs start from it
-    unbraided = _unbraided(psi_a)
-    r_u = spec.assign_peak_labels(
-        spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
-    out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
+    out: dict = {"unbraided": run_control(config, spin_system, seed)}
     if config.with_braiding:
-        braided = _braided(config, psi_a)
-        r_b = spec.assign_peak_labels(
-            spec.synthesize(spin_system, braided.final, config.damping), "braided")
-        out["braided"] = {"run": braided, "spectrum": r_b}
-        out["phase"] = extract_phase(r_b, r_u)
+        out.update(run_braided(config, spin_system, out["unbraided"]))
     return out
 
 

@@ -267,15 +267,34 @@ def cmd_sweep(args) -> list[Path]:
     if len(etas) * len(admixes) > GRID_LIMIT:
         raise ValueError(f"sweep of {len(etas)} eta x {len(admixes)} admix points "
                          f"passes the cap of {GRID_LIMIT} rows")
-    # every point is built, and so checked by ExperimentConfig, before the first run
-    configs = [anyon.ExperimentConfig(eta_inject=eta, admix_beta=r, gamma_leak=args.gamma)
-               for eta in etas for r in admixes]
+    # every point is built, and so checked by ExperimentConfig, before the first run;
+    # --gamma is the same at every point, so its error names the option instead
+    try:
+        anyon.ExperimentConfig(gamma_leak=args.gamma)
+    except ValueError as err:
+        raise ValueError(f"--gamma {args.gamma!r}: {err}") from None
+    configs = []
+    for eta in etas:
+        for admix in admixes:
+            try:
+                configs.append(anyon.ExperimentConfig(eta_inject=eta, admix_beta=admix,
+                                                      gamma_leak=args.gamma))
+            except ValueError as err:
+                raise ValueError(f"sweep point eta={eta!r}, admix={admix!r}: {err}") from None
     sys_ = spectrum.default_spin_system()   # eta never reads a peak frequency
-    phases = (anyon.run_experiment(c, sys_, seed=args.seed)["phase"] for c in configs)
+    # Admix-major: each column's control (which reads no eta) runs once and is
+    # the only one kept; the rows keep just (eta, delta) until the eta-major CSV.
+    columns = len(admixes)
+    recovered = np.empty((len(configs), 2))
+    for j in range(columns):
+        control = anyon.run_control(configs[j], sys_, seed=args.seed)
+        for row in range(j, len(configs), columns):
+            phase = anyon.run_braided(configs[row], sys_, control)["phase"]
+            recovered[row] = phase.eta, phase.delta
     text = report.csv_text(
         ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"],
-        ([c.eta_inject, c.admix_beta, p.eta, p.delta, p.delta / math.pi]
-         for c, p in zip(configs, phases)))
+        ([c.eta_inject, c.admix_beta, eta_out, delta, delta / math.pi]
+         for c, (eta_out, delta) in zip(configs, map(np.ndarray.tolist, recovered))))
     return [report.write_text(args.out, text)]
 
 

@@ -15,8 +15,8 @@ from anyonlab.anyon import (BRAIDING_LOOP, MEASUREMENT, ExperimentConfig,
                             extract_phase, fuse, ideal_fidelities,
                             measurement_reduction, planar6_excited_state,
                             planar6_ground_state, prepare_initial_state,
-                            run_braided_pipeline, run_experiment,
-                            run_unbraided_pipeline)
+                            run_braided, run_braided_pipeline, run_control,
+                            run_experiment, run_unbraided_pipeline)
 from anyonlab.dense import StateVector, apply_pauli, overlap, run
 from anyonlab.pauli import PauliString
 from anyonlab.spectrum import (assign_peak_labels, default_spin_system, synthesize,
@@ -304,6 +304,47 @@ class TestRunExperiment:
         phase = run_experiment(config, degenerate, seed=7)["phase"]
         assert phase == run_experiment(config, default_spin_system(), seed=7)["phase"]
         assert abs(phase.eta - 0.06) < 1e-9
+
+
+class TestExperimentHalves:
+    """``run_experiment`` is the control half then the braided half."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=-0.3, max_value=0.3),
+           st.floats(min_value=0.0, max_value=0.499), st.sampled_from([0.0, 0.05, 0.3]),
+           st.sampled_from([1.0, 0.55]), st.integers(min_value=0, max_value=9))
+    def test_control_reads_no_eta(self, eta1, eta2, admix, gamma, damping, seed):
+        sys_ = default_spin_system()
+        runs = []
+        for eta in (eta1, eta2):
+            config = ExperimentConfig(eta_inject=eta, admix_beta=admix, gamma_leak=gamma,
+                                      damping=damping)
+            runs.append((prepare_initial_state(config, seed), run_control(config, sys_, seed)))
+        (psi_a1, c1), (psi_a2, c2) = runs
+        assert np.array_equal(psi_a1.amps, psi_a2.amps)
+        for name in ("psi_f", "psi_g"):
+            assert np.array_equal(c1["run"].states[name].amps, c2["run"].states[name].amps)
+        assert c1["spectrum"].as_dict() == c2["spectrum"].as_dict()
+
+    def test_braided_half_starts_from_the_control_psi_a(self):
+        config = ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.05)
+        control = run_control(config, default_spin_system(), seed=3)
+        braided = run_braided(config, default_spin_system(), control)
+        assert braided["braided"]["run"].states["psi_a"] is control["run"].states["psi_f"]
+
+    @pytest.mark.parametrize("config, seed", [
+        (ExperimentConfig(), 0),
+        (ExperimentConfig(eta_inject=0.05), 0),
+        (ExperimentConfig(eta_inject=0.06, admix_beta=0.18), 0),
+        (ExperimentConfig(eta_inject=0.10, admix_beta=0.18), 0),
+        (ExperimentConfig(eta_inject=0.06, admix_beta=0.18, damping=0.55), 0),
+        (ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.05), 7),
+        (ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.3), 5),
+    ])
+    def test_phase_matches_the_pipelines(self, config, seed):
+        """The same PhaseResult as spectra of the two pipelines run apart."""
+        phase = run_experiment(config, default_spin_system(), seed=seed)["phase"]
+        assert phase == extract_phase(*_spectra_for(config, seed))
 
 
 class TestFixedPieces:

@@ -8,11 +8,12 @@ import shlex
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
-from anyonlab import anyon, cli
+from anyonlab import anyon, cli, report
 from anyonlab.report import OUT_DIR_ENV, round_sig
 from anyonlab.spectrum import READOUT, default_spin_system
 
@@ -565,12 +566,75 @@ class TestSweep:
         """A bad point anywhere in the grid exits 1 before any row runs."""
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         calls = []
-        monkeypatch.setattr(anyon, "run_experiment", lambda *a, **kw: calls.append(a))
+        for name in ("run_experiment", "run_control", "run_braided"):
+            monkeypatch.setattr(anyon, name, lambda *a, name=name, **kw: calls.append(name))
         assert cli.main(["sweep", f"--eta-grid={eta_grid}", "--admix-grid", admix_grid,
                          "--out", "x.csv"]) == 1
         assert message in json.loads(capsys.readouterr().err)["error"]
         assert calls == []
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--eta-grid=0.1,2.0", "--admix-grid", "0,0.1"],
+         "sweep point eta=2.0, admix=0.0: eta_inject must lie in "
+         "(-pi/2, pi/2 - atan(admix_beta)) = (-1.5708, 1.5708) to be recoverable, got 2.0"),
+        (["--eta-grid=0,0.1", "--gamma", "1.5"],
+         "--gamma 1.5: gamma_leak must be in [0, 1), got 1.5"),
+    ], ids=["point", "gamma"])
+    def test_bad_input_error_names_the_point_or_option(self, argv, error, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["sweep", *argv, "--out", "x.csv"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error}
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("eta_grid, admix_grid", [
+        ("-0.1,0.05,0.2", "0.1,0,0.1"),    # a repeated admix value
+        ("0.05", "0.1,0,0.1"),
+        ("-0.1,0.05,0.2", "0.18"),
+    ], ids=["3x3", "1x3", "3x1"])
+    def test_matches_one_experiment_per_row(self, eta_grid, admix_grid, seed, gamma,
+                                            tmp_path, monkeypatch):
+        """The CSV is byte for byte the one built from a full ``run_experiment``
+        per row; each admix column runs its control once, with no other
+        control alive, and each row runs the braided half once."""
+        etas = [float(v) for v in eta_grid.split(",")]
+        admixes = [float(v) for v in admix_grid.split(",")]
+        sys_ = default_spin_system()
+        rows = []
+        for eta in etas:
+            for admix in admixes:
+                config = anyon.ExperimentConfig(eta_inject=eta, admix_beta=admix,
+                                                gamma_leak=gamma)
+                p = anyon.run_experiment(config, sys_, seed=seed)["phase"]
+                rows.append([eta, admix, p.eta, p.delta, p.delta / math.pi])
+        expected = report.csv_text(
+            ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"], rows)
+
+        controls, braided = [], []
+
+        def run_control(*args, **kwargs):
+            control = real_control(*args, **kwargs)
+            controls.append(weakref.ref(control["run"]))
+            return control
+
+        def run_braided(config, *args):
+            assert [ref() is not None for ref in controls].count(True) == 1
+            braided.append(config)
+            return real_braided(config, *args)
+
+        real_control, real_braided = anyon.run_control, anyon.run_braided
+        monkeypatch.setattr(anyon, "run_control", run_control)
+        monkeypatch.setattr(anyon, "run_braided", run_braided)
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["sweep", f"--eta-grid={eta_grid}", f"--admix-grid={admix_grid}",
+                         "--gamma", str(gamma), "--seed", str(seed), "--out", "s.csv"]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+        assert len(controls) == len(admixes)
+        assert sorted((c.admix_beta, c.eta_inject) for c in braided) == \
+            sorted((admix, eta) for eta in etas for admix in admixes)
 
     def test_spin_config_refused(self, tmp_path, monkeypatch, capsys):
         """eta reads no peak frequency, so the sweep takes no spin table."""
