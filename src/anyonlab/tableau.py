@@ -29,9 +29,18 @@ Deterministic generator measurements are memoized for error studies
 stabilizer rows whose product is the generator as a bit mask and the
 sign bit that the product's mask algebra adds.  Pauli gates and errors
 only flip signs, so a cached outcome is one popcount of the live sign
-plane.  Any other gate or a random measurement clears the memo.  The
+plane.  Any other gate or a random measurement clears the memo.  A sweep
+that has misses ahead (its memo holds fewer entries than the model has
+generators) computes every generator's anticommuting mask in bulk, a
+chunk of generators per column gather; a warm sweep computes none.  The
 ``toric`` command uses no tableau: its syndromes come from the error's
 Pauli frame (``lattice.error_syndrome``).
+
+The toric ground state (``init_toric_ground``) is the forced vertex
+measures of |0...0> run as one elimination on Python-int Z columns: on
+those X-type operators every row stays pure X or pure Z, so no sign and
+no X column needs arithmetic until the end, and the result is bit for
+bit what the forced ``measure`` calls give.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ import numpy as np
 from .dense import Circuit, _validate_gate
 from .lattice import LatticeModel, sector_x_strings
 from .pauli import PauliString, _ones, mul_phase_exp
+
+# columns (or Paulis) per bulk conversion: bounds the temporaries of
+# ``_write_columns`` and ``Tableau._anticommuting_masks`` (at n = 2048, 32 KB
+# of words per chunk, plus 128 KB of gathered columns for weight-4 Paulis)
+_CHUNK = 64
 
 
 def _int(words: np.ndarray) -> int:
@@ -102,6 +116,31 @@ class Tableau:
         """Position mask of the rows that anticommute with p."""
         return _int(np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
                     ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
+
+    def _anticommuting_masks(self, paulis):
+        """Yield ``_anticommuting`` of every p in ``paulis``, in order, ``_CHUNK`` at a time.
+
+        Per chunk, one gather of the X columns on every z support and one of
+        the Z columns on every x support; ``bitwise_xor.reduceat`` folds
+        supports of any weight, and Paulis with an empty support on a side
+        are left out of that side's gather.  Only one chunk of masks is held
+        at a time, so the columns must not change while the caller iterates."""
+        size = 8 * len(self.X)
+        for start in range(0, len(paulis), _CHUNK):
+            part = paulis[start:start + _CHUNK]
+            acc = np.zeros((len(part), len(self.X)), "<u8")
+            for cols, masks in ((self.X, [p.z_mask for p in part]),
+                                (self.Z, [p.x_mask for p in part])):
+                live = [(i, _ones(m)) for i, m in enumerate(masks) if m]
+                if not live:
+                    continue
+                offsets = np.cumsum([0] + [len(s) for _, s in live[:-1]])
+                gathered = cols[:, [q for _, s in live for q in s]]
+                acc[[i for i, _ in live]] ^= np.bitwise_xor.reduceat(gathered, offsets, axis=1).T
+                del gathered                # not held while the masks are yielded
+            raw = acc.tobytes()
+            for i in range(0, len(raw), size):
+                yield int.from_bytes(raw[i:i + size], "little")
 
     def _set_sign(self, pos: int, bit: int):
         self.signs = self.signs & ~(1 << pos) | bit << pos
@@ -292,27 +331,105 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
                       seed: int | None = None) -> Tableau:
     """Toric ground-state tableau with the Z-loop signs set by logical_choice.
 
-    Built by forcing every vertex operator to +1 starting from |0...0>
-    (already a +1 eigenstate of all face operators and both Z loops),
-    then the sector's dual X strings; ``lattice.toric_ground_state`` is the
-    dense twin.
+    The state is |0...0> (already a +1 eigenstate of all face operators and
+    both Z loops) with every vertex operator forced to +1, then the sector's
+    dual X strings; ``lattice.toric_ground_state`` is the dense twin.
+
+    The forced measures run as one elimination on Python-int Z columns,
+    with the same pivots and the same bits as ``measure(av, force=1)``.
+    Every vertex operator is X-type and every row starts as a single X or
+    Z, so every row stays pure X or pure Z: the rows that anticommute with
+    a vertex operator are Z-type, the pivot has no X part, and a product
+    of two Z-type rows is Z-type with sign +1.  The signs stay 0 and the X
+    columns change only where a pivot becomes its vertex operator (set
+    once at the end).  A vertex operator that is a product of earlier ones
+    has no pivot and outcome +1, and leaves the state as it is; those after
+    the last pivot (on a torus, the last vertex) still go through
+    ``measure``, which checks that +1 and builds the memo entries that the
+    forced loop left.
     """
     flips = sector_x_strings(model, logical_choice)
-    t = Tableau(model.n_qubits, seed=seed)
-    for av in model.vertex_ops:
+    for gid, av in zip(model.vertex_ids, model.vertex_ops):
+        if av.z_mask or av.phase_exp:
+            raise ValueError(f"generator {gid}: the toric ground needs X-type vertex "
+                             f"operators with sign +1, got {av}")
+    n = model.n_qubits
+    stab = 64 * -(-n // 64)                         # Tableau(n)._stab
+    cols = [1 << (stab + q) for q in range(n)]      # Z column q as a position mask
+    zrows = [1 << i for i in range(n)]              # stabilizer i's Z part, qubit mask
+    pivots = []                                     # (d, x_mask) of every pivoting vertex
+    last = 0                        # the vertices from here on are products of earlier ones
+    for v, av in enumerate(model.vertex_ops):
+        rows = 0
+        for q in _ones(av.x_mask):
+            rows ^= cols[q]
+        stabs = rows >> stab
+        if not stabs:
+            continue
+        d = (stabs & -stabs).bit_length() - 1     # measure's pivot: lowest stabilizer
+        zd = zrows[d]
+        # rows * pivot, pivot -> destabilizer d, pivot := av: all on zd's columns
+        moved = rows ^ 1 << d
+        for q in _ones(zd):
+            cols[q] ^= moved
+        for j in _ones(stabs ^ 1 << d):
+            zrows[j] ^= zd
+        zrows[d] = 0
+        pivots.append((d, av.x_mask))
+        last = v + 1
+    del zrows
+    t = Tableau(n, seed=seed)           # allocated after the loop: one copy of Z at a time
+    _write_columns(t.Z, cols)
+    del cols                            # before measure reads rows out of the columns
+    if pivots:
+        ds = np.array([d for d, _ in pivots])
+        bits = np.uint64(1) << (ds % 64).astype(np.uint64)
+        t.X[ds // 64, ds] &= ~bits          # destabilizer d := the old pivot, no X part
+        supports = [_ones(x) for _, x in pivots]
+        weights = [len(s) for s in supports]
+        # stabilizer d := av; two pivots of one word may share a qubit, hence .at
+        np.bitwise_or.at(t.X, (np.repeat(t._half + ds // 64, weights),
+                               [q for s in supports for q in s]),
+                         np.repeat(bits, weights))
+    for av in model.vertex_ops[last:]:
         t.measure(av, force=1)
     for xstr in flips:
         t.apply_pauli(xstr)
     return t
 
 
+def _write_columns(out: np.ndarray, cols: list[int]):
+    """Write Python-int position masks into the (words, n) column array ``out``,
+    ``_CHUNK`` columns at a time (the inverse of ``_int`` per column)."""
+    words = len(out)
+    for start in range(0, len(cols), _CHUNK):
+        part = cols[start:start + _CHUNK]
+        raw = b"".join(c.to_bytes(8 * words, "little") for c in part)
+        out[:, start:start + len(part)] = np.frombuffer(raw, "<u8").reshape(-1, words).T
+
+
 def syndrome_sweep(t: Tableau, model: LatticeModel) -> list[tuple[str, int]]:
-    """Deterministic eigenvalue of every generator, in generator order."""
+    """Deterministic eigenvalue of every generator, in generator order.
+
+    A memo with fewer entries than the model has generators has misses
+    ahead (a first sweep, or one after a gate that cleared it): then every
+    generator's anticommuting mask is computed in bulk
+    (``Tableau._anticommuting_masks``) and handed to its miss.  A full
+    memo takes the plain loop, whose hits read no mask; the length test
+    is all that path pays for the bulk one."""
     if t.n != model.n_qubits:
         raise ValueError(f"tableau is {t.n}-qubit, model needs {model.n_qubits}")
     out = []
     words: dict = {}    # a memo miss transposes each stabilizer word once per sweep
-    for gid, g in zip(model.generator_ids, model.generators):
+    gens = model.generators
+    if len(t._det_cache) < len(gens):
+        for gid, g, rows in zip(model.generator_ids, gens, t._anticommuting_masks(gens)):
+            try:
+                out.append((gid, t._deterministic_outcome(g, rows, words)))
+            except ValueError as err:
+                raise ValueError(f"generator {gid}: {err}") from None
+        return out
+    for gid, g in zip(model.generator_ids, gens):
         try:
             out.append((gid, t._deterministic_outcome(g, None, words)))
         except ValueError as err:

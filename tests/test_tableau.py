@@ -1,5 +1,7 @@
 """Tableau backend: conjugation exactness, measurement, toric ground states."""
 
+import dataclasses
+import re
 import time
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import to_dense
 
+from anyonlab import tableau
 from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli
 from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
@@ -564,3 +567,155 @@ class TestSweeps:
         t.apply_gate("h", 1)
         with pytest.raises(ValueError, match="not deterministic"):
             syndrome_sweep(t, model)
+
+
+def forced_measure_ground(model, logical_choice=(0, 0), seed=None) -> Tableau:
+    """The forced-measure construction that ``init_toric_ground`` replaced:
+    force every vertex operator to +1 through ``measure``, then the sector's
+    dual X strings."""
+    flips = sector_x_strings(model, logical_choice)
+    t = Tableau(model.n_qubits, seed=seed)
+    for av in model.vertex_ops:
+        t.measure(av, force=1)
+    for xstr in flips:
+        t.apply_pauli(xstr)
+    return t
+
+
+def assert_same_tableau(fast: Tableau, ref: Tableau):
+    assert fast.X.dtype == ref.X.dtype and fast.Z.dtype == ref.Z.dtype
+    assert np.array_equal(fast.X, ref.X)
+    assert np.array_equal(fast.Z, ref.Z)
+    assert fast.signs == ref.signs
+    assert fast._det_cache == ref._det_cache
+
+
+def with_vertex_ops(model, order):
+    """``model`` with its vertex operators (and their ids) in the given index order."""
+    return dataclasses.replace(model, vertex_ops=tuple(model.vertex_ops[i] for i in order),
+                               vertex_ids=tuple(model.vertex_ids[i] for i in order))
+
+
+class TestToricGroundOracle:
+    """The int-column elimination against the forced-measure loop, bit for bit."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_same_tableau_as_forced_measures(self, k, logical):
+        model = build_toric(k)
+        assert_same_tableau(init_toric_ground(model, logical),
+                            forced_measure_ground(model, logical))
+
+    def test_same_tableau_k16(self):
+        model = build_toric(16)
+        assert_same_tableau(init_toric_ground(model), forced_measure_ground(model))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 6), st.randoms(use_true_random=False),
+           st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    def test_same_tableau_in_any_vertex_order(self, k, rng, logical):
+        model = build_toric(k)
+        order = list(range(len(model.vertex_ops)))
+        rng.shuffle(order)
+        model = with_vertex_ops(model, order)
+        assert_same_tableau(init_toric_ground(model, logical),
+                            forced_measure_ground(model, logical))
+
+    def test_dependent_vertex_in_the_middle_and_none_at_the_end(self):
+        # a repeated vertex is a product of earlier ones wherever it sits;
+        # without the last vertex every vertex pivots and nothing is memoized
+        model = build_toric(3)
+        last = len(model.vertex_ops) - 1
+        for order in ([0, 1, 0, *range(2, last + 1)], list(range(last))):
+            hand = with_vertex_ops(model, order)
+            fast = init_toric_ground(hand, (1, 1))
+            assert_same_tableau(fast, forced_measure_ground(hand, (1, 1)))
+        assert fast._det_cache == {}
+
+    def test_one_measure_call_on_a_torus(self, monkeypatch):
+        # the dependent last vertex goes through measure; the others do not
+        calls = []
+        measure = Tableau.measure
+        monkeypatch.setattr(Tableau, "measure",
+                            lambda self, p, force=None: calls.append(p) or measure(self, p, force))
+        model = build_toric(4)
+        init_toric_ground(model)
+        assert calls == [model.vertex_ops[-1]]
+
+    @pytest.mark.parametrize("bad", [
+        lambda av: PauliString(av.n, av.x_mask, 1 << (av.n - 1)),
+        lambda av: PauliString(av.n, av.x_mask, 0, 2),
+        lambda av: PauliString(av.n, av.x_mask, 0, 1),
+    ], ids=["z-bit", "sign-minus", "phase-i"])
+    def test_vertex_op_that_is_not_plus_x_type_is_named(self, bad):
+        model = build_toric(3)
+        ops = list(model.vertex_ops)
+        ops[4] = bad(ops[4])
+        hand = dataclasses.replace(model, vertex_ops=tuple(ops))
+        with pytest.raises(ValueError, match=re.escape(f"generator {model.vertex_ids[4]}: ")):
+            init_toric_ground(hand)
+
+
+def masks_one_by_one(t: Tableau, paulis) -> list[int]:
+    return [t._anticommuting(p) for p in paulis]
+
+
+class TestBulkMasks:
+    """``_anticommuting_masks`` against ``_anticommuting``, Pauli by Pauli."""
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_toric_after_random_errors(self, k):
+        model = build_toric(k)
+        rng = np.random.default_rng(k)
+        t = init_toric_ground(model, (0, 1))
+        for kind in "XZY":
+            qubits = rng.integers(1, model.n_qubits + 1, size=3)
+            t.apply_pauli(PauliString.from_ops(model.n_qubits, {int(q): kind for q in qubits}))
+        gens = model.generators
+        want = masks_one_by_one(t, gens)
+        assert list(t._anticommuting_masks(gens)) == want
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_toric_after_an_h_gate(self, k):
+        model = build_toric(k)
+        t = init_toric_ground(model)
+        syndrome_sweep(t, model)
+        t.apply_gate("h", 2)
+        assert t._det_cache == {}
+        assert (list(t._anticommuting_masks(model.generators))
+                == masks_one_by_one(t, model.generators))
+
+    @pytest.mark.parametrize("chunk", [1, 4, 64, 256])
+    def test_planar6_and_mixed_paulis(self, chunk, monkeypatch):
+        # generators of weight 2 to 4, X-type and Z-type, plus random X/Y/Z
+        # strings (both gathers for one Pauli) and the identity (neither),
+        # 150 in all: several chunks, the last one short
+        from anyonlab.anyon import PREPARATION
+        monkeypatch.setattr(tableau, "_CHUNK", chunk)
+        t = run(PREPARATION, Tableau(6))
+        rng = np.random.default_rng(6)
+        paulis = [*build_planar6().generators, PauliString.identity(6),
+                  *(random_pauli(6, rng) for _ in range(143))]
+        assert list(t._anticommuting_masks(paulis)) == masks_one_by_one(t, paulis)
+
+    def test_first_sweep_is_bulk_and_a_warm_one_computes_no_mask(self, monkeypatch):
+        model = build_toric(4)
+        t = init_toric_ground(model)
+        calls = {"one": 0, "bulk": 0}
+        one, bulk = Tableau._anticommuting, Tableau._anticommuting_masks
+
+        def count_one(self, p):
+            calls["one"] += 1
+            return one(self, p)
+
+        def count_bulk(self, paulis):
+            calls["bulk"] += 1
+            return bulk(self, paulis)
+
+        monkeypatch.setattr(Tableau, "_anticommuting", count_one)
+        monkeypatch.setattr(Tableau, "_anticommuting_masks", count_bulk)
+        first = syndrome_sweep(t, model)
+        assert calls == {"one": 0, "bulk": 1}
+        calls.update(one=0, bulk=0)
+        assert syndrome_sweep(t, model) == first
+        assert calls == {"one": 0, "bulk": 0}
