@@ -7,17 +7,25 @@ the loop X6 X5 X3 X4, and fuses everything back; and a control run that
 only prepares the ground state.  Both end in a fixed measurement
 circuit that maps the ground/excited flag onto qubit 3 of two-peak
 readout states.  The control run reads no eta: ``run_control`` makes it
-once for any number of ``run_braided`` calls that share its preparation
-(admix, gamma, damping, seed), and ``run_experiment`` is the two halves
-for one config.  The braiding phase deviation eta is injected as
-exp(-i * eta * L) after the ideal loop L, so the loop's -1 eigenspace
-picks up e^{i(pi + 2 eta)} relative to the +1 eigenspace (a global
-phase is dropped relative to the textbook parametrization).
+once for a column of configs that share its preparation (admix, gamma,
+damping, seed), and ``run_braided`` runs the whole column's braided
+halves; ``run_experiment`` is the two halves for one config.  The
+braiding phase deviation eta is injected as exp(-i * eta * L) after the
+ideal loop L, so the loop's -1 eigenspace picks up e^{i(pi + 2 eta)}
+relative to the +1 eigenspace (a global phase is dropped relative to the
+textbook parametrization).
+
+Within a column eta enters only the braid, so creation and L psi_b run
+once per column, and the braided rows run FUSION and MEASUREMENT as one
+stack through ``dense.run_stack``, ``COLUMN_CHUNK`` rows at a time.  The
+stack leaves every amplitude bit-identical to a lone run; the spectrum,
+labels and phase stay per row.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from . import spectrum as spec
 from .dense import (Circuit, Gate, StateVector, apply_gate, apply_pauli,
-                    overlap, run)
+                    overlap, run, run_stack)
 from .lattice import ground_state_circuit, planar6_graph_spec
 from .pauli import PauliString
 
@@ -61,6 +69,8 @@ MEASUREMENT = _measurement_circuit(PREPARATION)
 # 1 / (2 (1 + beta^2)) at gamma = 0, which at this cap (5e-9) still clears
 # spec.INTENSITY_THRESHOLD; from about 2.2e4 up the peak is dropped.
 ADMIX_LIMIT = 10 ** 4
+# Braided rows per stack; the stacks of psi_c, psi_d and psi_e hold 3 KB per row.
+COLUMN_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -155,8 +165,13 @@ def braid(state: StateVector, eta_inject: float = 0.0) -> StateVector:
     relative phase of L's -1 eigenspace by 2*eta (at eta = 0, L psi itself).
     """
     looped = apply_pauli(state, BRAIDING_LOOP)
-    return StateVector(state.n, math.cos(eta_inject) * looped.amps
-                       - 1j * math.sin(eta_inject) * state.amps)
+    return StateVector(state.n, _braid_rows(state, looped, (eta_inject,))[0])
+
+
+def _braid_rows(psi_b: StateVector, looped: StateVector, etas) -> np.ndarray:
+    """``braid`` of psi_b at each eta, stacked, from its loop image ``looped``."""
+    return np.stack([math.cos(eta) * looped.amps - 1j * math.sin(eta) * psi_b.amps
+                     for eta in etas])
 
 
 def fuse(state: StateVector) -> StateVector:
@@ -222,13 +237,24 @@ class PipelineRun:
     final: StateVector
 
 
-def _braided(config: ExperimentConfig, psi_a: StateVector) -> PipelineRun:
+def _braided(configs: Sequence[ExperimentConfig], psi_a: StateVector
+             ) -> Iterator[PipelineRun]:
+    """The braided pipeline of each config, in order, all from one psi_a.
+
+    Creation and L psi_b run once; each chunk of rows stacks its own braid
+    expressions and runs FUSION and MEASUREMENT once on the stack.
+    """
     psi_b = create_anyons(psi_a)
-    psi_c = braid(psi_b, config.eta_inject)
-    psi_d = fuse(psi_c)
-    psi_e = measurement_reduction(psi_d)
-    return PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": psi_c,
-                        "psi_d": psi_d, "psi_e": psi_e}, psi_e)
+    looped = apply_pauli(psi_b, BRAIDING_LOOP)
+    for start in range(0, len(configs), COLUMN_CHUNK):
+        chunk = configs[start:start + COLUMN_CHUNK]
+        psi_c = _braid_rows(psi_b, looped, [c.eta_inject for c in chunk])
+        psi_d = run_stack(FUSION, psi_c)
+        psi_e = run_stack(MEASUREMENT, psi_d)
+        for c, d, e in zip(psi_c, psi_d, psi_e):
+            final = StateVector(6, e)
+            yield PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": StateVector(6, c),
+                               "psi_d": StateVector(6, d), "psi_e": final}, final)
 
 
 def _unbraided(psi_f: StateVector) -> PipelineRun:
@@ -238,7 +264,8 @@ def _unbraided(psi_f: StateVector) -> PipelineRun:
 
 def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
     """Creation, braiding, fusion, measurement (labeled states a..e)."""
-    return _braided(config, prepare_initial_state(config, seed))
+    (braided,) = _braided([config], prepare_initial_state(config, seed))
+    return braided
 
 
 def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
@@ -311,18 +338,22 @@ def run_control(config: ExperimentConfig, spin_system: spec.SpinSystem,
     return {"run": unbraided, "spectrum": r_u}
 
 
-def run_braided(config: ExperimentConfig, spin_system: spec.SpinSystem,
-                control: dict) -> dict:
-    """The braided half, from the psi_a of ``control`` (a ``run_control`` result
-    for the same preparation): the braided run, its labeled spectrum, and the
-    PhaseResult against the control spectrum.  Returns the ``"braided"`` and
-    ``"phase"`` entries of ``run_experiment``'s result.
+def run_braided(configs: Sequence[ExperimentConfig], spin_system: spec.SpinSystem,
+                control: dict) -> Iterator[dict]:
+    """The braided halves of a column: configs that share the preparation of
+    ``control`` (a ``run_control`` result), all from its psi_a.
+
+    Yields, per config and in order, the braided run, its labeled spectrum,
+    and the PhaseResult against the control spectrum: the ``"braided"`` and
+    ``"phase"`` entries of ``run_experiment``'s result.  Rows are made a chunk
+    at a time, and each row's spectrum only when it is asked for, so a
+    ValueError belongs to the row that was asked for.
     """
-    braided = _braided(config, control["run"].states["psi_f"])
-    r_b = spec.assign_peak_labels(
-        spec.synthesize(spin_system, braided.final, config.damping), "braided")
-    return {"braided": {"run": braided, "spectrum": r_b},
-            "phase": extract_phase(r_b, control["spectrum"])}
+    for config, braided in zip(configs, _braided(configs, control["run"].states["psi_f"])):
+        r_b = spec.assign_peak_labels(
+            spec.synthesize(spin_system, braided.final, config.damping), "braided")
+        yield {"braided": {"run": braided, "spectrum": r_b},
+               "phase": extract_phase(r_b, control["spectrum"])}
 
 
 def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
@@ -335,7 +366,8 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
     """
     out: dict = {"unbraided": run_control(config, spin_system, seed)}
     if config.with_braiding:
-        out.update(run_braided(config, spin_system, out["unbraided"]))
+        (braided,) = run_braided([config], spin_system, out["unbraided"])
+        out.update(braided)
     return out
 
 

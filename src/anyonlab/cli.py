@@ -283,14 +283,25 @@ def cmd_sweep(args) -> list[Path]:
                 raise ValueError(f"sweep point eta={eta!r}, admix={admix!r}: {err}") from None
     sys_ = spectrum.default_spin_system()   # eta never reads a peak frequency
     # Admix-major: each column's control (which reads no eta) runs once and is
-    # the only one kept; the rows keep just (eta, delta) until the eta-major CSV.
+    # the only one kept, and its braided rows run as one column; the rows keep
+    # just (eta, delta) until the eta-major CSV.  An error names its column or point.
     columns = len(admixes)
     recovered = np.empty((len(configs), 2))
     for j in range(columns):
-        control = anyon.run_control(configs[j], sys_, seed=args.seed)
-        for row in range(j, len(configs), columns):
-            phase = anyon.run_braided(configs[row], sys_, control)["phase"]
-            recovered[row] = phase.eta, phase.delta
+        try:
+            control = anyon.run_control(configs[j], sys_, seed=args.seed)
+        except ValueError as err:
+            raise ValueError(f"sweep column admix={admixes[j]!r}: {err}") from None
+        rows = range(j, len(configs), columns)
+        done = 0
+        try:
+            for result in anyon.run_braided([configs[row] for row in rows], sys_, control):
+                recovered[rows[done]] = result["phase"].eta, result["phase"].delta
+                done += 1
+        except ValueError as err:
+            c = configs[rows[done]]
+            raise ValueError(f"sweep point eta={c.eta_inject!r}, admix={c.admix_beta!r}: "
+                             f"{err}") from None
     text = report.csv_text(
         ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"],
         ([c.eta_inject, c.admix_beta, eta_out, delta, delta / math.pi]

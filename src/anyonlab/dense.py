@@ -7,9 +7,15 @@ Ordering convention: qubit 1 is the most significant bit of the basis
 index, so the ket label ``|110111>`` reads left to right as qubits
 1..6.  Global phases are part of the state and are kept exactly (the
 S-gate definition sqrt(sigma_z) = diag(1, i) follows from
-e^{i pi/4} e^{-i pi/4 sigma_z}).  Gates never renormalize, so drift adds
-up and one check at the end sees it: ``run`` checks the norm once, after
-its last gate; a direct ``apply_gate`` call checks after its gate.
+e^{i pi/4} e^{-i pi/4 sigma_z}).
+
+One gate kernel acts on a (rows, 2^n) stack of amplitude rows.
+``run_stack`` runs a circuit on a whole stack, and ``apply_gate`` and
+``run`` call it on a stack of one row, so a state gives the same bits
+alone or in a stack.  Gates never renormalize, so drift adds up and one
+check at the end sees it: ``run_stack`` (and so ``run``) checks each
+row's norm once, after the last gate; a direct ``apply_gate`` call checks
+after its gate.
 """
 
 from __future__ import annotations
@@ -123,50 +129,74 @@ def _index_mask(mask: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _axis_transposes(n: int, ax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders moving axis ``ax`` of an n-axis tensor last and back: the
+def _axis_transposes(axes: int, ax: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders moving axis ``ax`` of an ``axes``-axis tensor last and back: the
     views of ``np.moveaxis``, without its per-call argument handling."""
-    fwd = tuple(a for a in range(n) if a != ax) + (ax,)
-    return fwd, tuple(range(ax)) + (n - 1,) + tuple(range(ax, n - 1))
+    fwd = tuple(a for a in range(axes) if a != ax) + (ax,)
+    return fwd, tuple(range(ax)) + (axes - 1,) + tuple(range(ax, axes - 1))
 
 
-def apply_gate(state: StateVector, kind: str, targets: tuple[int, ...] | int,
-               *, check_norm: bool = True) -> StateVector:
-    """Apply one gate, returning a new StateVector (``run`` alone skips the norm check)."""
-    if isinstance(targets, int):
-        targets = (targets,)
-    n = state.n
-    _validate_gate(n, kind, targets)
-    t = state.amps.reshape([2] * n)
+def _gate_kernel(amps: np.ndarray, n: int, kind: str,
+                 targets: tuple[int, ...]) -> np.ndarray:
+    """The one gate kernel: a validated gate on each row of a (rows, 2^n) stack.
+
+    In the (rows, 1, 2, ..., 2) view, axis q + 1 is qubit q.  Each row's matmul
+    slices keep the strides they have for a lone state, so every amplitude sees
+    the same operations in the same order whatever the number of rows; the unit
+    axis keeps them two-dimensional at n = 1, where a (rows, 2) @ (2, 2) product
+    would round differently.
+    """
+    t = amps.reshape((len(amps), 1) + (2,) * n)
     if kind in GATE_MATRICES:
-        fwd, back = _axis_transposes(n, targets[0] - 1)
+        fwd, back = _axis_transposes(n + 2, targets[0] + 1)
         t = (t.transpose(fwd) @ GATE_MATRICES[kind].T).transpose(back)
     elif kind == "cz":
         t = t.copy()
-        idx = [slice(None)] * n
-        idx[targets[0] - 1] = 1
-        idx[targets[1] - 1] = 1
+        idx = [slice(None)] * (n + 2)
+        idx[targets[0] + 1] = idx[targets[1] + 1] = 1
         t[tuple(idx)] *= -1.0
-    elif kind == "swap":
-        t = np.swapaxes(t, targets[0] - 1, targets[1] - 1)
-    out = StateVector(n, np.ascontiguousarray(t.reshape(-1)))
-    if check_norm:
-        _check_norm(out, f"gate {kind} on {targets}")
+    else:   # swap
+        t = np.swapaxes(t, targets[0] + 1, targets[1] + 1)
+    return np.ascontiguousarray(t.reshape(len(amps), -1))
+
+
+def apply_gate(state: StateVector, kind: str, targets: tuple[int, ...] | int) -> StateVector:
+    """Apply one gate to one state, returning a new StateVector whose norm is checked."""
+    if isinstance(targets, int):
+        targets = (targets,)
+    _validate_gate(state.n, kind, targets)
+    out = StateVector(state.n, _gate_kernel(state.amps[None], state.n, kind, targets)[0])
+    if abs(out.norm() - 1.0) > NORM_TOLERANCE:
+        raise AssertionError(
+            f"state norm drifted to {out.norm()!r} after gate {kind} on {targets}")
     return out
 
 
-def _check_norm(state: StateVector, where: str):
-    if abs(state.norm() - 1.0) > NORM_TOLERANCE:
-        raise AssertionError(f"state norm drifted to {state.norm()!r} after {where}")
+def run_stack(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """Run ``circuit`` on each row of a (rows, 2^n) amplitude stack; a new stack.
+
+    Each row's norm is checked once, after the last gate; the error names the
+    circuit and the first row that drifted.
+    """
+    if amps.ndim != 2 or amps.shape[1] != 2 ** circuit.n:
+        raise ValueError(f"circuit is {circuit.n}-qubit, stack has shape {amps.shape}")
+    for g in circuit.gates:
+        amps = _gate_kernel(amps, circuit.n, g.kind, g.targets)
+    norms = np.linalg.norm(amps, axis=1)
+    drifted = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
+    if len(drifted):
+        row = int(drifted[0])
+        raise AssertionError(
+            f"state norm drifted to {float(norms[row])!r} after run of a "
+            f"{len(circuit.gates)}-gate circuit, in row {row} of {len(amps)}")
+    return amps
 
 
 def run(circuit: Circuit, state: StateVector) -> StateVector:
+    """Run ``circuit`` on one state: ``run_stack`` on a stack of one row."""
     if circuit.n != state.n:
         raise ValueError(f"circuit is {circuit.n}-qubit, state is {state.n}-qubit")
-    for g in circuit.gates:
-        state = apply_gate(state, g.kind, g.targets, check_norm=False)
-    _check_norm(state, f"run of a {len(circuit.gates)}-gate circuit")
-    return state
+    return StateVector(state.n, run_stack(circuit, state.amps[None])[0])
 
 
 def apply_pauli(state: StateVector, p: PauliString) -> StateVector:

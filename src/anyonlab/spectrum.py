@@ -127,9 +127,17 @@ class SpinSystem:
     @cached_property
     def peak_frequencies(self) -> tuple[float, ...]:
         """``peak_frequency`` of each configuration by basis index, built on first
-        use; not a field, so ``==``, ``replace`` and ``as_dict`` never see it."""
-        m = len(self.partners)
-        return tuple(peak_frequency(self, format(i, f"0{m}b")) for i in range(2 ** m))
+        use; not a field, so ``==``, ``replace`` and ``as_dict`` never see it.
+
+        Each partner appends the next lower index bit, adding its -J/2 or +J/2
+        in partner order: the sums of ``peak_frequency``, bit for bit.
+        """
+        table = [self.offset_hz]
+        for partner in self.partners:
+            j = self.j_hz[partner]
+            low, high = 0.5 * j * -1.0, 0.5 * j * 1.0
+            table = [f + shift for f in table for shift in (low, high)]
+        return tuple(table)
 
     def as_dict(self) -> dict:
         return {"observed": self.observed, "partners": list(self.partners),
@@ -298,7 +306,8 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     present = {p.state for p in report.peaks}
     for label, state in readout.dominant:
         if state not in present:
-            raise ValueError(f"missing expected peak {label!r} (state {state})")
+            raise ValueError(f"{role} spectrum: missing expected peak {label!r} "
+                             f"(state {state})")
     sys_ = report.metadata["spin_system"]
     peaks += [Peak(frequency_hz=sys_.peak_frequencies[int(state, 2)], intensity=0.0,
                    state=state, linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anyonlab import spectrum
+from anyonlab import anyon, spectrum
 from anyonlab.anyon import (BRAIDING_LOOP, MEASUREMENT, ExperimentConfig,
                             _labeled_subspace, braid, create_anyons,
                             extract_phase, fuse, ideal_fidelities,
@@ -329,7 +329,7 @@ class TestExperimentHalves:
     def test_braided_half_starts_from_the_control_psi_a(self):
         config = ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.05)
         control = run_control(config, default_spin_system(), seed=3)
-        braided = run_braided(config, default_spin_system(), control)
+        (braided,) = run_braided([config], default_spin_system(), control)
         assert braided["braided"]["run"].states["psi_a"] is control["run"].states["psi_f"]
 
     @pytest.mark.parametrize("config, seed", [
@@ -345,6 +345,70 @@ class TestExperimentHalves:
         """The same PhaseResult as spectra of the two pipelines run apart."""
         phase = run_experiment(config, default_spin_system(), seed=seed)["phase"]
         assert phase == extract_phase(*_spectra_for(config, seed))
+
+
+class TestBraidedColumn:
+    """``run_braided`` on a column equals one batch-of-one call per row."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=1, max_size=9),
+           st.floats(min_value=0.0, max_value=0.499), st.sampled_from([0.0, 0.05, 0.3]),
+           st.sampled_from([1.0, 0.55]), st.integers(min_value=0, max_value=9),
+           st.integers(min_value=1, max_value=4))
+    def test_column_matches_one_row_at_a_time(self, etas, admix, gamma, damping, seed,
+                                              chunk):
+        sys_ = default_spin_system()
+        configs = [ExperimentConfig(eta_inject=eta, admix_beta=admix, gamma_leak=gamma,
+                                    damping=damping) for eta in etas]
+        control = run_control(configs[0], sys_, seed)
+        singles = [run_braided([c], sys_, control) for c in configs]
+        # (patched in the body: hypothesis refuses function-scoped fixtures)
+        with mock.patch.object(anyon, "COLUMN_CHUNK", chunk):
+            column = list(run_braided(configs, sys_, control))
+        assert len(column) == len(configs)
+        psi_a = control["run"].states["psi_f"]
+        for config, got, (want,) in zip(configs, column, singles):
+            runs = got["braided"]["run"], want["braided"]["run"]
+            for name in ("psi_a", "psi_b", "psi_c", "psi_d", "psi_e"):
+                assert np.array_equal(runs[0].states[name].amps, runs[1].states[name].amps)
+            assert runs[0].final is runs[0].states["psi_e"]
+            assert np.array_equal(runs[0].final.amps, runs[1].final.amps)
+            # and the per-state stages, one gate run per stage
+            lone = measurement_reduction(fuse(braid(create_anyons(psi_a), config.eta_inject)))
+            assert runs[0].final.amps.tobytes() == lone.amps.tobytes()
+            assert got["phase"] == want["phase"]
+            assert got["braided"]["spectrum"].as_dict() == want["braided"]["spectrum"].as_dict()
+
+    def test_rows_come_a_chunk_at_a_time(self, monkeypatch):
+        """Each chunk runs FUSION and MEASUREMENT once; creation runs once per column."""
+        monkeypatch.setattr(anyon, "COLUMN_CHUNK", 3)
+        stacks, runs = [], []
+        real_stack, real_run = anyon.run_stack, anyon.run
+        monkeypatch.setattr(anyon, "run_stack",
+                            lambda c, amps: stacks.append((c, len(amps))) or real_stack(c, amps))
+        monkeypatch.setattr(anyon, "run", lambda c, s: runs.append(c) or real_run(c, s))
+        sys_ = default_spin_system()
+        configs = [ExperimentConfig(eta_inject=0.01 * i, admix_beta=0.18) for i in range(7)]
+        control = run_control(configs[0], sys_)
+        runs.clear()
+        rows = run_braided(configs, sys_, control)
+        assert stacks == [] and runs == []      # nothing runs before the first row is asked for
+        next(rows)
+        assert runs == [anyon.CREATION]
+        assert stacks == [(anyon.FUSION, 3), (anyon.MEASUREMENT, 3)]
+        assert len(list(rows)) == 6
+        assert runs == [anyon.CREATION]
+        assert [size for _, size in stacks] == [3, 3, 3, 3, 1, 1]
+
+    def test_drifted_psi_a_raises_the_norm_check(self):
+        sys_ = default_spin_system()
+        configs = [ExperimentConfig(eta_inject=eta, admix_beta=0.18) for eta in (0.0, 0.1)]
+        control = run_control(configs[0], sys_)
+        psi_a = control["run"].states["psi_f"]
+        drifted = {**control, "run": anyon.PipelineRun(
+            {"psi_f": StateVector(6, psi_a.amps * (1 + 1e-9))}, control["run"].final)}
+        with pytest.raises(AssertionError, match="state norm drifted to .* in row 0 of 1"):
+            list(run_braided(configs, sys_, drifted))
 
 
 class TestFixedPieces:

@@ -114,6 +114,19 @@ class TestBraidDemo:
         assert abs(data["phase"]["alphap_over_betap"]
                    - math.tan(0.06 + math.atan(0.18))) < 1e-9
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--gamma", "0.999999999"],
+         "unbraided spectrum: missing expected peak 'i' (state 110111)"),
+        (["--eta", "1.57079"],      # inside the band, but cos(eta)^2 / 2 < 1e-9
+         "braided spectrum: missing expected peak 's' (state 111111)"),
+    ], ids=["unbraided", "braided"])
+    def test_missing_peak_error_names_the_spectrum(self, argv, error, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["braid-demo", *argv, "--out", "x.json"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error}
+        assert not list(tmp_path.iterdir())
+
     def test_no_braid_omits_phase(self, tmp_path):
         res = run_cli(["braid-demo", "--no-braid", "--out", "nb.json"], tmp_path)
         assert res.returncode == 0, res.stderr
@@ -588,18 +601,37 @@ class TestSweep:
         assert json.loads(capsys.readouterr().err) == {"error": error}
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, error", [
+        (["--eta-grid=0.1", "--admix-grid=0", "--gamma", "0.9999999999"],
+         "sweep column admix=0.0: unbraided spectrum: missing expected peak 'i' "
+         "(state 110111)"),
+        # the failing row opens the second chunk of its column
+        (["--eta-grid=0.1,0.2,1.57079", "--admix-grid=0"],
+         "sweep point eta=1.57079, admix=0.0: braided spectrum: missing expected peak 's' "
+         "(state 111111)"),
+    ], ids=["column", "point"])
+    def test_missing_peak_error_names_the_column_or_point(self, argv, error, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(anyon, "COLUMN_CHUNK", 2)
+        assert cli.main(["sweep", *argv, "--out", "x.csv"]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": error}
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("gamma", [0.0, 0.05])
     @pytest.mark.parametrize("seed", [0, 3])
-    @pytest.mark.parametrize("eta_grid, admix_grid", [
-        ("-0.1,0.05,0.2", "0.1,0,0.1"),    # a repeated admix value
-        ("0.05", "0.1,0,0.1"),
-        ("-0.1,0.05,0.2", "0.18"),
-    ], ids=["3x3", "1x3", "3x1"])
-    def test_matches_one_experiment_per_row(self, eta_grid, admix_grid, seed, gamma,
+    @pytest.mark.parametrize("eta_grid, admix_grid, chunk", [
+        ("-0.1,0.05,0.2", "0.1,0,0.1", None),    # a repeated admix value
+        ("0.05", "0.1,0,0.1", None),
+        ("-0.1,0.05,0.2", "0.18", None),
+        ("-0.2,-0.1,0,0.05,0.1,0.2,0.25", "0.1,0", 3),    # columns of 3 + 3 + 1 rows
+    ], ids=["3x3", "1x3", "3x1", "7x2-chunks-of-3"])
+    def test_matches_one_experiment_per_row(self, eta_grid, admix_grid, chunk, seed, gamma,
                                             tmp_path, monkeypatch):
         """The CSV is byte for byte the one built from a full ``run_experiment``
         per row; each admix column runs its control once, with no other
-        control alive, and each row runs the braided half once."""
+        control alive, and its braided halves in one column call, which
+        braids each row once."""
         etas = [float(v) for v in eta_grid.split(",")]
         admixes = [float(v) for v in admix_grid.split(",")]
         sys_ = default_spin_system()
@@ -620,19 +652,26 @@ class TestSweep:
             controls.append(weakref.ref(control["run"]))
             return control
 
-        def run_braided(config, *args):
+        def run_braided(configs, *args):
             assert [ref() is not None for ref in controls].count(True) == 1
-            braided.append(config)
-            return real_braided(config, *args)
+            assert len({c.admix_beta for c in configs}) == 1
+            columns.append(len(configs))
+            for config, row in zip(configs, real_braided(configs, *args)):
+                braided.append(config)
+                yield row
 
+        columns = []
         real_control, real_braided = anyon.run_control, anyon.run_braided
         monkeypatch.setattr(anyon, "run_control", run_control)
         monkeypatch.setattr(anyon, "run_braided", run_braided)
+        if chunk is not None:
+            monkeypatch.setattr(anyon, "COLUMN_CHUNK", chunk)
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         assert cli.main(["sweep", f"--eta-grid={eta_grid}", f"--admix-grid={admix_grid}",
                          "--gamma", str(gamma), "--seed", str(seed), "--out", "s.csv"]) == 0
         assert (tmp_path / "s.csv").read_bytes() == expected.encode()
         assert len(controls) == len(admixes)
+        assert columns == [len(etas)] * len(admixes)
         assert sorted((c.admix_beta, c.eta_inject) for c in braided) == \
             sorted((admix, eta) for eta in etas for admix in admixes)
 

@@ -82,17 +82,29 @@ class TestGates:
             apply_gate(StateVector.zero(2), "t", 1)
 
 
-def count_apply_gate(monkeypatch) -> list:
-    """Route dense.apply_gate through a wrapper that logs each call's arguments."""
+def count_kernel(monkeypatch) -> list:
+    """Route the gate kernel through a wrapper that logs each call's arguments."""
     calls = []
-    original = dense.apply_gate
+    original = dense._gate_kernel
 
     def counting(*args, **kwargs):
         calls.append((args, kwargs))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(dense, "apply_gate", counting)
+    monkeypatch.setattr(dense, "_gate_kernel", counting)
     return calls
+
+
+def all_gates(n: int):
+    """Every gate kind on every qubit, and on every ordered pair for cz and swap."""
+    for kind in sorted(GATE_MATRICES):
+        for q in range(1, n + 1):
+            yield kind, (q,)
+    for kind in sorted(dense.TWO_QUBIT_GATES):
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                if a != b:
+                    yield kind, (a, b)
 
 
 class TestOneQubitKernel:
@@ -107,11 +119,49 @@ class TestOneQubitKernel:
         got = apply_gate(s, kind, ax + 1).amps
         assert got.tobytes() == np.ascontiguousarray(oracle.reshape(-1)).tobytes()
 
-    def test_run_goes_through_apply_gate_once_per_gate(self, monkeypatch):
+    def test_run_goes_through_the_kernel_once_per_gate(self, monkeypatch):
         ground = planar6_ground()
-        calls = count_apply_gate(monkeypatch)
+        calls = count_kernel(monkeypatch)
         run(anyon.MEASUREMENT, ground)
         assert len(calls) == len(anyon.MEASUREMENT.gates)
+
+
+class TestStackKernel:
+    """A stack of rows goes through the kernel with each row's bits unchanged."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_match_apply_gate(self, n):
+        for rows in (1, 2, 7):
+            stack = np.array([random_state(n, seed=100 * n + r).amps for r in range(rows)])
+            for kind, targets in all_gates(n):
+                got = dense._gate_kernel(stack, n, kind, targets)
+                assert got.shape == stack.shape and got.flags.c_contiguous
+                for r in range(rows):
+                    one = apply_gate(StateVector(n, stack[r].copy()), kind, targets).amps
+                    assert got[r].tobytes() == one.tobytes(), (kind, targets, rows, r)
+                if kind in GATE_MATRICES:    # and the moveaxis oracle, row by row
+                    ax = targets[0] - 1
+                    for r in range(rows):
+                        t = stack[r].reshape([2] * n)
+                        oracle = np.moveaxis(
+                            np.moveaxis(t, ax, -1) @ GATE_MATRICES[kind].T, -1, ax)
+                        assert got[r].tobytes() == \
+                            np.ascontiguousarray(oracle.reshape(-1)).tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_run_stack_rows_match_run(self, rows):
+        circuit = random_circuit(5, seed=rows, depth=40)
+        stack = np.array([random_state(5, seed=r).amps for r in range(rows)])
+        got = dense.run_stack(circuit, stack)
+        for r in range(rows):
+            assert got[r].tobytes() == run(circuit, StateVector(5, stack[r].copy())).amps.tobytes()
+        assert np.array_equal(stack, [random_state(5, seed=r).amps for r in range(rows)])
+
+    def test_run_stack_refuses_a_wrong_shape(self):
+        with pytest.raises(ValueError, match="3-qubit"):
+            dense.run_stack(Circuit(3), np.zeros((2, 4), dtype=complex))
+        with pytest.raises(ValueError, match="3-qubit"):
+            dense.run_stack(Circuit(3), np.zeros(8, dtype=complex))
 
 
 class TestNormCheck:
@@ -122,11 +172,22 @@ class TestNormCheck:
 
     def test_run_checks_once_after_its_last_gate(self, monkeypatch):
         drifted = StateVector(6, planar6_ground().amps * (1 + 1e-9))
-        calls = count_apply_gate(monkeypatch)
+        calls = count_kernel(monkeypatch)
         n_gates = len(anyon.MEASUREMENT.gates)
         with pytest.raises(AssertionError,
                            match=f"after run of a {n_gates}-gate circuit"):
             run(anyon.MEASUREMENT, drifted)
+        assert len(calls) == n_gates
+
+
+    def test_stack_check_names_the_first_drifted_row(self, monkeypatch):
+        ground = planar6_ground().amps
+        stack = np.array([ground, ground, ground * (1 + 1e-9), ground * (1 - 1e-9)])
+        calls = count_kernel(monkeypatch)
+        n_gates = len(anyon.MEASUREMENT.gates)
+        with pytest.raises(AssertionError,
+                           match=f"after run of a {n_gates}-gate circuit, in row 2 of 4$"):
+            dense.run_stack(anyon.MEASUREMENT, stack)
         assert len(calls) == n_gates
 
 

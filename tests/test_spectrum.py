@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
                             run_unbraided_pipeline)
@@ -88,6 +90,20 @@ class TestFrequencyTable:
             assert len(table) == 2 ** m
             for i, f in enumerate(table):
                 assert f == peak_frequency(sys_, format(i, f"0{m}b"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=-J_LIMIT_HZ, max_value=J_LIMIT_HZ),
+                    min_size=1, max_size=12),
+           st.floats(min_value=-OFFSET_LIMIT_HZ, max_value=OFFSET_LIMIT_HZ))
+    def test_table_has_the_bits_of_peak_frequency(self, j_values, offset):
+        names = tuple(f"p{i}" for i in range(len(j_values)))
+        sys_ = SpinSystem(observed="O", partners=names, j_hz=dict(zip(names, j_values)),
+                          offset_hz=offset)
+        m = len(names)
+        table = sys_.peak_frequencies
+        assert len(table) == 2 ** m
+        for i, f in enumerate(table):     # hex tells -0.0 from 0.0
+            assert f.hex() == peak_frequency(sys_, format(i, f"0{m}b")).hex()
 
     def test_fill_in_is_peak_frequency(self, tmp_path):
         # READOUT states have six bits, so labels need a six-partner system
