@@ -6,20 +6,23 @@ creates an m pair (X on qubit 4) together with a superposed e pair
 the loop X6 X5 X3 X4, and fuses everything back; and a control run that
 only prepares the ground state.  Both end in a fixed measurement
 circuit that maps the ground/excited flag onto qubit 3 of two-peak
-readout states.  The control run reads no eta: ``run_control`` makes it
-once for a column of configs that share its preparation (admix, gamma,
-damping, seed), and ``run_braided`` runs the whole column's braided
-halves; ``run_experiment`` is the two halves for one config.  The
-braiding phase deviation eta is injected as exp(-i * eta * L) after the
-ideal loop L, so the loop's -1 eigenspace picks up e^{i(pi + 2 eta)}
-relative to the +1 eigenspace (a global phase is dropped relative to the
-textbook parametrization).
+readout states.  ``run_experiment`` runs both for one config and
+labels their spectra.  The braiding phase deviation eta is injected as
+exp(-i * eta * L) after the ideal loop L, so the loop's -1 eigenspace
+picks up e^{i(pi + 2 eta)} relative to the +1 eigenspace (a global phase
+is dropped relative to the textbook parametrization).
 
-Within a column eta enters only the braid, so creation and L psi_b run
-once per column, and the braided rows run FUSION and MEASUREMENT as one
-stack through ``dense.run_stack``, ``COLUMN_CHUNK`` rows at a time.  The
-stack leaves every amplitude bit-identical to a lone run; the spectrum,
-labels and phase stay per row.
+A sweep column is the configs that share one preparation (admix, gamma,
+damping, seed), since the control run reads no eta: ``column_control``
+runs it once, and ``run_column`` runs the column's braided rows.  There
+creation and L psi_b run once per column, and the rows run FUSION and
+MEASUREMENT as one stack through ``dense.run_stack``, ``COLUMN_CHUNK``
+rows at a time; the stack leaves every amplitude bit-identical to a lone
+run.  A sweep builds no spectrum: each ratio is read from the four
+readout amplitudes of its final state (``spectrum.readout_peaks``) by
+the peak rule of ``synthesize``, and ``_ratio`` and ``_phase`` are the
+same arithmetic ``extract_phase`` applies to labeled spectra, so a row
+gives the bits of ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -237,53 +240,55 @@ class PipelineRun:
     final: StateVector
 
 
-def _braided(configs: Sequence[ExperimentConfig], psi_a: StateVector
-             ) -> Iterator[PipelineRun]:
-    """The braided pipeline of each config, in order, all from one psi_a.
-
-    Creation and L psi_b run once; each chunk of rows stacks its own braid
-    expressions and runs FUSION and MEASUREMENT once on the stack.
-    """
+def _braided(psi_a: StateVector, eta_inject: float) -> PipelineRun:
     psi_b = create_anyons(psi_a)
-    looped = apply_pauli(psi_b, BRAIDING_LOOP)
-    for start in range(0, len(configs), COLUMN_CHUNK):
-        chunk = configs[start:start + COLUMN_CHUNK]
-        psi_c = _braid_rows(psi_b, looped, [c.eta_inject for c in chunk])
-        psi_d = run_stack(FUSION, psi_c)
-        psi_e = run_stack(MEASUREMENT, psi_d)
-        for c, d, e in zip(psi_c, psi_d, psi_e):
-            final = StateVector(6, e)
-            yield PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": StateVector(6, c),
-                               "psi_d": StateVector(6, d), "psi_e": final}, final)
-
-
-def _unbraided(psi_f: StateVector) -> PipelineRun:
-    psi_g = measurement_reduction(psi_f)
-    return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
+    psi_c = braid(psi_b, eta_inject)
+    psi_d = fuse(psi_c)
+    psi_e = measurement_reduction(psi_d)
+    return PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": psi_c, "psi_d": psi_d,
+                        "psi_e": psi_e}, psi_e)
 
 
 def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
     """Creation, braiding, fusion, measurement (labeled states a..e)."""
-    (braided,) = _braided([config], prepare_initial_state(config, seed))
-    return braided
+    return _braided(prepare_initial_state(config, seed), config.eta_inject)
 
 
 def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
     """Control run: preparation then measurement only (labeled states f, g)."""
-    return _unbraided(prepare_initial_state(config, seed))
+    psi_f = prepare_initial_state(config, seed)
+    psi_g = measurement_reduction(psi_f)
+    return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
 
 
 # -- phase extraction ---------------------------------------------------------
 
 
-def _pair_ratio(report: spec.SpectrumReport, role: str) -> float:
-    """Signed amplitude ratio of a role's contamination pair over its dominant pair.
+def _ratio(role: str, dominant, contamination) -> float:
+    """Signed amplitude ratio of a role's contamination pair over its dominant pair,
+    from each pair's (intensity, amplitude) in ``spec.READOUT`` order.
 
     The magnitude comes from the summed peak intensities, exactly as the
     intensity-ratio analysis prescribes.  The sign of the underlying
     coefficient ratio comes from the per-peak complex amplitudes, oriented
-    by the role's ``spec.READOUT`` entry; a physical intensity-only
-    spectrum cannot give it, so a report without amplitudes is refused.
+    by the role's ``spec.READOUT`` entry.
+    """
+    readout = spec.READOUT[role]
+    gamma_dom = sum(intensity for intensity, _ in dominant)
+    if gamma_dom <= 0:
+        raise ValueError(f"{role} dominant peaks {[label for label, _ in readout.dominant]} "
+                         f"have no intensity; cannot form ratio")
+    magnitude = math.sqrt(sum(intensity for intensity, _ in contamination) / gamma_dom)
+    cross = sum(c * d.conjugate() for (_, c), (_, d) in zip(contamination, dominant))
+    sign = -readout.orientation if cross.real < 0 else readout.orientation
+    return sign * magnitude
+
+
+def _pair_ratio(report: spec.SpectrumReport, role: str) -> float:
+    """``_ratio`` of a role's labeled peaks in ``report``.
+
+    A physical intensity-only spectrum cannot give the ratio's sign, so a
+    report without amplitudes is refused.
     """
     readout = spec.READOUT[role]
     contam = [report.labeled_peak(label) for label, _ in readout.contamination]
@@ -291,14 +296,25 @@ def _pair_ratio(report: spec.SpectrumReport, role: str) -> float:
     if any(p.amplitude is None for p in contam + dom):
         raise ValueError(f"{role} spectrum has no peak amplitudes; "
                          f"the sign of its ratio cannot be recovered")
-    gamma_dom = sum(p.intensity for p in dom)
-    if gamma_dom <= 0:
-        raise ValueError(f"{role} dominant peaks {[p.label for p in dom]} have no "
-                         f"intensity; cannot form ratio")
-    magnitude = math.sqrt(sum(p.intensity for p in contam) / gamma_dom)
-    cross = sum(c.amplitude * d.amplitude.conjugate() for c, d in zip(contam, dom))
-    sign = -readout.orientation if cross.real < 0 else readout.orientation
-    return sign * magnitude
+    return _ratio(role, [(p.intensity, p.amplitude) for p in dom],
+                  [(p.intensity, p.amplitude) for p in contam])
+
+
+def _readout_ratio(state: StateVector, damping: float, role: str) -> float:
+    """``_pair_ratio`` of the labeled spectrum of ``state``, read from its readout
+    amplitudes without building the spectrum."""
+    return _ratio(role, *spec.readout_peaks(state, damping, role))
+
+
+def _phase(rho: float, rho_prime: float) -> PhaseResult:
+    """eta and delta from the control ratio rho and the braided ratio rho_prime."""
+    denom = 1.0 + rho * rho_prime
+    if denom <= 0:
+        raise ValueError(
+            f"ratio combination outside the invertible regime: {rho}, {rho_prime}")
+    eta = math.atan((rho_prime - rho) / denom)
+    return PhaseResult(eta=eta, delta=(math.pi / 2 + eta) * 2,
+                       beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
 
 
 def extract_phase(with_braid: spec.SpectrumReport,
@@ -312,63 +328,65 @@ def extract_phase(with_braid: spec.SpectrumReport,
     eta is recovered only for -pi/2 < eta < pi/2 - theta (enforced by
     ``ExperimentConfig``); outside it eta is aliased by pi or this raises.
     """
-    rho = _pair_ratio(without_braid, "unbraided")
-    rho_prime = _pair_ratio(with_braid, "braided")
-    denom = 1.0 + rho * rho_prime
-    if denom <= 0:
-        raise ValueError(
-            f"ratio combination outside the invertible regime: {rho}, {rho_prime}")
-    eta = math.atan((rho_prime - rho) / denom)
-    return PhaseResult(eta=eta, delta=(math.pi / 2 + eta) * 2,
-                       beta_over_alpha=abs(rho), alphap_over_betap=abs(rho_prime))
-
-
-def run_control(config: ExperimentConfig, spin_system: spec.SpinSystem,
-                seed: int = 0) -> dict:
-    """The control half: preparation, the unbraided pipeline, its labeled spectrum.
-
-    Reads no ``eta_inject`` and no ``with_braiding``, so configs that differ
-    only in those share one control.  Returns the ``"unbraided"`` entry of
-    ``run_experiment``'s result: the run (psi_f is the prepared psi_a) and
-    the spectrum.
-    """
-    unbraided = _unbraided(prepare_initial_state(config, seed))
-    r_u = spec.assign_peak_labels(
-        spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
-    return {"run": unbraided, "spectrum": r_u}
-
-
-def run_braided(configs: Sequence[ExperimentConfig], spin_system: spec.SpinSystem,
-                control: dict) -> Iterator[dict]:
-    """The braided halves of a column: configs that share the preparation of
-    ``control`` (a ``run_control`` result), all from its psi_a.
-
-    Yields, per config and in order, the braided run, its labeled spectrum,
-    and the PhaseResult against the control spectrum: the ``"braided"`` and
-    ``"phase"`` entries of ``run_experiment``'s result.  Rows are made a chunk
-    at a time, and each row's spectrum only when it is asked for, so a
-    ValueError belongs to the row that was asked for.
-    """
-    for config, braided in zip(configs, _braided(configs, control["run"].states["psi_f"])):
-        r_b = spec.assign_peak_labels(
-            spec.synthesize(spin_system, braided.final, config.damping), "braided")
-        yield {"braided": {"run": braided, "spectrum": r_b},
-               "phase": extract_phase(r_b, control["spectrum"])}
+    return _phase(_pair_ratio(without_braid, "unbraided"),
+                  _pair_ratio(with_braid, "braided"))
 
 
 def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
                    seed: int = 0) -> dict:
-    """Full comparison experiment: the control half, then the braided half.
+    """Full comparison experiment: the control run, then the braided run from the
+    same psi_a, each with its labeled spectrum.
 
     Returns a dict with the unbraided run always present, the braided
     run when ``config.with_braiding``, and the PhaseResult when both
     spectra exist.
     """
-    out: dict = {"unbraided": run_control(config, spin_system, seed)}
+    unbraided = run_unbraided_pipeline(config, seed)
+    r_u = spec.assign_peak_labels(
+        spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
+    out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
     if config.with_braiding:
-        (braided,) = run_braided([config], spin_system, out["unbraided"])
-        out.update(braided)
+        braided = _braided(unbraided.states["psi_f"], config.eta_inject)
+        r_b = spec.assign_peak_labels(
+            spec.synthesize(spin_system, braided.final, config.damping), "braided")
+        out["braided"] = {"run": braided, "spectrum": r_b}
+        out["phase"] = extract_phase(r_b, r_u)
     return out
+
+
+# -- sweep columns -------------------------------------------------------------
+
+
+def column_control(config: ExperimentConfig, seed: int = 0) -> tuple[StateVector, float]:
+    """The control half of a sweep column: the prepared psi_a and the control
+    ratio rho, read from the unbraided readout amplitudes.
+
+    Reads no ``eta_inject`` and no ``with_braiding``, so configs that differ
+    only in those share one control.
+    """
+    psi_a = prepare_initial_state(config, seed)
+    return psi_a, _readout_ratio(measurement_reduction(psi_a), config.damping, "unbraided")
+
+
+def run_column(configs: Sequence[ExperimentConfig], psi_a: StateVector,
+               rho: float) -> Iterator[PhaseResult]:
+    """The PhaseResult of each config of a sweep column, in order, against the
+    control (psi_a, rho) that ``column_control`` made for the column.
+
+    Creation and L psi_b run once; each chunk of ``COLUMN_CHUNK`` rows stacks
+    its own braid expressions and runs FUSION and MEASUREMENT once on the
+    stack.  A row's ratio is read from its final state's readout amplitudes
+    only when the row is asked for, so a ValueError belongs to that row.
+    """
+    psi_b = create_anyons(psi_a)
+    looped = apply_pauli(psi_b, BRAIDING_LOOP)
+    for start in range(0, len(configs), COLUMN_CHUNK):
+        chunk = configs[start:start + COLUMN_CHUNK]
+        finals = run_stack(MEASUREMENT, run_stack(
+            FUSION, _braid_rows(psi_b, looped, [c.eta_inject for c in chunk])))
+        for config, final in zip(chunk, finals):
+            yield _phase(rho, _readout_ratio(StateVector(6, final), config.damping,
+                                             "braided"))
 
 
 def ideal_fidelities(unbraided: StateVector | None = None,

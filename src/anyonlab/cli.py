@@ -281,22 +281,23 @@ def cmd_sweep(args) -> list[Path]:
                                                       gamma_leak=args.gamma))
             except ValueError as err:
                 raise ValueError(f"sweep point eta={eta!r}, admix={admix!r}: {err}") from None
-    sys_ = spectrum.default_spin_system()   # eta never reads a peak frequency
     # Admix-major: each column's control (which reads no eta) runs once and is
     # the only one kept, and its braided rows run as one column; the rows keep
-    # just (eta, delta) until the eta-major CSV.  An error names its column or point.
+    # just (eta, delta) until the eta-major CSV.  Every ratio is read from the
+    # readout amplitudes, so no spectrum (and no spin system) is built.  An
+    # error names its column or point.
     columns = len(admixes)
     recovered = np.empty((len(configs), 2))
     for j in range(columns):
         try:
-            control = anyon.run_control(configs[j], sys_, seed=args.seed)
+            psi_a, rho = anyon.column_control(configs[j], seed=args.seed)
         except ValueError as err:
             raise ValueError(f"sweep column admix={admixes[j]!r}: {err}") from None
         rows = range(j, len(configs), columns)
         done = 0
         try:
-            for result in anyon.run_braided([configs[row] for row in rows], sys_, control):
-                recovered[rows[done]] = result["phase"].eta, result["phase"].delta
+            for phase in anyon.run_column([configs[row] for row in rows], psi_a, rho):
+                recovered[rows[done]] = phase.eta, phase.delta
                 done += 1
         except ValueError as err:
             c = configs[rows[done]]

@@ -237,6 +237,17 @@ def dump_amplitudes(state: StateVector) -> list[tuple[str, float, float]]:
     return rows
 
 
+def _finite_number(v) -> bool:
+    """A JSON number that a finite double holds; an integer past the double range
+    is not one (``math.isfinite`` raises OverflowError on it)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def state_from_dump(rows: list) -> StateVector:
     """Rebuild a StateVector from dump rows ([bits, re, im], ...), one row per
     bit string, of norm 1 to within 1e-9."""
@@ -246,8 +257,7 @@ def state_from_dump(rows: list) -> StateVector:
     for i, row in enumerate(rows):
         if not (isinstance(row, (list, tuple)) and len(row) == 3
                 and isinstance(row[0], str) and row[0] and set(row[0]) <= {"0", "1"}
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v) for v in row[1:])):
+                and all(_finite_number(v) for v in row[1:])):
             raise ValueError(f"dump row {i} is not [bits, re, im]: {row!r}")
         if len(row[0]) > DENSE_LIMIT:
             raise ValueError(f"dump row {i} has {len(row[0])} bits, above the "

@@ -19,7 +19,9 @@ Each synthesized peak also records the complex conditional amplitude it
 came from.  That is simulation-side information (a physical intensity
 readout has no phase); the phase extraction needs it to recover the
 coefficient signs, and refuses a report without it.  ``READOUT`` is the
-one table of peak labels and readout states per pipeline role.
+one table of peak labels and readout states per pipeline role, and
+``readout_peaks`` reads a role's labeled peaks straight from a state's
+readout amplitudes, by the same peak rule as ``synthesize``.
 """
 
 from __future__ import annotations
@@ -260,6 +262,19 @@ def _report(sys_: SpinSystem, rows, **meta) -> SpectrumReport:
                                   "t2_s": sys_.t2_s, "spin_system": sys_, **meta})
 
 
+def _peak_rows(amps, damping: float) -> list[tuple]:
+    """The one peak rule, over (key, amplitude) pairs: a peak for each squared
+    amplitude above ``INTENSITY_THRESHOLD``, as (key, damping * |amp|^2,
+    sqrt(damping) * amp).  ``synthesize`` keys by basis index, ``readout_peaks``
+    by readout state."""
+    if not 0 <= damping <= 1:
+        raise ValueError(f"damping must be in [0, 1], got {damping}")
+    root = math.sqrt(damping)
+    # scalar abs per amplitude: np.abs over the array rounds some weights differently
+    return [(key, damping * weight, root * complex(amp)) for key, amp in amps
+            if (weight := abs(amp) ** 2) > INTENSITY_THRESHOLD]
+
+
 def synthesize(sys_: SpinSystem, state: StateVector,
                damping: float = 1.0) -> SpectrumReport:
     """Spectrum of the observed spin conditioned on the partner state.
@@ -272,14 +287,7 @@ def synthesize(sys_: SpinSystem, state: StateVector,
     m = len(sys_.partners)
     if state.n != m:
         raise ValueError(f"state has {state.n} qubits, system has {m} partners")
-    if not 0 <= damping <= 1:
-        raise ValueError(f"damping must be in [0, 1], got {damping}")
-    root = math.sqrt(damping)
-    # scalar abs per amplitude: np.abs over the array rounds some weights differently
-    rows = [(index, damping * weight, root * complex(amp))
-            for index, amp in enumerate(state.amps)
-            if (weight := abs(amp) ** 2) > INTENSITY_THRESHOLD]
-    return _report(sys_, rows, damping=damping,
+    return _report(sys_, _peak_rows(enumerate(state.amps), damping), damping=damping,
                    reference="unit-population basis peak = 1.0")
 
 
@@ -290,6 +298,43 @@ def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
                    thermal=True, reference="total population = 1.0")
 
 
+def _readout(role: str) -> Readout:
+    if role not in READOUT:
+        raise ValueError(f"role must be one of {sorted(READOUT)}, got {role!r}")
+    return READOUT[role]
+
+
+def _check_dominant(role: str, present) -> None:
+    """Refuse a readout in which a dominant state of ``role``, taken in ``READOUT``
+    order, has no peak (is not in ``present``)."""
+    for label, state in READOUT[role].dominant:
+        if state not in present:
+            raise ValueError(f"{role} spectrum: missing expected peak {label!r} "
+                             f"(state {state})")
+
+
+def readout_peaks(state: StateVector, damping: float, role: str
+                  ) -> tuple[list[tuple[float, complex]], list[tuple[float, complex]]]:
+    """(intensity, amplitude) of each dominant and each contamination state of
+    ``role``, in ``READOUT`` order: the labeled peaks of
+    ``assign_peak_labels(synthesize(sys_, state, damping), role)``, read from the
+    four readout amplitudes by the same peak rule, with no spectrum built.
+
+    An absent contamination state reads (0.0, 0j); an absent dominant state
+    raises the error ``assign_peak_labels`` raises.
+    """
+    readout = _readout(role)
+    pairs = readout.dominant + readout.contamination
+    if state.n != len(pairs[0][1]):
+        raise ValueError(f"state has {state.n} qubits, {role} readout states have "
+                         f"{len(pairs[0][1])} bits")
+    found = {bits: (intensity, amp) for bits, intensity, amp in
+             _peak_rows(((bits, state.amps[int(bits, 2)]) for _, bits in pairs), damping)}
+    _check_dominant(role, found)
+    return ([found[bits] for _, bits in readout.dominant],
+            [found.get(bits, (0.0, 0j)) for _, bits in readout.contamination])
+
+
 def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     """Attach the ``READOUT`` peak names of one pipeline role.
 
@@ -297,17 +342,12 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     zero intensity and zero amplitude, at the frequency the report's spin
     system gives, so ratio formulas stay total.
     """
-    if role not in READOUT:
-        raise ValueError(f"role must be one of {sorted(READOUT)}, got {role!r}")
-    readout = READOUT[role]
+    readout = _readout(role)
     label_of = {state: label for label, state in readout.dominant + readout.contamination}
     peaks = [replace(p, label=label_of[p.state]) if p.state in label_of else p
              for p in report.peaks]
     present = {p.state for p in report.peaks}
-    for label, state in readout.dominant:
-        if state not in present:
-            raise ValueError(f"{role} spectrum: missing expected peak {label!r} "
-                             f"(state {state})")
+    _check_dominant(role, present)
     sys_ = report.metadata["spin_system"]
     peaks += [Peak(frequency_hz=sys_.peak_frequencies[int(state, 2)], intensity=0.0,
                    state=state, linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 
 from anyonlab import anyon, spectrum
 from anyonlab.anyon import (BRAIDING_LOOP, MEASUREMENT, ExperimentConfig,
-                            _labeled_subspace, braid, create_anyons,
-                            extract_phase, fuse, ideal_fidelities,
+                            _labeled_subspace, _pair_ratio, braid, column_control,
+                            create_anyons, extract_phase, fuse, ideal_fidelities,
                             measurement_reduction, planar6_excited_state,
                             planar6_ground_state, prepare_initial_state,
-                            run_braided, run_braided_pipeline, run_control,
-                            run_experiment, run_unbraided_pipeline)
+                            run_braided_pipeline, run_column, run_experiment,
+                            run_unbraided_pipeline)
 from anyonlab.dense import StateVector, apply_pauli, overlap, run
 from anyonlab.pauli import PauliString
 from anyonlab.spectrum import (assign_peak_labels, default_spin_system, synthesize,
@@ -307,7 +307,8 @@ class TestRunExperiment:
 
 
 class TestExperimentHalves:
-    """``run_experiment`` is the control half then the braided half."""
+    """``run_experiment`` is the control run, then the braided run from its psi_a;
+    a sweep column shares one control, read without a spectrum."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-0.3, max_value=0.3), st.floats(min_value=-0.3, max_value=0.3),
@@ -319,18 +320,23 @@ class TestExperimentHalves:
         for eta in (eta1, eta2):
             config = ExperimentConfig(eta_inject=eta, admix_beta=admix, gamma_leak=gamma,
                                       damping=damping)
-            runs.append((prepare_initial_state(config, seed), run_control(config, sys_, seed)))
-        (psi_a1, c1), (psi_a2, c2) = runs
+            runs.append((prepare_initial_state(config, seed), column_control(config, seed),
+                         run_experiment(config, sys_, seed)["unbraided"]))
+        (psi_a1, (c1, rho1), u1), (psi_a2, (c2, rho2), u2) = runs
         assert np.array_equal(psi_a1.amps, psi_a2.amps)
+        assert np.array_equal(c1.amps, psi_a1.amps) and np.array_equal(c2.amps, psi_a1.amps)
+        assert rho1.hex() == rho2.hex()
+        # the control ratio is the one the labeled control spectrum gives
+        assert rho1.hex() == _pair_ratio(u1["spectrum"], "unbraided").hex()
         for name in ("psi_f", "psi_g"):
-            assert np.array_equal(c1["run"].states[name].amps, c2["run"].states[name].amps)
-        assert c1["spectrum"].as_dict() == c2["spectrum"].as_dict()
+            assert np.array_equal(u1["run"].states[name].amps, u2["run"].states[name].amps)
+        assert u1["spectrum"].as_dict() == u2["spectrum"].as_dict()
 
     def test_braided_half_starts_from_the_control_psi_a(self):
         config = ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.05)
-        control = run_control(config, default_spin_system(), seed=3)
-        (braided,) = run_braided([config], default_spin_system(), control)
-        assert braided["braided"]["run"].states["psi_a"] is control["run"].states["psi_f"]
+        result = run_experiment(config, default_spin_system(), seed=3)
+        assert result["braided"]["run"].states["psi_a"] is \
+            result["unbraided"]["run"].states["psi_f"]
 
     @pytest.mark.parametrize("config, seed", [
         (ExperimentConfig(), 0),
@@ -342,13 +348,16 @@ class TestExperimentHalves:
         (ExperimentConfig(eta_inject=0.06, admix_beta=0.18, gamma_leak=0.3), 5),
     ])
     def test_phase_matches_the_pipelines(self, config, seed):
-        """The same PhaseResult as spectra of the two pipelines run apart."""
+        """The same PhaseResult as spectra of the two pipelines run apart, and as
+        a one-row sweep column."""
         phase = run_experiment(config, default_spin_system(), seed=seed)["phase"]
         assert phase == extract_phase(*_spectra_for(config, seed))
+        assert list(run_column([config], *column_control(config, seed))) == [phase]
 
 
 class TestBraidedColumn:
-    """``run_braided`` on a column equals one batch-of-one call per row."""
+    """``run_column`` gives each row the final state and PhaseResult of a lone
+    ``run_experiment``."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=1, max_size=9),
@@ -360,24 +369,32 @@ class TestBraidedColumn:
         sys_ = default_spin_system()
         configs = [ExperimentConfig(eta_inject=eta, admix_beta=admix, gamma_leak=gamma,
                                     damping=damping) for eta in etas]
-        control = run_control(configs[0], sys_, seed)
-        singles = [run_braided([c], sys_, control) for c in configs]
+        singles = [run_experiment(c, sys_, seed) for c in configs]
+        psi_a, rho = column_control(configs[0], seed)
+        finals = []
+        real_stack = anyon.run_stack
+
+        def run_stack(circuit, amps):
+            out = real_stack(circuit, amps)
+            if circuit is anyon.MEASUREMENT:
+                finals.extend(out)
+            return out
+
         # (patched in the body: hypothesis refuses function-scoped fixtures)
-        with mock.patch.object(anyon, "COLUMN_CHUNK", chunk):
-            column = list(run_braided(configs, sys_, control))
-        assert len(column) == len(configs)
-        psi_a = control["run"].states["psi_f"]
-        for config, got, (want,) in zip(configs, column, singles):
-            runs = got["braided"]["run"], want["braided"]["run"]
-            for name in ("psi_a", "psi_b", "psi_c", "psi_d", "psi_e"):
-                assert np.array_equal(runs[0].states[name].amps, runs[1].states[name].amps)
-            assert runs[0].final is runs[0].states["psi_e"]
-            assert np.array_equal(runs[0].final.amps, runs[1].final.amps)
+        with mock.patch.object(anyon, "COLUMN_CHUNK", chunk), \
+                mock.patch.object(anyon, "run_stack", run_stack):
+            column = list(run_column(configs, psi_a, rho))
+        assert len(column) == len(finals) == len(configs)
+        for config, got, final, want in zip(configs, column, finals, singles):
+            run_ = want["braided"]["run"]
+            assert run_.states["psi_a"].amps.tobytes() == psi_a.amps.tobytes()
+            assert final.tobytes() == run_.final.amps.tobytes()
             # and the per-state stages, one gate run per stage
             lone = measurement_reduction(fuse(braid(create_anyons(psi_a), config.eta_inject)))
-            assert runs[0].final.amps.tobytes() == lone.amps.tobytes()
-            assert got["phase"] == want["phase"]
-            assert got["braided"]["spectrum"].as_dict() == want["braided"]["spectrum"].as_dict()
+            assert final.tobytes() == lone.amps.tobytes()
+            assert got == want["phase"]
+            assert (got.eta.hex(), got.delta.hex()) == \
+                (want["phase"].eta.hex(), want["phase"].delta.hex())
 
     def test_rows_come_a_chunk_at_a_time(self, monkeypatch):
         """Each chunk runs FUSION and MEASUREMENT once; creation runs once per column."""
@@ -387,11 +404,10 @@ class TestBraidedColumn:
         monkeypatch.setattr(anyon, "run_stack",
                             lambda c, amps: stacks.append((c, len(amps))) or real_stack(c, amps))
         monkeypatch.setattr(anyon, "run", lambda c, s: runs.append(c) or real_run(c, s))
-        sys_ = default_spin_system()
         configs = [ExperimentConfig(eta_inject=0.01 * i, admix_beta=0.18) for i in range(7)]
-        control = run_control(configs[0], sys_)
+        psi_a, rho = column_control(configs[0])
         runs.clear()
-        rows = run_braided(configs, sys_, control)
+        rows = run_column(configs, psi_a, rho)
         assert stacks == [] and runs == []      # nothing runs before the first row is asked for
         next(rows)
         assert runs == [anyon.CREATION]
@@ -401,14 +417,11 @@ class TestBraidedColumn:
         assert [size for _, size in stacks] == [3, 3, 3, 3, 1, 1]
 
     def test_drifted_psi_a_raises_the_norm_check(self):
-        sys_ = default_spin_system()
         configs = [ExperimentConfig(eta_inject=eta, admix_beta=0.18) for eta in (0.0, 0.1)]
-        control = run_control(configs[0], sys_)
-        psi_a = control["run"].states["psi_f"]
-        drifted = {**control, "run": anyon.PipelineRun(
-            {"psi_f": StateVector(6, psi_a.amps * (1 + 1e-9))}, control["run"].final)}
+        psi_a, rho = column_control(configs[0])
+        drifted = StateVector(6, psi_a.amps * (1 + 1e-9))
         with pytest.raises(AssertionError, match="state norm drifted to .* in row 0 of 1"):
-            list(run_braided(configs, sys_, drifted))
+            list(run_column(configs, drifted, rho))
 
 
 class TestFixedPieces:

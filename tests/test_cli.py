@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from anyonlab import anyon, cli, report
+from anyonlab import anyon, cli, report, spectrum
 from anyonlab.report import OUT_DIR_ENV, round_sig
 from anyonlab.spectrum import READOUT, default_spin_system
 
@@ -369,7 +369,10 @@ class TestSpectrumCommand:
     def test_state_not_a_list_of_rows(self, tmp_path):
         for rows, message in (({"a": 1}, "list of [bits, re, im] rows"),
                               ([[10, 1.0, 0.0]], "dump row 0 is not"),
-                              ([["000000", 1.0]], "dump row 0 is not")):
+                              ([["000000", 1.0]], "dump row 0 is not"),
+                              # an integer past any double: no OverflowError traceback
+                              ([["0", 10 ** 400, 0]], "dump row 0 is not"),
+                              ([["0", 1.0, 0], ["1", 0, -10 ** 400]], "dump row 1 is not")):
             (tmp_path / "state.json").write_text(json.dumps(rows))
             res = run_cli(["spectrum", "--state", "state.json", "--out", "sp"], tmp_path)
             assert res.returncode == 1
@@ -579,7 +582,7 @@ class TestSweep:
         """A bad point anywhere in the grid exits 1 before any row runs."""
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
         calls = []
-        for name in ("run_experiment", "run_control", "run_braided"):
+        for name in ("run_experiment", "column_control", "run_column"):
             monkeypatch.setattr(anyon, name, lambda *a, name=name, **kw: calls.append(name))
         assert cli.main(["sweep", f"--eta-grid={eta_grid}", "--admix-grid", admix_grid,
                          "--out", "x.csv"]) == 1
@@ -647,23 +650,23 @@ class TestSweep:
 
         controls, braided = [], []
 
-        def run_control(*args, **kwargs):
-            control = real_control(*args, **kwargs)
-            controls.append(weakref.ref(control["run"]))
-            return control
+        def column_control(*args, **kwargs):
+            psi_a, rho = real_control(*args, **kwargs)
+            controls.append(weakref.ref(psi_a))
+            return psi_a, rho
 
-        def run_braided(configs, *args):
+        def run_column(configs, *args):
             assert [ref() is not None for ref in controls].count(True) == 1
             assert len({c.admix_beta for c in configs}) == 1
             columns.append(len(configs))
-            for config, row in zip(configs, real_braided(configs, *args)):
+            for config, row in zip(configs, real_column(configs, *args)):
                 braided.append(config)
                 yield row
 
         columns = []
-        real_control, real_braided = anyon.run_control, anyon.run_braided
-        monkeypatch.setattr(anyon, "run_control", run_control)
-        monkeypatch.setattr(anyon, "run_braided", run_braided)
+        real_control, real_column = anyon.column_control, anyon.run_column
+        monkeypatch.setattr(anyon, "column_control", column_control)
+        monkeypatch.setattr(anyon, "run_column", run_column)
         if chunk is not None:
             monkeypatch.setattr(anyon, "COLUMN_CHUNK", chunk)
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
@@ -674,6 +677,30 @@ class TestSweep:
         assert columns == [len(etas)] * len(admixes)
         assert sorted((c.admix_beta, c.eta_inject) for c in braided) == \
             sorted((admix, eta) for eta in etas for admix in admixes)
+
+    def test_builds_no_spectrum(self, tmp_path, monkeypatch):
+        """With ``synthesize``, ``assign_peak_labels`` and ``extract_phase`` patched
+        to raise, the sweep still writes the CSV of one ``run_experiment`` per row."""
+        rows = []
+        for eta in (-0.2, 0.0, 0.15):
+            for admix in (0.18, 0.0):
+                config = anyon.ExperimentConfig(eta_inject=eta, admix_beta=admix,
+                                                gamma_leak=0.05)
+                p = anyon.run_experiment(config, default_spin_system(), seed=4)["phase"]
+                rows.append([eta, admix, p.eta, p.delta, p.delta / math.pi])
+        expected = report.csv_text(
+            ["eta_injected", "admix", "eta_recovered", "delta", "delta_over_pi"], rows)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a spectrum")
+
+        for name in ("synthesize", "assign_peak_labels"):
+            monkeypatch.setattr(spectrum, name, refuse)
+        monkeypatch.setattr(anyon, "extract_phase", refuse)
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        assert cli.main(["sweep", "--eta-grid=-0.2,0,0.15", "--admix-grid=0.18,0",
+                         "--gamma", "0.05", "--seed", "4", "--out", "s.csv"]) == 0
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
 
     def test_spin_config_refused(self, tmp_path, monkeypatch, capsys):
         """eta reads no peak frequency, so the sweep takes no spin table."""

@@ -6,17 +6,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anyonlab.anyon import (ExperimentConfig, run_braided_pipeline,
-                            run_unbraided_pipeline)
+from anyonlab.anyon import (ExperimentConfig, _pair_ratio, _readout_ratio,
+                            run_braided_pipeline, run_unbraided_pipeline)
 from anyonlab.dense import StateVector
-from anyonlab.spectrum import (LINESHAPE_LIMIT, MEASURED_J_H1_HZ, MEASURED_J_H2_HZ,
-                               J_LIMIT_HZ, OFFSET_LIMIT_HZ, READOUT, T2_RANGE_S, SpinSystem,
+from anyonlab.spectrum import (INTENSITY_THRESHOLD, LINESHAPE_LIMIT, MEASURED_J_H1_HZ,
+                               MEASURED_J_H2_HZ, J_LIMIT_HZ, OFFSET_LIMIT_HZ, READOUT,
+                               T2_RANGE_S, SpinSystem,
                                assign_peak_labels, default_spin_system,
                                lineshape_to_csv, load_spin_system,
-                               peak_frequency, sample_lineshape,
+                               peak_frequency, readout_peaks, sample_lineshape,
                                spectrum_to_csv, synthesize, synthesize_thermal)
 
 
@@ -384,6 +385,91 @@ class TestLabels:
         report = synthesize_thermal(default_spin_system())
         with pytest.raises(ValueError, match="role"):
             assign_peak_labels(report, "sideways")
+
+
+# sqrt(1e-9) squares to the threshold itself; its neighbours square just below
+# and just above it
+_ROOT = math.sqrt(INTENSITY_THRESHOLD)
+EDGE_MAGNITUDES = (math.nextafter(_ROOT, 0.0), _ROOT, math.nextafter(_ROOT, 1.0))
+READOUT_STATES = sorted({bits for r in READOUT.values()
+                         for _, bits in r.dominant + r.contamination})
+READOUT_AMPLITUDE = st.one_of(
+    st.just(0j),
+    st.builds(lambda m, phase: m * phase, st.sampled_from(EDGE_MAGNITUDES),
+              st.sampled_from([1, -1, 1j, -1j])),
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False))
+
+
+def _outcome(compute):
+    """A ratio's float.hex, or the text of the ValueError it raised."""
+    try:
+        return compute().hex()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+class TestReadoutPeaks:
+    """``readout_peaks`` reads a role's labeled peaks without building a spectrum."""
+
+    def test_edge_magnitudes_straddle_the_threshold(self):
+        below, at, above = (abs(complex(m)) ** 2 for m in EDGE_MAGNITUDES)
+        assert below < INTENSITY_THRESHOLD == at < above
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.fixed_dictionaries({bits: READOUT_AMPLITUDE for bits in READOUT_STATES}),
+           st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+           st.sampled_from(sorted(READOUT)))
+    @example(0, {bits: 0.5 for bits in READOUT_STATES}, 1.0, "braided")
+    @example(0, {**{bits: 0.5 for bits in READOUT_STATES}, "111111": 0j}, 0.5, "braided")
+    @example(0, {**{bits: 0.5 for bits in READOUT_STATES}, "000000": _ROOT}, 1.0,
+             "unbraided")
+    def test_ratio_matches_the_labeled_spectrum(self, seed, readout, damping, role):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=64) + 1j * rng.normal(size=64)
+        amps /= np.linalg.norm(amps)
+        for bits, amp in readout.items():
+            amps[int(bits, 2)] = amp
+        state = StateVector(6, amps)
+        sys_ = default_spin_system()
+        want = _outcome(lambda: _pair_ratio(
+            assign_peak_labels(synthesize(sys_, state, damping), role), role))
+        assert _outcome(lambda: _readout_ratio(state, damping, role)) == want
+        if want.startswith("ValueError"):
+            return
+        # and the peaks themselves: the labeled ones, in READOUT order
+        labeled = assign_peak_labels(synthesize(sys_, state, damping), role)
+        dominant, contamination = readout_peaks(state, damping, role)
+        for pairs, peaks in ((dominant, READOUT[role].dominant),
+                             (contamination, READOUT[role].contamination)):
+            assert pairs == [(labeled.labeled_peak(label).intensity,
+                              labeled.labeled_peak(label).amplitude) for label, _ in peaks]
+
+    def test_missing_dominant_state_named_in_readout_order(self):
+        amps = np.zeros(64, dtype=complex)
+        amps[int("001000", 2)] = 1.0      # t present, s absent
+        with pytest.raises(ValueError, match=r"^braided spectrum: missing expected peak "
+                                             r"'s' \(state 111111\)$"):
+            readout_peaks(StateVector(6, amps), 1.0, "braided")
+        with pytest.raises(ValueError, match=r"^unbraided spectrum: missing expected peak "
+                                             r"'i' \(state 110111\)$"):
+            readout_peaks(StateVector(6, amps), 1.0, "unbraided")
+
+    def test_absent_contamination_reads_zero(self):
+        state = run_unbraided_pipeline(ExperimentConfig()).final
+        dominant, contamination = readout_peaks(state, 0.5, "unbraided")
+        assert contamination == [(0.0, 0j), (0.0, 0j)]
+        assert [i for i, _ in dominant] == [0.5 * abs(state.amps[int(b, 2)]) ** 2
+                                            for b in ("110111", "000000")]
+
+    def test_bad_role_state_or_damping_refused(self):
+        state = run_unbraided_pipeline(ExperimentConfig()).final
+        with pytest.raises(ValueError, match="role must be one of"):
+            readout_peaks(state, 1.0, "sideways")
+        with pytest.raises(ValueError, match="state has 2 qubits"):
+            readout_peaks(StateVector.basis("00"), 1.0, "braided")
+        with pytest.raises(ValueError, match="damping must be in"):
+            readout_peaks(state, 1.5, "unbraided")
 
 
 class TestLineshape:
