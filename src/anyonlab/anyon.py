@@ -14,15 +14,17 @@ is dropped relative to the textbook parametrization).
 
 A sweep column is the configs that share one preparation (admix, gamma,
 damping, seed), since the control run reads no eta: ``column_control``
-runs it once, and ``run_column`` runs the column's braided rows.  There
-creation and L psi_b run once per column, and the rows run FUSION and
-MEASUREMENT as one stack through ``dense.run_stack``, ``COLUMN_CHUNK``
-rows at a time; the stack leaves every amplitude bit-identical to a lone
-run.  A sweep builds no spectrum: each ratio is read from the four
-readout amplitudes of its final state (``spectrum.readout_peaks``) by
-the peak rule of ``synthesize``, and ``_ratio`` and ``_phase`` are the
-same arithmetic ``extract_phase`` applies to labeled spectra, so a row
-gives the bits of ``run_experiment``.
+runs it once, and ``run_column`` runs the column's braided rows.  Every
+braided run, a column's or ``run_experiment``'s one, goes through
+``_braided``: creation and L psi_b run once per column, and the rows run
+FUSION and MEASUREMENT as one stack through ``dense.run_stack``,
+``COLUMN_CHUNK`` rows at a time; the stack leaves every amplitude
+bit-identical to a lone run.  A sweep builds no spectrum: each ratio is
+read from the four readout amplitudes of its final state
+(``spectrum.readout_peaks``) by the peak rule of ``synthesize``, and
+``_ratio`` and ``_phase`` are the same arithmetic ``extract_phase``
+applies to labeled spectra, so a row gives the bits of
+``run_experiment``.
 """
 
 from __future__ import annotations
@@ -240,25 +242,40 @@ class PipelineRun:
     final: StateVector
 
 
-def _braided(psi_a: StateVector, eta_inject: float) -> PipelineRun:
+def _braided(configs: Sequence[ExperimentConfig], psi_a: StateVector
+             ) -> Iterator[PipelineRun]:
+    """The braided pipeline of each config, in order, all from one psi_a.
+
+    Creation and L psi_b run once; each chunk of rows stacks its own braid
+    expressions and runs FUSION and MEASUREMENT once on the stack.
+    """
     psi_b = create_anyons(psi_a)
-    psi_c = braid(psi_b, eta_inject)
-    psi_d = fuse(psi_c)
-    psi_e = measurement_reduction(psi_d)
-    return PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": psi_c, "psi_d": psi_d,
-                        "psi_e": psi_e}, psi_e)
+    looped = apply_pauli(psi_b, BRAIDING_LOOP)
+    for start in range(0, len(configs), COLUMN_CHUNK):
+        chunk = configs[start:start + COLUMN_CHUNK]
+        psi_c = _braid_rows(psi_b, looped, [c.eta_inject for c in chunk])
+        psi_d = run_stack(FUSION, psi_c)
+        psi_e = run_stack(MEASUREMENT, psi_d)
+        for c, d, e in zip(psi_c, psi_d, psi_e):
+            final = StateVector(6, e)
+            yield PipelineRun({"psi_a": psi_a, "psi_b": psi_b, "psi_c": StateVector(6, c),
+                               "psi_d": StateVector(6, d), "psi_e": final}, final)
+
+
+def _unbraided(psi_f: StateVector) -> PipelineRun:
+    psi_g = measurement_reduction(psi_f)
+    return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
 
 
 def run_braided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
     """Creation, braiding, fusion, measurement (labeled states a..e)."""
-    return _braided(prepare_initial_state(config, seed), config.eta_inject)
+    (braided,) = _braided([config], prepare_initial_state(config, seed))
+    return braided
 
 
 def run_unbraided_pipeline(config: ExperimentConfig, seed: int = 0) -> PipelineRun:
     """Control run: preparation then measurement only (labeled states f, g)."""
-    psi_f = prepare_initial_state(config, seed)
-    psi_g = measurement_reduction(psi_f)
-    return PipelineRun({"psi_f": psi_f, "psi_g": psi_g}, psi_g)
+    return _unbraided(prepare_initial_state(config, seed))
 
 
 # -- phase extraction ---------------------------------------------------------
@@ -341,12 +358,12 @@ def run_experiment(config: ExperimentConfig, spin_system: spec.SpinSystem,
     run when ``config.with_braiding``, and the PhaseResult when both
     spectra exist.
     """
-    unbraided = run_unbraided_pipeline(config, seed)
+    unbraided = _unbraided(prepare_initial_state(config, seed))
     r_u = spec.assign_peak_labels(
         spec.synthesize(spin_system, unbraided.final, config.damping), "unbraided")
     out: dict = {"unbraided": {"run": unbraided, "spectrum": r_u}}
     if config.with_braiding:
-        braided = _braided(unbraided.states["psi_f"], config.eta_inject)
+        (braided,) = _braided([config], unbraided.states["psi_f"])
         r_b = spec.assign_peak_labels(
             spec.synthesize(spin_system, braided.final, config.damping), "braided")
         out["braided"] = {"run": braided, "spectrum": r_b}
@@ -365,7 +382,7 @@ def column_control(config: ExperimentConfig, seed: int = 0) -> tuple[StateVector
     only in those share one control.
     """
     psi_a = prepare_initial_state(config, seed)
-    return psi_a, _readout_ratio(measurement_reduction(psi_a), config.damping, "unbraided")
+    return psi_a, _readout_ratio(_unbraided(psi_a).final, config.damping, "unbraided")
 
 
 def run_column(configs: Sequence[ExperimentConfig], psi_a: StateVector,
@@ -373,20 +390,12 @@ def run_column(configs: Sequence[ExperimentConfig], psi_a: StateVector,
     """The PhaseResult of each config of a sweep column, in order, against the
     control (psi_a, rho) that ``column_control`` made for the column.
 
-    Creation and L psi_b run once; each chunk of ``COLUMN_CHUNK`` rows stacks
-    its own braid expressions and runs FUSION and MEASUREMENT once on the
-    stack.  A row's ratio is read from its final state's readout amplitudes
-    only when the row is asked for, so a ValueError belongs to that row.
+    The rows are ``_braided``'s, a chunk at a time.  A row's ratio is read
+    from its final state's readout amplitudes only when the row is asked
+    for, so a ValueError belongs to that row.
     """
-    psi_b = create_anyons(psi_a)
-    looped = apply_pauli(psi_b, BRAIDING_LOOP)
-    for start in range(0, len(configs), COLUMN_CHUNK):
-        chunk = configs[start:start + COLUMN_CHUNK]
-        finals = run_stack(MEASUREMENT, run_stack(
-            FUSION, _braid_rows(psi_b, looped, [c.eta_inject for c in chunk])))
-        for config, final in zip(chunk, finals):
-            yield _phase(rho, _readout_ratio(StateVector(6, final), config.damping,
-                                             "braided"))
+    for config, braided in zip(configs, _braided(configs, psi_a)):
+        yield _phase(rho, _readout_ratio(braided.final, config.damping, "braided"))
 
 
 def ideal_fidelities(unbraided: StateVector | None = None,

@@ -356,8 +356,8 @@ class TestExperimentHalves:
 
 
 class TestBraidedColumn:
-    """``run_column`` gives each row the final state and PhaseResult of a lone
-    ``run_experiment``."""
+    """A column's ``_braided`` rows equal one batch-of-one run per row, and
+    ``run_column`` gives each row the PhaseResult of a lone ``run_experiment``."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=1, max_size=9),
@@ -371,27 +371,20 @@ class TestBraidedColumn:
                                     damping=damping) for eta in etas]
         singles = [run_experiment(c, sys_, seed) for c in configs]
         psi_a, rho = column_control(configs[0], seed)
-        finals = []
-        real_stack = anyon.run_stack
-
-        def run_stack(circuit, amps):
-            out = real_stack(circuit, amps)
-            if circuit is anyon.MEASUREMENT:
-                finals.extend(out)
-            return out
-
         # (patched in the body: hypothesis refuses function-scoped fixtures)
-        with mock.patch.object(anyon, "COLUMN_CHUNK", chunk), \
-                mock.patch.object(anyon, "run_stack", run_stack):
+        with mock.patch.object(anyon, "COLUMN_CHUNK", chunk):
+            runs = list(anyon._braided(configs, psi_a))
             column = list(run_column(configs, psi_a, rho))
-        assert len(column) == len(finals) == len(configs)
-        for config, got, final, want in zip(configs, column, finals, singles):
-            run_ = want["braided"]["run"]
-            assert run_.states["psi_a"].amps.tobytes() == psi_a.amps.tobytes()
-            assert final.tobytes() == run_.final.amps.tobytes()
+        assert len(runs) == len(column) == len(configs)
+        for config, got_run, got, want in zip(configs, runs, column, singles):
+            want_run = want["braided"]["run"]
+            for name in ("psi_a", "psi_b", "psi_c", "psi_d", "psi_e"):
+                assert np.array_equal(got_run.states[name].amps, want_run.states[name].amps)
+            assert got_run.final is got_run.states["psi_e"]
+            assert got_run.final.amps.tobytes() == want_run.final.amps.tobytes()
             # and the per-state stages, one gate run per stage
             lone = measurement_reduction(fuse(braid(create_anyons(psi_a), config.eta_inject)))
-            assert final.tobytes() == lone.amps.tobytes()
+            assert got_run.final.amps.tobytes() == lone.amps.tobytes()
             assert got == want["phase"]
             assert (got.eta.hex(), got.delta.hex()) == \
                 (want["phase"].eta.hex(), want["phase"].delta.hex())
