@@ -5,6 +5,11 @@ bond first, then its vertical bond, so bond ("h", r, c) sits on qubit
 2*(r*k + c) + 1 and ("v", r, c) on the next index (1-based).  The
 horizontal bond of cell (r, c) joins vertices (r, c)-(r, c+1); the
 vertical bond joins (r, c)-(r+1, c); all coordinates wrap mod k.
+In mask form (bit q-1 is qubit q), ("h", r, c) is bit 2*(r*k + c) and
+("v", r, c) the bit above it, so ``build_toric`` ORs each generator's four
+bonds straight into one mask: a vertex is the X mask
+h(r,c) | h(r,c-1) | (h(r,c) | h(r-1,c)) << 1, and a face is the Z mask
+h(r,c) | h(r+1,c) | (h(r,c) | h(r,c+1)) << 1.
 
 Generator order everywhere: vertex operators first, then face
 operators, each in scan order.
@@ -18,8 +23,10 @@ from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
 from .pauli import DENSE_LIMIT, PauliString
 
 EIGENVALUE_TOL = 1e-9
-# largest toric k: the 2k^2 generators hold two 2k^2-bit masks each, about
-# k^4 bytes in all (16 MB at k = 64, 8 GB at k = 300)
+# largest toric k: each of the 2k^2 generators holds one non-zero mask, as
+# long as its highest bond, so the masks take about k^4/4 bytes in all
+# (sys.getsizeof over both masks of every generator: 0.41 MB at k = 32,
+# 5.05 MB at k = 64; about 2 GB at k = 300)
 TORIC_K_LIMIT = 64
 
 
@@ -55,31 +62,23 @@ def build_toric(k: int) -> LatticeModel:
     if k > TORIC_K_LIMIT:
         raise ValueError(f"toric lattice k = {k} is above the cap of {TORIC_K_LIMIT}")
     n = 2 * k * k
+    cells = [(r, c) for r in range(k) for c in range(k)]
     layout: dict[tuple, int] = {}
-    for r in range(k):
-        for c in range(k):
-            layout[("h", r, c)] = 2 * (r * k + c) + 1
-            layout[("v", r, c)] = 2 * (r * k + c) + 2
+    for r, c in cells:
+        layout[("h", r, c)] = 2 * (r * k + c) + 1
+        layout[("v", r, c)] = 2 * (r * k + c) + 2
 
-    vertex_ops, vertex_ids = [], []
-    for r in range(k):
-        for c in range(k):
-            qubits = [layout[("h", r, c)], layout[("h", r, (c - 1) % k)],
-                      layout[("v", r, c)], layout[("v", (r - 1) % k, c)]]
-            vertex_ops.append(PauliString.x_on(n, *qubits))
-            vertex_ids.append(f"A({r},{c})")
+    def h(r: int, c: int) -> int:      # the mask bit of ("h", r, c), wrapped
+        return 1 << 2 * (r % k * k + c % k)
 
-    face_ops, face_ids = [], []
-    for r in range(k):
-        for c in range(k):
-            qubits = [layout[("h", r, c)], layout[("h", (r + 1) % k, c)],
-                      layout[("v", r, c)], layout[("v", r, (c + 1) % k)]]
-            face_ops.append(PauliString.z_on(n, *qubits))
-            face_ids.append(f"B({r},{c})")
-
-    return LatticeModel(n, tuple(vertex_ops), tuple(face_ops),
-                        tuple(vertex_ids), tuple(face_ids),
-                        f"torus:{k}", layout)
+    return LatticeModel(
+        n,
+        tuple(PauliString(n, h(r, c) | h(r, c - 1) | (h(r, c) | h(r - 1, c)) << 1, 0)
+              for r, c in cells),
+        tuple(PauliString(n, 0, h(r, c) | h(r + 1, c) | (h(r, c) | h(r, c + 1)) << 1)
+              for r, c in cells),
+        tuple(f"A({r},{c})" for r, c in cells), tuple(f"B({r},{c})" for r, c in cells),
+        f"torus:{k}", layout)
 
 
 def sector_x_strings(model: LatticeModel,

@@ -15,8 +15,9 @@ Conventions, fixed once for the whole package:
     the reversed orders pick up -i).
 
 Masks are plain Python ints, so popcounts and XORs run on machine words
-regardless of qubit count, and ``support`` and ``str`` walk only the set
-bits (``_ones``): they cost O(weight), not O(n).
+regardless of qubit count.  ``support`` and ``str`` walk only the set bits
+(``_ones``), but each step is a full-width ``bit_length`` and XOR, so they
+cost O(weight * n/64) word operations.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class PauliString:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        if (self.x_mask | self.z_mask) >> self.n:     # also nonzero for a negative mask
             raise ValueError(f"mask has bits outside 1..{self.n}")
         if self.phase_exp not in (0, 1, 2, 3):
             raise ValueError(f"phase exponent must be in 0..3, got {self.phase_exp}")
@@ -124,7 +124,7 @@ class PauliString:
         return "IXZY"[(self.x_mask >> (q - 1) & 1) + 2 * (self.z_mask >> (q - 1) & 1)]
 
     def support(self) -> tuple[int, ...]:
-        """1-based qubits carrying a non-identity factor, ascending; O(weight)."""
+        """1-based qubits carrying a non-identity factor, ascending, by ``_ones``."""
         return tuple(i + 1 for i in _ones(self.x_mask | self.z_mask))
 
     # -- algebra -----------------------------------------------------------
@@ -151,7 +151,7 @@ class PauliString:
     # -- conversion --------------------------------------------------------
 
     def __str__(self) -> str:
-        """Phase label, then ``<letter><qubit>`` per support qubit; O(weight)."""
+        """Phase label, then ``<letter><qubit>`` per support qubit, by ``_ones``."""
         x, z = self.x_mask, self.z_mask
         body = " ".join([f"{'IXZY'[(x >> i & 1) + 2 * (z >> i & 1)]}{i + 1}"
                          for i in _ones(x | z)]) or "I"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from anyonlab.dense import (Circuit, Gate, StateVector, apply_pauli, expect_pauli,
                             overlap, run)
-from anyonlab.lattice import (GraphSpec, build_planar6, build_toric,
-                              error_syndrome, ground_state_circuit,
+from anyonlab.lattice import (TORIC_K_LIMIT, GraphSpec, LatticeModel,
+                              build_planar6, build_toric, error_syndrome, ground_state_circuit,
                               planar6_graph_spec, syndrome, toric_ground_state)
 from anyonlab.pauli import DENSE_LIMIT, PauliString
 from anyonlab.tableau import Tableau, init_toric_ground, syndrome_sweep
@@ -69,11 +69,46 @@ def graph_state_stabilizers(spec: GraphSpec) -> list[PauliString]:
     return out
 
 
+def toric_oracle(k: int) -> LatticeModel:
+    """Oracle: the toric model built qubit by qubit from the layout, through
+    ``PauliString.x_on`` / ``z_on`` (one symbol dict per generator)."""
+    n = 2 * k * k
+    layout: dict[tuple, int] = {}
+    for r in range(k):
+        for c in range(k):
+            layout[("h", r, c)] = 2 * (r * k + c) + 1
+            layout[("v", r, c)] = 2 * (r * k + c) + 2
+    vertex_ops, vertex_ids = [], []
+    for r in range(k):
+        for c in range(k):
+            qubits = [layout[("h", r, c)], layout[("h", r, (c - 1) % k)],
+                      layout[("v", r, c)], layout[("v", (r - 1) % k, c)]]
+            vertex_ops.append(PauliString.x_on(n, *qubits))
+            vertex_ids.append(f"A({r},{c})")
+    face_ops, face_ids = [], []
+    for r in range(k):
+        for c in range(k):
+            qubits = [layout[("h", r, c)], layout[("h", (r + 1) % k, c)],
+                      layout[("v", r, c)], layout[("v", r, (c + 1) % k)]]
+            face_ops.append(PauliString.z_on(n, *qubits))
+            face_ids.append(f"B({r},{c})")
+    return LatticeModel(n, tuple(vertex_ops), tuple(face_ops),
+                        tuple(vertex_ids), tuple(face_ids), f"torus:{k}", layout)
+
+
 def ground_via_circuit() -> StateVector:
     return run(ground_state_circuit(planar6_graph_spec()), StateVector.zero(6))
 
 
 class TestToric:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 32, TORIC_K_LIMIT])
+    def test_mask_builder_matches_per_qubit_oracle(self, k):
+        model, oracle = build_toric(k), toric_oracle(k)
+        assert model == oracle
+        # dict equality ignores order; random error draws read the layout in
+        # insertion order, so that order is pinned too
+        assert list(model.qubit_layout) == list(oracle.qubit_layout)
+
     def test_k2_counts_and_products(self):
         m = build_toric(2)
         assert m.n_qubits == 8
@@ -119,7 +154,6 @@ class TestToric:
             build_toric(1)
 
     def test_k_above_the_cap_rejected(self):
-        from anyonlab.lattice import TORIC_K_LIMIT
         assert TORIC_K_LIMIT >= 32    # the largest k the benchmark runs
         k = TORIC_K_LIMIT + 1
         with pytest.raises(ValueError, match=f"k = {k} is above the cap of {TORIC_K_LIMIT}"):

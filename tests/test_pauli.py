@@ -209,6 +209,30 @@ class TestWalkOracle:
             assert str(p) == per_qubit_str(p)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("n", [5, 2048])
+    def test_top_qubit_accepted(self, n):
+        top = 1 << (n - 1)
+        assert PauliString(n, top, top, 3).support() == (n,)
+
+    @pytest.mark.parametrize("n", [5, 2048])
+    @pytest.mark.parametrize("x_mask, z_mask", [("above", 0), (0, "above"),
+                                                (-1, 0), (0, -1), (-2, 1)])
+    def test_mask_outside_range_refused(self, n, x_mask, z_mask):
+        x_mask, z_mask = (1 << n if m == "above" else m for m in (x_mask, z_mask))
+        with pytest.raises(ValueError, match=rf"^mask has bits outside 1\.\.{n}$"):
+            PauliString(n, x_mask, z_mask)
+
+    @pytest.mark.parametrize("n", [5, 2048])
+    def test_phase_exp_four_refused(self, n):
+        with pytest.raises(ValueError, match=r"^phase exponent must be in 0\.\.3, got 4$"):
+            PauliString(n, 1, 0, 4)
+
+    def test_zero_qubits_refused(self):
+        with pytest.raises(ValueError, match=r"^qubit count must be >= 1, got 0$"):
+            PauliString(0, 0, 0)
+
+
 class TestSymbol:
     @pytest.mark.parametrize("q", [0, -1, 4, 200])
     def test_qubit_outside_range_is_named(self, q):
