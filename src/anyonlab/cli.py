@@ -108,7 +108,7 @@ def cmd_ground(args) -> list[Path]:
         if model.geometry == "planar6":
             t = tableau_run(anyon.PREPARATION, Tableau(6))
         else:
-            t = init_toric_ground(model, args.logical, seed=args.seed)
+            t = init_toric_ground(model, args.logical)
         out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
         out["syndrome"] = _syndrome_rows(syndrome_sweep(t, model))
     if args.describe:
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logical", type=_logical_bits, default=(0, 0),
                    help="two bits choosing the toric Z-loop sector (planar6: 00 only)")
     p.add_argument("--seed", type=int, default=0,
-                   help="accepted but changes no report: every vertex outcome is forced")
+                   help="accepted and unused: the ground preparation draws no outcome")
     p.add_argument("--describe", action="store_true")
     p.add_argument("--out", default="ground.json")
 

@@ -298,9 +298,14 @@ def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
                    thermal=True, reference="total population = 1.0")
 
 
-def _readout(role: str) -> Readout:
+def _readout(role: str, n: int) -> Readout:
+    """The ``READOUT`` entry of ``role``, for states of ``n`` bits: the one check
+    of the role and of the bit count."""
     if role not in READOUT:
         raise ValueError(f"role must be one of {sorted(READOUT)}, got {role!r}")
+    bits = len(READOUT[role].dominant[0][1])
+    if n != bits:
+        raise ValueError(f"state has {n} qubits, {role} readout states have {bits} bits")
     return READOUT[role]
 
 
@@ -323,11 +328,8 @@ def readout_peaks(state: StateVector, damping: float, role: str
     An absent contamination state reads (0.0, 0j); an absent dominant state
     raises the error ``assign_peak_labels`` raises.
     """
-    readout = _readout(role)
+    readout = _readout(role, state.n)
     pairs = readout.dominant + readout.contamination
-    if state.n != len(pairs[0][1]):
-        raise ValueError(f"state has {state.n} qubits, {role} readout states have "
-                         f"{len(pairs[0][1])} bits")
     found = {bits: (intensity, amp) for bits, intensity, amp in
              _peak_rows(((bits, state.amps[int(bits, 2)]) for _, bits in pairs), damping)}
     _check_dominant(role, found)
@@ -342,13 +344,13 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     zero intensity and zero amplitude, at the frequency the report's spin
     system gives, so ratio formulas stay total.
     """
-    readout = _readout(role)
+    sys_ = report.metadata["spin_system"]
+    readout = _readout(role, len(sys_.partners))
     label_of = {state: label for label, state in readout.dominant + readout.contamination}
     peaks = [replace(p, label=label_of[p.state]) if p.state in label_of else p
              for p in report.peaks]
     present = {p.state for p in report.peaks}
     _check_dominant(role, present)
-    sys_ = report.metadata["spin_system"]
     peaks += [Peak(frequency_hz=sys_.peak_frequencies[int(state, 2)], intensity=0.0,
                    state=state, linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)
               for label, state in readout.contamination if state not in present]

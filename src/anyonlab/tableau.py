@@ -29,18 +29,20 @@ Deterministic generator measurements are memoized for error studies
 stabilizer rows whose product is the generator as a bit mask and the
 sign bit that the product's mask algebra adds.  Pauli gates and errors
 only flip signs, so a cached outcome is one popcount of the live sign
-plane.  Any other gate or a random measurement clears the memo.  A sweep
+plane.  Any other gate or a collapse clears the memo.  A sweep
 that has misses ahead (its memo holds fewer entries than the model has
 generators) computes every generator's anticommuting mask in bulk, a
 chunk of generators per column gather; a warm sweep computes none.  The
 ``toric`` command uses no tableau: its syndromes come from the error's
 Pauli frame (``lattice.error_syndrome``).
 
-The toric ground state (``init_toric_ground``) is the forced vertex
-measures of |0...0> run as one elimination on Python-int Z columns: on
-those X-type operators every row stays pure X or pure Z, so no sign and
-no X column needs arithmetic until the end, and the result is bit for
-bit what the forced ``measure`` calls give.
+The tableau holds no randomness: ``measure`` reads a deterministic
+outcome, and collapses only onto an outcome the caller forces.  The toric
+ground state (``init_toric_ground``) is the forced vertex measures of
+|0...0> run as one elimination on Python-int Z columns, with no
+``measure`` call: on those X-type operators every row stays pure X or
+pure Z, so no sign and no X column needs arithmetic until the end, and
+the rows are bit for bit what the forced ``measure`` calls give.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _product_sign(x: np.ndarray, z: np.ndarray, a: np.ndarray, c: np.ndarray) ->
 class Tableau:
     """Mutable stabilizer state on n qubits."""
 
-    def __init__(self, n: int, seed: int | None = None):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = n
@@ -106,7 +108,6 @@ class Tableau:
         self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
         self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
         self.signs = 0                              # bit r: row r carries -1
-        self._rng = np.random.default_rng(seed)
         # deterministic-measurement memo; cleared wherever columns change
         self._det_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
@@ -247,8 +248,9 @@ class Tableau:
 
         Deterministic when +/-p is in the stabilizer group: the outcome is
         read off without touching the state, and a ``force`` that contradicts
-        it is refused.  Otherwise the outcome is sampled from the seeded
-        generator (or pinned by ``force``, +1 or -1) and the tableau collapses.
+        it is refused.  Otherwise the outcome is random, and the tableau
+        collapses onto ``force`` (+1 or -1); with no ``force`` it refuses p
+        and leaves the state as it is, since it draws no random outcome.
         """
         if force not in (None, 1, -1):
             raise ValueError(f"forced outcome must be +1 or -1, got {force!r}")
@@ -265,15 +267,14 @@ class Tableau:
                                  f"its outcome is deterministic, {outcome:+d}")
             return outcome, True
 
+        if force is None:
+            raise ValueError(f"the outcome of {p} is random on this tableau: "
+                             f"pass force=+1 or -1")
         d = (stabs & -stabs).bit_length() - 1     # first anticommuting stabilizer
         pivot = self._stab + d
         # stabilizer d anticommutes with no row but destabilizer d, which is
         # overwritten below
         self._rowmult(rows & ~(1 << pivot | 1 << d), pivot)
-        if force is None:
-            outcome = 1 if self._rng.integers(0, 2) == 0 else -1
-        else:
-            outcome = force
         w, b = divmod(d, 64)
         bit = np.uint64(1 << b)
         for cols, mask in ((self.X, p.x_mask), (self.Z, p.z_mask)):
@@ -282,9 +283,9 @@ class Tableau:
             row &= ~bit                                 # pivot := p
             row[_ones(mask)] |= bit
         self._set_sign(d, self.signs >> pivot & 1)
-        self._set_sign(pivot, p.phase_exp >> 1 ^ (outcome == -1))
+        self._set_sign(pivot, p.phase_exp >> 1 ^ (force == -1))
         self._det_cache.clear()
-        return outcome, False
+        return force, False
 
     def _deterministic_outcome(self, p: PauliString, rows: int | None = None,
                                words: dict | None = None) -> int:
@@ -343,10 +344,10 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
     of two Z-type rows is Z-type with sign +1.  The signs stay 0 and the X
     columns change only where a pivot becomes its vertex operator (set
     once at the end).  A vertex operator that is a product of earlier ones
-    has no pivot and outcome +1, and leaves the state as it is; those after
-    the last pivot (on a torus, the last vertex) still go through
-    ``measure``, which checks that +1 and builds the memo entries that the
-    forced loop left.
+    (on a torus, the last vertex) has no pivot: it is a product of X-type,
+    sign +1 stabilizers, so its outcome is +1 and it leaves the state as it
+    is.  No ``measure`` is called, so the memo starts empty and the first
+    ``syndrome_sweep`` fills it.  ``seed`` is unused: no outcome is drawn.
     """
     flips = sector_x_strings(model, logical_choice)
     for gid, av in zip(model.vertex_ids, model.vertex_ops):
@@ -358,8 +359,7 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
     cols = [1 << (stab + q) for q in range(n)]      # Z column q as a position mask
     zrows = [1 << i for i in range(n)]              # stabilizer i's Z part, qubit mask
     pivots = []                                     # (d, x_mask) of every pivoting vertex
-    last = 0                        # the vertices from here on are products of earlier ones
-    for v, av in enumerate(model.vertex_ops):
+    for av in model.vertex_ops:
         rows = 0
         for q in _ones(av.x_mask):
             rows ^= cols[q]
@@ -376,11 +376,10 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
             zrows[j] ^= zd
         zrows[d] = 0
         pivots.append((d, av.x_mask))
-        last = v + 1
     del zrows
-    t = Tableau(n, seed=seed)           # allocated after the loop: one copy of Z at a time
+    t = Tableau(n)                      # allocated after the loop: one copy of Z at a time
     _write_columns(t.Z, cols)
-    del cols                            # before measure reads rows out of the columns
+    del cols
     if pivots:
         ds = np.array([d for d, _ in pivots])
         bits = np.uint64(1) << (ds % 64).astype(np.uint64)
@@ -391,8 +390,6 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
         np.bitwise_or.at(t.X, (np.repeat(t._half + ds // 64, weights),
                                [q for s in supports for q in s]),
                          np.repeat(bits, weights))
-    for av in model.vertex_ops[last:]:
-        t.measure(av, force=1)
     for xstr in flips:
         t.apply_pauli(xstr)
     return t

@@ -84,6 +84,17 @@ class TestGround:
         assert not list(tmp_path.iterdir())
         assert cli.main([*argv, "--logical", "00"]) == 0
 
+    @pytest.mark.parametrize("model", ["torus:4", "planar6"])
+    def test_seed_changes_no_report(self, model, tmp_path, monkeypatch):
+        # every outcome of the ground preparation is deterministic or forced
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        reports = []
+        for seed in ("0", "5"):
+            assert cli.main(["ground", "--model", model, "--backend", "tableau",
+                             "--seed", seed, "--out", f"g{seed}.json"]) == 0
+            reports.append((tmp_path / f"g{seed}.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_model(self, tmp_path):
         for model in ("cube:3", "torus:x", "torus:", "torus:-2"):
             res = run_cli(["ground", "--model", model], tmp_path)
@@ -450,6 +461,21 @@ class TestSpectrumCommand:
         assert exit_.value.code == 2
         assert "invalid choice: 'braided'" in capsys.readouterr().err
         assert not (tmp_path / "gone.json").exists()
+
+    @pytest.mark.parametrize("partners", [5, 7])
+    @pytest.mark.parametrize("role", sorted(READOUT))
+    def test_label_needs_six_partners(self, partners, role, tmp_path, monkeypatch, capsys):
+        # the readout states have six bits; other sizes are refused by their
+        # bit count, not as a missing peak
+        monkeypatch.chdir(tmp_path)
+        names = [f"p{i}" for i in range(partners)]
+        (tmp_path / "spins.json").write_text(json.dumps(
+            {**TWO_SPINS, "partners": names, "j_hz": dict.fromkeys(names, 10.0)}))
+        assert cli.main(["spectrum", "--thermal", "--spin-config", "spins.json",
+                         "--label", role, "--out", "sp"]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"state has {partners} qubits, {role} readout states have 6 bits"}
+        assert not list(tmp_path.glob("sp.*"))
 
     def test_state_rows_of_different_lengths(self, tmp_path):
         (tmp_path / "state.json").write_text(

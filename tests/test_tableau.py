@@ -62,12 +62,11 @@ def logical_z_loops(model):
 class RowTableau:
     """Row-major CHP reference: one (x, z, i-exponent) triple per row, no memo."""
 
-    def __init__(self, n: int, seed: int | None = None):
+    def __init__(self, n: int):
         self.n = n
         self.xs = [1 << i for i in range(n)] + [0] * n
         self.zs = [0] * n + [1 << i for i in range(n)]
         self.phases = [0] * (2 * n)
-        self._rng = np.random.default_rng(seed)
 
     def _anticommuting_rows(self, p: PauliString) -> list[int]:
         return [i for i in range(2 * self.n)
@@ -140,6 +139,9 @@ class RowTableau:
                 raise ValueError(f"cannot force {force:+d} on {p}: "
                                  f"its outcome is deterministic, {outcome:+d}")
             return outcome, True
+        if force is None:
+            raise ValueError(f"the outcome of {p} is random on this tableau: "
+                             f"pass force=+1 or -1")
         pivot = stabs[0]
         for j in rows:
             if j != pivot:
@@ -147,11 +149,9 @@ class RowTableau:
         d = pivot - self.n
         self.xs[d], self.zs[d], self.phases[d] = (self.xs[pivot], self.zs[pivot],
                                                   self.phases[pivot])
-        outcome = force if force is not None else (
-            1 if self._rng.integers(0, 2) == 0 else -1)
         self.xs[pivot], self.zs[pivot] = p.x_mask, p.z_mask
-        self.phases[pivot] = (p.phase_exp + (0 if outcome == 1 else 2)) % 4
-        return outcome, False
+        self.phases[pivot] = (p.phase_exp + (0 if force == 1 else 2)) % 4
+        return force, False
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -240,26 +240,27 @@ class TestMeasurement:
             outcome, deterministic = t.measure(PauliString.z_on(3, q))
             assert outcome == 1 and deterministic
 
-    def test_random_outcome_is_seeded_and_repeats(self):
-        t1 = Tableau(1, seed=12)
-        t2 = Tableau(1, seed=12)
-        x = PauliString.x_on(1, 1)
-        o1, det1 = t1.measure(x)
-        o2, det2 = t2.measure(x)
-        assert not det1 and not det2 and o1 == o2
-        # collapsed: repeated measurement is deterministic with same value
-        o3, det3 = t1.measure(x)
-        assert det3 and o3 == o1
+    def test_random_outcome_without_force_is_refused(self):
+        # the tableau draws no outcome: it names p and leaves the state as it is
+        t = Tableau(2)
+        for p, name in ((PauliString.x_on(2, 1), "+X1"),
+                        (PauliString.from_ops(2, {1: "Y", 2: "Z"}, 2), "-Y1 Z2")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the outcome of {name} is random on this tableau: "
+                    "pass force=+1 or -1")):
+                t.measure(p)
+        assert t.stabilizer_paulis() == [PauliString.z_on(2, 1), PauliString.z_on(2, 2)]
+        assert t.signs == 0 and t._det_cache == {}
 
     def test_forced_outcome(self):
-        t = Tableau(1, seed=0)
+        t = Tableau(1)
         outcome, det = t.measure(PauliString.x_on(1, 1), force=-1)
         assert outcome == -1 and not det
         outcome, det = t.measure(PauliString.x_on(1, 1))
         assert outcome == -1 and det
 
     def test_forced_outcome_must_be_plus_or_minus_one(self):
-        t = Tableau(1, seed=0)
+        t = Tableau(1)
         x = PauliString.x_on(1, 1)
         for bad in (0, 2, -2):
             with pytest.raises(ValueError, match="forced outcome"):
@@ -283,7 +284,7 @@ class TestMeasurement:
 
     def test_measurement_collapse_matches_dense(self):
         # measure X1 X2 on |00>, forced +1: state becomes a Bell pair
-        t = Tableau(2, seed=3)
+        t = Tableau(2)
         xx, zz = PauliString.x_on(2, 1, 2), PauliString.z_on(2, 1, 2)
         t.measure(xx, force=1)
         bell = dense_run(Circuit(2, (Gate("h", (1,)), Gate("h", (2,)), Gate("cz", (1, 2)),
@@ -358,7 +359,7 @@ class TestRowOracle:
     @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
     def test_same_outcomes_errors_and_rows(self, n, seed):
         rng = np.random.default_rng(seed)
-        fast, ref = Tableau(n, seed=seed), RowTableau(n, seed=seed)
+        fast, ref = Tableau(n), RowTableau(n)
         kinds = GATES_1Q + (GATES_2Q if n >= 2 else ())
         seen = []
         for _ in range(40):
@@ -389,6 +390,8 @@ class TestRowOracle:
                     p = PauliString(n, p.x_mask, p.z_mask, 1)
                 seen.append(p)
                 force = (None, None, 1, -1, 2)[rng.integers(0, 5)]
+                if force is None and any(i >= n for i in ref._anticommuting_rows(p)):
+                    force = (1, -1)[rng.integers(0, 2)]     # random: the test draws it
                 assert (outcome_or_error(fast.measure, p, force)
                         == outcome_or_error(ref.measure, p, force)), (p, force)
             # the one-sign-bit tableau rests on this: every row, destabilizers
@@ -569,12 +572,12 @@ class TestSweeps:
             syndrome_sweep(t, model)
 
 
-def forced_measure_ground(model, logical_choice=(0, 0), seed=None) -> Tableau:
+def forced_measure_ground(model, logical_choice=(0, 0)) -> Tableau:
     """The forced-measure construction that ``init_toric_ground`` replaced:
     force every vertex operator to +1 through ``measure``, then the sector's
     dual X strings."""
     flips = sector_x_strings(model, logical_choice)
-    t = Tableau(model.n_qubits, seed=seed)
+    t = Tableau(model.n_qubits)
     for av in model.vertex_ops:
         t.measure(av, force=1)
     for xstr in flips:
@@ -582,11 +585,15 @@ def forced_measure_ground(model, logical_choice=(0, 0), seed=None) -> Tableau:
     return t
 
 
-def assert_same_tableau(fast: Tableau, ref: Tableau):
+def assert_same_tableau(fast: Tableau, ref: Tableau, model):
+    """Same columns and signs; after one sweep on each, the same sweep and memo
+    (the forced loop memoizes its dependent vertices, ``init_toric_ground``
+    nothing)."""
     assert fast.X.dtype == ref.X.dtype and fast.Z.dtype == ref.Z.dtype
     assert np.array_equal(fast.X, ref.X)
     assert np.array_equal(fast.Z, ref.Z)
     assert fast.signs == ref.signs
+    assert syndrome_sweep(fast, model) == syndrome_sweep(ref, model)
     assert fast._det_cache == ref._det_cache
 
 
@@ -604,11 +611,11 @@ class TestToricGroundOracle:
     def test_same_tableau_as_forced_measures(self, k, logical):
         model = build_toric(k)
         assert_same_tableau(init_toric_ground(model, logical),
-                            forced_measure_ground(model, logical))
+                            forced_measure_ground(model, logical), model)
 
     def test_same_tableau_k16(self):
         model = build_toric(16)
-        assert_same_tableau(init_toric_ground(model), forced_measure_ground(model))
+        assert_same_tableau(init_toric_ground(model), forced_measure_ground(model), model)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 6), st.randoms(use_true_random=False),
@@ -619,28 +626,48 @@ class TestToricGroundOracle:
         rng.shuffle(order)
         model = with_vertex_ops(model, order)
         assert_same_tableau(init_toric_ground(model, logical),
-                            forced_measure_ground(model, logical))
+                            forced_measure_ground(model, logical), model)
 
     def test_dependent_vertex_in_the_middle_and_none_at_the_end(self):
         # a repeated vertex is a product of earlier ones wherever it sits;
-        # without the last vertex every vertex pivots and nothing is memoized
+        # without the last vertex every vertex pivots; either way nothing is
+        # memoized until the first sweep
         model = build_toric(3)
         last = len(model.vertex_ops) - 1
         for order in ([0, 1, 0, *range(2, last + 1)], list(range(last))):
             hand = with_vertex_ops(model, order)
             fast = init_toric_ground(hand, (1, 1))
-            assert_same_tableau(fast, forced_measure_ground(hand, (1, 1)))
-        assert fast._det_cache == {}
+            assert fast._det_cache == {}
+            assert_same_tableau(fast, forced_measure_ground(hand, (1, 1)), hand)
 
-    def test_one_measure_call_on_a_torus(self, monkeypatch):
-        # the dependent last vertex goes through measure; the others do not
+    @pytest.mark.parametrize("at", ["middle", "last"])
+    def test_dependent_vertex_that_is_a_product(self, at):
+        # A(0,0) A(0,1), a weight-6 X operator that no single vertex repeats,
+        # after both of its factors
+        model = build_toric(3)
+        ops, ids = list(model.vertex_ops), list(model.vertex_ids)
+        product = ops[0] * ops[1]
+        assert product.x_mask not in {av.x_mask for av in ops} and not product.z_mask
+        place = 2 if at == "middle" else len(ops)
+        ops.insert(place, product)
+        ids.insert(place, f"{ids[0]}*{ids[1]}")
+        hand = dataclasses.replace(model, vertex_ops=tuple(ops), vertex_ids=tuple(ids))
+        fast = init_toric_ground(hand, (1, 0))
+        assert_same_tableau(fast, forced_measure_ground(hand, (1, 0)), hand)
+        assert all(v == 1 for _, v in syndrome_sweep(fast, hand))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_no_measure_call_on_a_torus(self, k, monkeypatch):
+        # the dependent last vertex is read off the elimination, not measured
         calls = []
         measure = Tableau.measure
         monkeypatch.setattr(Tableau, "measure",
                             lambda self, p, force=None: calls.append(p) or measure(self, p, force))
-        model = build_toric(4)
-        init_toric_ground(model)
-        assert calls == [model.vertex_ops[-1]]
+        model = build_toric(k)
+        t = init_toric_ground(model, (0, 1))
+        assert calls == []
+        assert t._det_cache == {}
+        assert all(v == 1 for _, v in syndrome_sweep(t, model))
 
     @pytest.mark.parametrize("bad", [
         lambda av: PauliString(av.n, av.x_mask, 1 << (av.n - 1)),
