@@ -298,14 +298,15 @@ def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
                    thermal=True, reference="total population = 1.0")
 
 
-def _readout(role: str, n: int) -> Readout:
+def _readout(role: str, n: int, counted: str) -> Readout:
     """The ``READOUT`` entry of ``role``, for states of ``n`` bits: the one check
-    of the role and of the bit count."""
+    of the role and of the bit count.  ``counted`` names what has the ``n``
+    bits, as a format string such as ``"state has {} qubits"``."""
     if role not in READOUT:
         raise ValueError(f"role must be one of {sorted(READOUT)}, got {role!r}")
     bits = len(READOUT[role].dominant[0][1])
     if n != bits:
-        raise ValueError(f"state has {n} qubits, {role} readout states have {bits} bits")
+        raise ValueError(f"{counted.format(n)}, {role} readout states have {bits} bits")
     return READOUT[role]
 
 
@@ -328,7 +329,7 @@ def readout_peaks(state: StateVector, damping: float, role: str
     An absent contamination state reads (0.0, 0j); an absent dominant state
     raises the error ``assign_peak_labels`` raises.
     """
-    readout = _readout(role, state.n)
+    readout = _readout(role, state.n, "state has {} qubits")
     pairs = readout.dominant + readout.contamination
     found = {bits: (intensity, amp) for bits, intensity, amp in
              _peak_rows(((bits, state.amps[int(bits, 2)]) for _, bits in pairs), damping)}
@@ -345,7 +346,7 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     system gives, so ratio formulas stay total.
     """
     sys_ = report.metadata["spin_system"]
-    readout = _readout(role, len(sys_.partners))
+    readout = _readout(role, len(sys_.partners), "spin system has {} partners")
     label_of = {state: label for label, state in readout.dominant + readout.contamination}
     peaks = [replace(p, label=label_of[p.state]) if p.state in label_of else p
              for p in report.peaks]

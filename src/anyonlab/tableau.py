@@ -14,9 +14,10 @@ support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
 are column operations, and a measurement multiplies every row that
 anticommutes with the measured Pauli by the pivot at once.  A row is read
 out of the columns only for ``row_pauli``, ``stabilizer_paulis``
-(reports) and a new memo entry, and always by ``_paulis``, one 64-row
-word at a time: each word it touches is transposed once, in bulk, and a
-``syndrome_sweep`` shares those transposes between all its memo misses.
+(reports) and a sweep plan or deterministic ``measure``, and always by
+``_paulis``, one 64-row word at a time: each word it touches is
+transposed once, in bulk, and a sweep plan shares those transposes
+between all its generators.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -24,17 +25,23 @@ studies; it holds stabilizer code only and never builds a dense state,
 so a dense state built on its own (``dense.run``,
 ``lattice.toric_ground_state``) is an independent check of its rows.
 
-Deterministic generator measurements are memoized for error studies
-(apply an error string, sweep, undo, sweep again): an entry keeps the
-stabilizer rows whose product is the generator as a bit mask and the
-sign bit that the product's mask algebra adds.  Pauli gates and errors
-only flip signs, so a cached outcome is one popcount of the live sign
-plane.  Any other gate or a collapse clears the memo.  A sweep
-that has misses ahead (its memo holds fewer entries than the model has
-generators) computes every generator's anticommuting mask in bulk, a
-chunk of generators per column gather; a warm sweep computes none.  The
-``toric`` command uses no tableau: its syndromes come from the error's
-Pauli frame (``lattice.error_syndrome``).
+A deterministic outcome is a GF(2) function of the stabilizer signs: p
+is the product of the stabilizer rows whose destabilizers anticommute
+with it (its ``_anticommuting`` mask, ``sel``), and its outcome bit is
+the parity of those rows' signs XOR the sign bit that the product's
+mask algebra adds XOR p's own sign (``base``).  ``sel`` and ``base``
+depend on the columns only, so a sweep plan keeps them for every
+generator of the model it last swept, packed as a (half, generators)
+uint64 matrix in the word layout of ``X``/``Z``; a warm sweep is then
+one matrix-vector product over GF(2): an AND-XOR fold over the nonzero
+words of the stabilizer sign plane and one popcount parity per
+generator.  Pauli gates and errors only flip signs, so they keep the
+plan; any other gate or a collapse drops it.  A sweep on a different
+model object, or with no plan, builds one: every generator's
+anticommuting mask in bulk, a chunk of generators per column gather,
+then each generator's ``base`` from its rows.  The ``toric`` command
+uses no tableau: its syndromes come from the error's Pauli frame
+(``lattice.error_syndrome``).
 
 The tableau holds no randomness: ``measure`` reads a deterministic
 outcome, and collapses only onto an outcome the caller forces.  The toric
@@ -46,6 +53,8 @@ the rows are bit for bit what the forced ``measure`` calls give.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +117,8 @@ class Tableau:
         self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
         self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
         self.signs = 0                              # bit r: row r carries -1
-        # deterministic-measurement memo; cleared wherever columns change
-        self._det_cache: dict[tuple[int, int], tuple[int, int]] = {}
+        # the last swept model's plan; dropped wherever columns change
+        self._plan: _Plan | None = None
 
     # -- row helpers ---------------------------------------------------
 
@@ -214,7 +223,7 @@ class Tableau:
             self._cnot(a, b)
             self._cnot(b, a)
             self._cnot(a, b)
-        self._det_cache.clear()     # columns changed; sign-only gates keep it
+        self._plan = None           # columns changed; sign-only gates keep it
         return self
 
     def _h(self, q: int):
@@ -261,7 +270,8 @@ class Tableau:
         rows = self._anticommuting(p)
         stabs = rows >> self._stab
         if not stabs:
-            outcome = self._deterministic_outcome(p, rows)
+            odd = self._base(p, rows) ^ (self.signs >> self._stab & rows).bit_count() & 1
+            outcome = -1 if odd else 1
             if force not in (None, outcome):
                 raise ValueError(f"cannot force {force:+d} on {p}: "
                                  f"its outcome is deterministic, {outcome:+d}")
@@ -284,36 +294,39 @@ class Tableau:
             row[_ones(mask)] |= bit
         self._set_sign(d, self.signs >> pivot & 1)
         self._set_sign(pivot, p.phase_exp >> 1 ^ (force == -1))
-        self._det_cache.clear()
+        self._plan = None
         return force, False
 
-    def _deterministic_outcome(self, p: PauliString, rows: int | None = None,
-                               words: dict | None = None) -> int:
-        """Outcome of a Hermitian p in the stabilizer group up to sign
-        (``rows``: its ``_anticommuting`` mask, if known; ``words``:
-        transposed words shared with other misses, see ``_paulis``).  The
-        memo maps p's masks to the stabilizer rows whose product is p, as a
-        mask over stabilizer indices, and the sign bit that the product's
-        mask algebra adds; the rows' signs are read live."""
-        entry = self._det_cache.get((p.x_mask, p.z_mask))
-        if entry is None:
-            if rows is None:
-                rows = self._anticommuting(p)
-            if rows >> self._stab:
-                raise ValueError("operator is not deterministic on this tableau")
-            ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
-            for row in self._paulis(rows << self._stab, words):
-                acc = (acc + mul_phase_exp(ax, az, row.x_mask, row.z_mask)) % 4
-                ax ^= row.x_mask
-                az ^= row.z_mask
-            if ax != p.x_mask or az != p.z_mask:
-                raise AssertionError("commuting operator not in stabilizer group")
-            if acc & 1:
-                raise AssertionError("non-Hermitian accumulation in deterministic outcome")
-            entry = self._det_cache[(p.x_mask, p.z_mask)] = (rows, acc >> 1)
-        sel, sign = entry
-        odd = sign + (self.signs >> self._stab & sel).bit_count() + (p.phase_exp >> 1) & 1
-        return -1 if odd else 1
+    def _base(self, p: PauliString, rows: int, words: dict | None = None) -> int:
+        """Outcome bit of a Hermitian p in the stabilizer group up to sign when
+        every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` mask;
+        ``words`` shares transposes with other calls (see ``_paulis``).  The
+        stabilizers at the indices of ``rows`` multiply to +/-p: the bit is the
+        sign their product's mask algebra adds XOR p's own sign bit."""
+        if rows >> self._stab:
+            raise ValueError("operator is not deterministic on this tableau")
+        ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
+        for row in self._paulis(rows << self._stab, words):
+            acc = (acc + mul_phase_exp(ax, az, row.x_mask, row.z_mask)) % 4
+            ax ^= row.x_mask
+            az ^= row.z_mask
+        if ax != p.x_mask or az != p.z_mask:
+            raise AssertionError("commuting operator not in stabilizer group")
+        if acc & 1:
+            raise AssertionError("non-Hermitian accumulation in deterministic outcome")
+        return acc >> 1 ^ p.phase_exp >> 1
+
+
+class _Plan(NamedTuple):
+    """A tableau's sweep plan for one model: column g of ``sel`` is generator
+    g's ``_anticommuting`` mask (its stabilizer rows) in the word layout of
+    ``X``/``Z``, and ``base[g]`` its ``Tableau._base`` bit."""
+    model: LatticeModel
+    sel: np.ndarray     # (half, generators) uint64
+    base: np.ndarray    # (generators,) uint8
+
+
+_OUTCOME = np.array([1, -1])     # outcome of an outcome bit
 
 
 def run(circuit: Circuit, t: Tableau) -> Tableau:
@@ -346,8 +359,9 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
     once at the end).  A vertex operator that is a product of earlier ones
     (on a torus, the last vertex) has no pivot: it is a product of X-type,
     sign +1 stabilizers, so its outcome is +1 and it leaves the state as it
-    is.  No ``measure`` is called, so the memo starts empty and the first
-    ``syndrome_sweep`` fills it.  ``seed`` is unused: no outcome is drawn.
+    is.  No ``measure`` is called; the tableau has no sweep plan until the
+    first ``syndrome_sweep`` builds one.  ``seed`` is unused: no outcome is
+    drawn.
     """
     flips = sector_x_strings(model, logical_choice)
     for gid, av in zip(model.vertex_ids, model.vertex_ops):
@@ -405,30 +419,43 @@ def _write_columns(out: np.ndarray, cols: list[int]):
         out[:, start:start + len(part)] = np.frombuffer(raw, "<u8").reshape(-1, words).T
 
 
+def _build_plan(t: Tableau, model: LatticeModel) -> _Plan:
+    """Every generator's stabilizer rows and base bit, naming a generator that
+    is not deterministic.  The anticommuting masks come in bulk
+    (``Tableau._anticommuting_masks``), and the generators share their word
+    transposes."""
+    words: dict = {}
+    gens = model.generators
+    sels, base = [], np.empty(len(gens), np.uint8)
+    for i, (gid, g, rows) in enumerate(zip(model.generator_ids, gens,
+                                           t._anticommuting_masks(gens))):
+        try:
+            base[i] = t._base(g, rows, words)
+        except ValueError as err:
+            raise ValueError(f"generator {gid}: {err}") from None
+        sels.append(rows)
+    del words                   # the transposes are not held while the plan is packed
+    sel = np.empty((t._half, len(gens)), "<u8")
+    _write_columns(sel, sels)
+    return _Plan(model, sel, base)
+
+
 def syndrome_sweep(t: Tableau, model: LatticeModel) -> list[tuple[str, int]]:
     """Deterministic eigenvalue of every generator, in generator order.
 
-    A memo with fewer entries than the model has generators has misses
-    ahead (a first sweep, or one after a gate that cleared it): then every
-    generator's anticommuting mask is computed in bulk
-    (``Tableau._anticommuting_masks``) and handed to its miss.  A full
-    memo takes the plain loop, whose hits read no mask; the length test
-    is all that path pays for the bulk one."""
+    With no plan, or a plan for another model object, the tableau's plan is
+    built first (``_build_plan``).  The sweep itself is the plan's GF(2)
+    fold: XOR of ``sel[w] & s[w]`` over the nonzero words s[w] of the
+    stabilizer sign plane, one (generators,) word vector at a time, then
+    each generator's popcount parity XOR its base bit."""
     if t.n != model.n_qubits:
         raise ValueError(f"tableau is {t.n}-qubit, model needs {model.n_qubits}")
-    out = []
-    words: dict = {}    # a memo miss transposes each stabilizer word once per sweep
-    gens = model.generators
-    if len(t._det_cache) < len(gens):
-        for gid, g, rows in zip(model.generator_ids, gens, t._anticommuting_masks(gens)):
-            try:
-                out.append((gid, t._deterministic_outcome(g, rows, words)))
-            except ValueError as err:
-                raise ValueError(f"generator {gid}: {err}") from None
-        return out
-    for gid, g in zip(model.generator_ids, gens):
-        try:
-            out.append((gid, t._deterministic_outcome(g, None, words)))
-        except ValueError as err:
-            raise ValueError(f"generator {gid}: {err}") from None
-    return out
+    plan = t._plan
+    if plan is None or plan.model is not model:
+        plan = t._plan = _build_plan(t, model)
+    s = np.frombuffer((t.signs >> t._stab).to_bytes(8 * t._half, "little"), "<u8")
+    acc = np.zeros(len(plan.base), "<u8")
+    for w in np.flatnonzero(s):
+        acc ^= plan.sel[w] & s[w]
+    odd = np.bitwise_count(acc) & 1 ^ plan.base
+    return list(zip(model.generator_ids, _OUTCOME[odd].tolist()))

@@ -474,7 +474,8 @@ class TestSpectrumCommand:
         assert cli.main(["spectrum", "--thermal", "--spin-config", "spins.json",
                          "--label", role, "--out", "sp"]) == 1
         assert json.loads(capsys.readouterr().err) == {
-            "error": f"state has {partners} qubits, {role} readout states have 6 bits"}
+            "error": f"spin system has {partners} partners, {role} readout states "
+                     f"have 6 bits"}
         assert not list(tmp_path.glob("sp.*"))
 
     def test_state_rows_of_different_lengths(self, tmp_path):

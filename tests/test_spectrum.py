@@ -124,8 +124,8 @@ class TestFrequencyTable:
                 assert peak.frequency_hz == peak_frequency(sys_, state)
         # twelve-bit states are refused by their bit count, so no fill-in is reached
         twelve = synthesize_thermal(self.twelve_partner_system(tmp_path))
-        with pytest.raises(ValueError, match="state has 12 qubits, unbraided readout "
-                                             "states have 6 bits"):
+        with pytest.raises(ValueError, match="spin system has 12 partners, unbraided "
+                                             "readout states have 6 bits"):
             assign_peak_labels(twelve, "unbraided")
 
     def test_table_is_not_a_field(self, tmp_path):

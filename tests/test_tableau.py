@@ -13,9 +13,11 @@ from conftest import to_dense
 
 from anyonlab import tableau
 from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli
+from anyonlab.dense import apply_pauli as apply_dense_pauli
 from anyonlab.dense import run as dense_run
-from anyonlab.lattice import (build_planar6, build_toric, ground_state_circuit,
-                              planar6_graph_spec, sector_x_strings, toric_ground_state)
+from anyonlab.lattice import (LatticeModel, build_planar6, build_toric,
+                              ground_state_circuit, planar6_graph_spec, sector_x_strings,
+                              toric_ground_state)
 from anyonlab.pauli import PauliString, mul_phase_exp
 from anyonlab.tableau import Tableau, init_toric_ground, run, syndrome_sweep
 
@@ -250,7 +252,7 @@ class TestMeasurement:
                     "pass force=+1 or -1")):
                 t.measure(p)
         assert t.stabilizer_paulis() == [PauliString.z_on(2, 1), PauliString.z_on(2, 2)]
-        assert t.signs == 0 and t._det_cache == {}
+        assert t.signs == 0 and t._plan is None
 
     def test_forced_outcome(self):
         t = Tableau(1)
@@ -534,8 +536,8 @@ class TestSweeps:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_first_sweep_matches_generator_by_generator(self, k, logical):
-        # the sweep shares its word transposes between memo misses; the
-        # oracle builds every entry alone, from an empty memo
+        # the plan shares its word transposes between generators; the
+        # oracle reads every generator alone, through measure
         model = build_toric(k)
         rng = np.random.default_rng(k)
         errors = [PauliString.from_ops(model.n_qubits, {int(q): kind}) for kind in "XZ"
@@ -545,13 +547,14 @@ class TestSweeps:
             for err in errors:
                 t.apply_pauli(err)
         sweep = syndrome_sweep(swept, model)
-        want, memo = [], {}
+        want, sels, base = [], [], []
         for gid, g in zip(model.generator_ids, model.generators):
-            alone._det_cache.clear()
-            want.append((gid, alone._deterministic_outcome(g)))
-            memo.update(alone._det_cache)
+            want.append((gid, alone.measure(g)[0]))
+            sels.append(alone._anticommuting(g))
+            base.append(alone._base(g, sels[-1]))
         assert sweep == want
-        assert swept._det_cache == memo
+        assert plan_columns(swept._plan) == sels
+        assert swept._plan.base.tolist() == base
 
     def test_k16_sweep_under_one_second(self):
         model = build_toric(16)
@@ -572,6 +575,11 @@ class TestSweeps:
             syndrome_sweep(t, model)
 
 
+def plan_columns(plan) -> list[int]:
+    """The plan's ``sel`` columns as Python-int masks, in generator order."""
+    return [tableau._int(plan.sel[:, g]) for g in range(plan.sel.shape[1])]
+
+
 def forced_measure_ground(model, logical_choice=(0, 0)) -> Tableau:
     """The forced-measure construction that ``init_toric_ground`` replaced:
     force every vertex operator to +1 through ``measure``, then the sector's
@@ -586,15 +594,15 @@ def forced_measure_ground(model, logical_choice=(0, 0)) -> Tableau:
 
 
 def assert_same_tableau(fast: Tableau, ref: Tableau, model):
-    """Same columns and signs; after one sweep on each, the same sweep and memo
-    (the forced loop memoizes its dependent vertices, ``init_toric_ground``
-    nothing)."""
+    """Same columns and signs; after one sweep on each, the same sweep and plan."""
     assert fast.X.dtype == ref.X.dtype and fast.Z.dtype == ref.Z.dtype
     assert np.array_equal(fast.X, ref.X)
     assert np.array_equal(fast.Z, ref.Z)
     assert fast.signs == ref.signs
     assert syndrome_sweep(fast, model) == syndrome_sweep(ref, model)
-    assert fast._det_cache == ref._det_cache
+    assert fast._plan.model is ref._plan.model is model
+    assert np.array_equal(fast._plan.sel, ref._plan.sel)
+    assert np.array_equal(fast._plan.base, ref._plan.base)
 
 
 def with_vertex_ops(model, order):
@@ -630,14 +638,14 @@ class TestToricGroundOracle:
 
     def test_dependent_vertex_in_the_middle_and_none_at_the_end(self):
         # a repeated vertex is a product of earlier ones wherever it sits;
-        # without the last vertex every vertex pivots; either way nothing is
-        # memoized until the first sweep
+        # without the last vertex every vertex pivots; either way there is no
+        # sweep plan until the first sweep
         model = build_toric(3)
         last = len(model.vertex_ops) - 1
         for order in ([0, 1, 0, *range(2, last + 1)], list(range(last))):
             hand = with_vertex_ops(model, order)
             fast = init_toric_ground(hand, (1, 1))
-            assert fast._det_cache == {}
+            assert fast._plan is None
             assert_same_tableau(fast, forced_measure_ground(hand, (1, 1)), hand)
 
     @pytest.mark.parametrize("at", ["middle", "last"])
@@ -666,7 +674,7 @@ class TestToricGroundOracle:
         model = build_toric(k)
         t = init_toric_ground(model, (0, 1))
         assert calls == []
-        assert t._det_cache == {}
+        assert t._plan is None
         assert all(v == 1 for _, v in syndrome_sweep(t, model))
 
     @pytest.mark.parametrize("bad", [
@@ -708,7 +716,7 @@ class TestBulkMasks:
         t = init_toric_ground(model)
         syndrome_sweep(t, model)
         t.apply_gate("h", 2)
-        assert t._det_cache == {}
+        assert t._plan is None
         assert (list(t._anticommuting_masks(model.generators))
                 == masks_one_by_one(t, model.generators))
 
@@ -746,3 +754,149 @@ class TestBulkMasks:
         calls.update(one=0, bulk=0)
         assert syndrome_sweep(t, model) == first
         assert calls == {"one": 0, "bulk": 0}
+
+
+def fresh_copy(t: Tableau) -> Tableau:
+    """The same columns and signs, with no sweep plan."""
+    copy = Tableau(t.n)
+    copy.X[:], copy.Z[:], copy.signs = t.X, t.Z, t.signs
+    return copy
+
+
+def measured_sweep(t: Tableau, model) -> list[tuple[str, int]]:
+    """Generator by generator through ``measure``, on a fresh copy of ``t``."""
+    alone = fresh_copy(t)
+    out = []
+    for gid, g in zip(model.generator_ids, model.generators):
+        outcome, deterministic = alone.measure(g)
+        assert deterministic
+        out.append((gid, outcome))
+    return out
+
+
+def count_bulk_masks(monkeypatch) -> list:
+    """Record every ``_anticommuting_masks`` call (one list entry per call)."""
+    calls = []
+    bulk = Tableau._anticommuting_masks
+    monkeypatch.setattr(Tableau, "_anticommuting_masks",
+                        lambda self, paulis: calls.append(len(paulis)) or bulk(self, paulis))
+    return calls
+
+
+error_strings = st.lists(st.dictionaries(st.integers(0, 10 ** 6), st.sampled_from("XYZ"),
+                                         min_size=1, max_size=8), min_size=1, max_size=4)
+
+
+class TestSweepPlan:
+    """The warm sweep's GF(2) fold against ``measure``, and when the plan is kept."""
+
+    @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @settings(max_examples=10, deadline=None)
+    @given(k=st.integers(2, 8), strings=error_strings)
+    def test_warm_sweep_matches_measure_on_a_fresh_copy(self, logical, k, strings):
+        # the errors are applied in order, then undone in reverse order; every
+        # sweep after the first is warm and must read what measure reads
+        model = build_toric(k)
+        n = model.n_qubits
+        t = init_toric_ground(model, logical)
+        syndrome_sweep(t, model)
+        plan = t._plan
+        errors = [PauliString.from_ops(n, {q % n + 1: kind for q, kind in ops.items()})
+                  for ops in strings]
+        for err in errors + errors[::-1]:
+            t.apply_pauli(err)
+            sweep = syndrome_sweep(t, model)
+            assert t._plan is plan
+            assert sweep == measured_sweep(t, model)
+            assert all(type(v) is int for _, v in sweep)
+        assert all(v == 1 for _, v in sweep)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_fold_matches_dense_on_signed_products_after_gates(self, seed):
+        # after Clifford gates the rows mix X and Z, so a product of them takes
+        # a sign from its mask algebra, and half the generators carry -1: both
+        # base bits occur, unlike on the toric ground.  The dense state is an
+        # oracle that shares no code with the plan or with measure.
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        circuit = random_circuit(n, 30, rng)
+        t = run(circuit, Tableau(n))
+        state = dense_run(circuit, StateVector.zero(n))
+        rows = t.stabilizer_paulis()
+        gens = []
+        for _ in range(8):
+            p = PauliString.identity(n)
+            for row in rows:
+                if rng.random() < 0.5:
+                    p = p * row
+            gens.append(PauliString(n, p.x_mask, p.z_mask,
+                                    (p.phase_exp + 2 * int(rng.integers(0, 2))) % 4))
+        model = LatticeModel(n, tuple(gens), (), tuple(f"g{i}" for i in range(8)), (),
+                             "products", {})
+        plan = None
+        for _ in range(4):
+            sweep = syndrome_sweep(t, model)
+            assert sweep == measured_sweep(t, model)
+            assert [v for _, v in sweep] == [round(expect_pauli(state, g)) for g in gens]
+            assert t._plan is (plan or t._plan)
+            plan = t._plan
+            err = random_pauli(n, rng)
+            t.apply_pauli(err)
+            state = apply_dense_pauli(state, err)
+
+    @pytest.mark.parametrize("kind, targets", [("h", 2), ("s", 2), ("sdg", 2),
+                                               ("cz", (2, 5)), ("swap", (2, 5))])
+    def test_column_gate_drops_the_plan(self, kind, targets):
+        model = build_toric(3)
+        t = init_toric_ground(model)
+        syndrome_sweep(t, model)
+        assert t._plan is not None
+        t.apply_gate(kind, targets)
+        assert t._plan is None
+
+    def test_forced_collapse_drops_the_plan(self):
+        model = build_toric(3)
+        t = init_toric_ground(model)
+        syndrome_sweep(t, model)
+        x1 = PauliString.x_on(model.n_qubits, 1)     # anticommutes with two faces
+        assert t.measure(x1, force=-1) == (-1, False)
+        assert t._plan is None
+        # a kept plan would still read the two faces; they are random now
+        with pytest.raises(ValueError, match="not deterministic"):
+            syndrome_sweep(t, model)
+
+    @pytest.mark.parametrize("change", [
+        lambda t: t.apply_gate("x", 3),
+        lambda t: t.apply_gate("z", 4),
+        lambda t: t.apply_pauli(PauliString.from_ops(t.n, {1: "Y", 7: "X", 12: "Z"})),
+    ], ids=["x", "z", "apply_pauli"])
+    def test_sign_only_change_keeps_the_plan(self, change, monkeypatch):
+        model = build_toric(3)
+        t = init_toric_ground(model, (1, 0))
+        syndrome_sweep(t, model)
+        plan = t._plan
+        calls = count_bulk_masks(monkeypatch)
+        change(t)
+        assert t._plan is plan
+        assert syndrome_sweep(t, model) == measured_sweep(t, model)
+        assert calls == []
+
+    def test_other_model_object_rebuilds_the_plan(self, monkeypatch):
+        model = build_toric(3)
+        order = list(range(len(model.vertex_ops)))[::-1]
+        reordered = with_vertex_ops(model, order)
+        t = init_toric_ground(model)
+        t.apply_pauli(PauliString.z_on(model.n_qubits, 1))
+        calls = count_bulk_masks(monkeypatch)
+        sweep = syndrome_sweep(t, model)
+        other = syndrome_sweep(t, reordered)
+        g = len(model.generators)
+        assert t._plan.model is reordered and calls == [g, g]
+        assert [gid for gid, _ in other] == list(reordered.generator_ids)
+        assert other == measured_sweep(t, reordered)
+        assert sorted(other) == sorted(sweep)
+        # an equal but distinct model object is another plan too
+        same = dataclasses.replace(model)
+        assert same == model and same is not model
+        assert syndrome_sweep(t, same) == sweep
+        assert t._plan.model is same and calls == [g, g, g]
