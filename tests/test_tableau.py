@@ -833,16 +833,16 @@ class TestSweepPlan:
                                     (p.phase_exp + 2 * int(rng.integers(0, 2))) % 4))
         model = LatticeModel(n, tuple(gens), (), tuple(f"g{i}" for i in range(8)), (),
                              "products", {})
-        plan = None
+        plans = []
         for _ in range(4):
             sweep = syndrome_sweep(t, model)
+            plans.append(t._plan)
             assert sweep == measured_sweep(t, model)
             assert [v for _, v in sweep] == [round(expect_pauli(state, g)) for g in gens]
-            assert t._plan is (plan or t._plan)
-            plan = t._plan
             err = random_pauli(n, rng)
             t.apply_pauli(err)
             state = apply_dense_pauli(state, err)
+        assert all(plan is plans[0] for plan in plans)
 
     @pytest.mark.parametrize("kind, targets", [("h", 2), ("s", 2), ("sdg", 2),
                                                ("cz", (2, 5)), ("swap", (2, 5))])
