@@ -15,13 +15,15 @@ Conventions, fixed once for the whole package:
     the reversed orders pick up -i).
 
 Masks are plain Python ints, so popcounts and XORs run on machine words
-regardless of qubit count.  ``support`` and ``str`` walk only the set bits
-(``_ones``), but each step is a full-width ``bit_length`` and XOR, so they
-cost O(weight * n/64) word operations.
+regardless of qubit count, and every string is built from them: ``x_on`` and
+``z_on`` OR one bit per qubit into a mask.  ``str`` walks only the set bits
+(``_ones``), but each step is a full-width ``bit_length`` and XOR, so it
+costs O(weight * n/64) word operations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -39,6 +41,17 @@ def _ones(mask: int) -> list[int]:
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+def _qubit_mask(n: int, qubits: tuple[int, ...]) -> int:
+    """The mask with bit ``q-1`` set for each qubit q; a repeated qubit sets it once."""
+    mask = 0
+    for q in qubits:
+        q = operator.index(q)       # a Python int, so the shift below cannot wrap
+        if not 1 <= q <= n:
+            raise ValueError(f"qubit {q} outside 1..{n}")
+        mask |= 1 << (q - 1)
+    return mask
 
 
 def mul_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -75,31 +88,12 @@ class PauliString:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def from_ops(cls, n: int, ops: dict[int, str], phase_exp: int = 0) -> PauliString:
-        """Build from a mapping {qubit (1-based): 'X'|'Y'|'Z'|'I'}."""
-        x = z = 0
-        for q, sym in ops.items():
-            if not 1 <= q <= n:
-                raise ValueError(f"qubit {q} outside 1..{n}")
-            bit = 1 << (q - 1)
-            if sym == "X":
-                x |= bit
-            elif sym == "Z":
-                z |= bit
-            elif sym == "Y":
-                x |= bit
-                z |= bit
-            elif sym != "I":
-                raise ValueError(f"unknown Pauli symbol {sym!r}")
-        return cls(n, x, z, phase_exp % 4)
-
-    @classmethod
     def x_on(cls, n: int, *qubits: int) -> PauliString:
-        return cls.from_ops(n, {q: "X" for q in qubits})
+        return cls(n, _qubit_mask(n, qubits), 0)
 
     @classmethod
     def z_on(cls, n: int, *qubits: int) -> PauliString:
-        return cls.from_ops(n, {q: "Z" for q in qubits})
+        return cls(n, 0, _qubit_mask(n, qubits))
 
     # -- basic queries -----------------------------------------------------
 
@@ -109,23 +103,8 @@ class PauliString:
         return _PHASE_VALUES[self.phase_exp]
 
     @property
-    def weight(self) -> int:
-        """Number of non-identity factors."""
-        return (self.x_mask | self.z_mask).bit_count()
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase_exp in (0, 2)
-
-    def symbol(self, q: int) -> str:
-        """Pauli letter on qubit q (1-based)."""
-        if not 1 <= q <= self.n:
-            raise ValueError(f"qubit {q} outside 1..{self.n}")
-        return "IXZY"[(self.x_mask >> (q - 1) & 1) + 2 * (self.z_mask >> (q - 1) & 1)]
-
-    def support(self) -> tuple[int, ...]:
-        """1-based qubits carrying a non-identity factor, ascending, by ``_ones``."""
-        return tuple(i + 1 for i in _ones(self.x_mask | self.z_mask))
 
     # -- algebra -----------------------------------------------------------
 

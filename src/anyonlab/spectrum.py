@@ -128,11 +128,13 @@ class SpinSystem:
 
     @cached_property
     def peak_frequencies(self) -> tuple[float, ...]:
-        """``peak_frequency`` of each configuration by basis index, built on first
-        use; not a field, so ``==``, ``replace`` and ``as_dict`` never see it.
+        """Resonance offset of each partner configuration by basis index, built
+        on first use; not a field, so ``==``, ``replace`` and ``as_dict`` never
+        see it.
 
-        Each partner appends the next lower index bit, adding its -J/2 or +J/2
-        in partner order: the sums of ``peak_frequency``, bit for bit.
+        A partner in |1> shifts the observed line by +J/2, in |0> by -J/2.
+        Each partner appends the next lower index bit, adding its shift in
+        partner order.
         """
         table = [self.offset_hz]
         for partner in self.partners:
@@ -194,17 +196,14 @@ def load_spin_system(path: str) -> SpinSystem:
 
 
 def peak_frequency(sys_: SpinSystem, partner_state: str) -> float:
-    """Resonance offset for one partner configuration.
-
-    A partner in |1> shifts the observed line by +J/2, in |0> by -J/2.
-    """
+    """Resonance offset for one partner configuration, a bit string in partner
+    order, read from ``sys_.peak_frequencies``."""
     if len(partner_state) != len(sys_.partners):
         raise ValueError(
             f"state has {len(partner_state)} bits, system has {len(sys_.partners)} partners")
-    freq = sys_.offset_hz
-    for bit, partner in zip(partner_state, sys_.partners):
-        freq += 0.5 * sys_.j_hz[partner] * (1.0 if bit == "1" else -1.0)
-    return freq
+    if not set(partner_state) <= {"0", "1"}:
+        raise ValueError(f"state {partner_state!r} has a bit other than 0 or 1")
+    return sys_.peak_frequencies[int(partner_state, 2)]
 
 
 @dataclass(frozen=True)

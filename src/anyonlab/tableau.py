@@ -13,11 +13,10 @@ row).  The rows that anticommute with a Pauli are one XOR over its
 support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
 are column operations, and a measurement multiplies every row that
 anticommutes with the measured Pauli by the pivot at once.  A row is read
-out of the columns only for ``row_pauli``, ``stabilizer_paulis``
-(reports) and a sweep plan or deterministic ``measure``, and always by
-``_paulis``, one 64-row word at a time: each word it touches is
-transposed once, in bulk, and a sweep plan shares those transposes
-between all its generators.
+out of the columns only for ``stabilizer_paulis`` (reports) and a sweep
+plan or deterministic ``measure``, and always by ``_paulis``, one 64-row
+word at a time: each word it touches is transposed once, in bulk, and a
+sweep plan shares those transposes between all its generators.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -184,12 +183,6 @@ class Tableau:
             if rows is None:
                 rows = words[w] = (_word_rows(self.X[w]), _word_rows(self.Z[w]))
             yield PauliString(self.n, rows[0][b], rows[1][b], 2 * (self.signs >> pos & 1))
-
-    def row_pauli(self, row: int) -> PauliString:
-        """Destabilizer ``row`` for row < n, stabilizer ``row - n`` for n <= row < 2n."""
-        if not 0 <= row < 2 * self.n:
-            raise ValueError(f"row {row} outside 0..{2 * self.n - 1}")
-        return next(self._paulis(1 << (row if row < self.n else self._stab + row - self.n)))
 
     def stabilizer_paulis(self) -> list[PauliString]:
         return list(self._paulis(((1 << self.n) - 1) << self._stab))

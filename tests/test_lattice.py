@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import from_ops, symbol
+
 from anyonlab.dense import (Circuit, Gate, StateVector, apply_pauli, expect_pauli,
                             overlap, run)
 from anyonlab.lattice import (TORIC_K_LIMIT, GraphSpec, LatticeModel,
@@ -41,7 +43,7 @@ def dense_generator(model, idx) -> np.ndarray:
     g = model.generators[idx]
     out = np.array([[1.0]])
     for q in range(1, model.n_qubits + 1):
-        out = np.kron(out, mats[g.symbol(q)])
+        out = np.kron(out, mats[symbol(g, q)])
     return out
 
 
@@ -65,13 +67,13 @@ def graph_state_stabilizers(spec: GraphSpec) -> list[PauliString]:
         for a, b in spec.edges:
             if i in (a, b):
                 ops[b if a == i else a] = "Z"
-        out.append(PauliString.from_ops(spec.n, ops))
+        out.append(from_ops(spec.n, ops))
     return out
 
 
 def toric_oracle(k: int) -> LatticeModel:
     """Oracle: the toric model built qubit by qubit from the layout, through
-    ``PauliString.x_on`` / ``z_on`` (one symbol dict per generator)."""
+    the dict builder ``from_ops`` (one symbol dict per generator)."""
     n = 2 * k * k
     layout: dict[tuple, int] = {}
     for r in range(k):
@@ -83,14 +85,14 @@ def toric_oracle(k: int) -> LatticeModel:
         for c in range(k):
             qubits = [layout[("h", r, c)], layout[("h", r, (c - 1) % k)],
                       layout[("v", r, c)], layout[("v", (r - 1) % k, c)]]
-            vertex_ops.append(PauliString.x_on(n, *qubits))
+            vertex_ops.append(from_ops(n, {q: "X" for q in qubits}))
             vertex_ids.append(f"A({r},{c})")
     face_ops, face_ids = [], []
     for r in range(k):
         for c in range(k):
             qubits = [layout[("h", r, c)], layout[("h", (r + 1) % k, c)],
                       layout[("v", r, c)], layout[("v", r, (c + 1) % k)]]
-            face_ops.append(PauliString.z_on(n, *qubits))
+            face_ops.append(from_ops(n, {q: "Z" for q in qubits}))
             face_ids.append(f"B({r},{c})")
     return LatticeModel(n, tuple(vertex_ops), tuple(face_ops),
                         tuple(vertex_ids), tuple(face_ids), f"torus:{k}", layout)
@@ -126,10 +128,10 @@ class TestToric:
     def test_weights_and_coverage(self, k):
         m = build_toric(k)
         for g in m.generators:
-            assert g.weight == 4
+            assert (g.x_mask | g.z_mask).bit_count() == 4
         for q in range(1, m.n_qubits + 1):
-            in_vertex = sum(1 for a in m.vertex_ops if q in a.support())
-            in_face = sum(1 for b in m.face_ops if q in b.support())
+            in_vertex = sum((a.x_mask | a.z_mask) >> (q - 1) & 1 for a in m.vertex_ops)
+            in_face = sum((b.x_mask | b.z_mask) >> (q - 1) & 1 for b in m.face_ops)
             assert in_vertex == 2 and in_face == 2
 
     @pytest.mark.parametrize("k", [2, 3])
@@ -193,7 +195,7 @@ class TestPlanar6:
 
     def test_boundary_faces_are_weight_two(self):
         m = build_planar6()
-        assert [g.weight for g in m.face_ops] == [3, 3, 2, 2]
+        assert [(g.x_mask | g.z_mask).bit_count() for g in m.face_ops] == [3, 3, 2, 2]
 
     def test_all_pairs_commute(self):
         gens = build_planar6().generators

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import to_dense
+from conftest import from_ops, symbol, to_dense
 
 from anyonlab.lattice import build_planar6, build_toric
-from anyonlab.pauli import PHASE_LABELS, PauliString
+from anyonlab.pauli import PHASE_LABELS, PauliString, _ones
 
 # independent single-qubit matrices for the oracle (not via to_dense)
 I2 = np.eye(2, dtype=complex)
@@ -37,7 +37,7 @@ def pauli_strings(n: int):
 
 
 def symbols_of(p: PauliString) -> str:
-    return "".join(p.symbol(q) for q in range(1, p.n + 1))
+    return "".join(symbol(p, q) for q in range(1, p.n + 1))
 
 
 class TestMultiply:
@@ -153,16 +153,16 @@ class TestToDense:
         np.testing.assert_allclose(m @ m, np.eye(64), atol=1e-12)
 
     def test_matches_kron_oracle_with_phase(self):
-        p = PauliString.from_ops(5, {1: "X", 3: "Y", 4: "Z"}, phase_exp=3)
+        p = from_ops(5, {1: "X", 3: "Y", 4: "Z"}, phase_exp=3)
         np.testing.assert_allclose(to_dense(p), kron_oracle("XIYZI", -1j), atol=1e-15)
 
 
 class TestText:
     def test_render_spec_example(self):
-        for p, text in ((PauliString.from_ops(4, {1: "X", 3: "Z", 4: "Z"}), "+X1 Z3 Z4"),
-                        (PauliString.from_ops(3, {2: "Y"}, phase_exp=2), "-Y2"),
+        for p, text in ((from_ops(4, {1: "X", 3: "Z", 4: "Z"}), "+X1 Z3 Z4"),
+                        (from_ops(3, {2: "Y"}, phase_exp=2), "-Y2"),
                         (PauliString.identity(2), "+I"),
-                        (PauliString.from_ops(2, {1: "X"}, phase_exp=1), "+i X1")):
+                        (from_ops(2, {1: "X"}, phase_exp=1), "+i X1")):
             assert str(p) == text
 
 
@@ -170,6 +170,11 @@ def per_qubit_support(p: PauliString) -> tuple[int, ...]:
     """The O(n) oracle: test every qubit's bit."""
     mask = p.x_mask | p.z_mask
     return tuple(q for q in range(1, p.n + 1) if mask & (1 << (q - 1)))
+
+
+def walk_support(p: PauliString) -> tuple[int, ...]:
+    """The support as ``str`` walks it: the set bits of x | z, by ``_ones``."""
+    return tuple(i + 1 for i in _ones(p.x_mask | p.z_mask))
 
 
 def per_qubit_str(p: PauliString) -> str:
@@ -199,13 +204,13 @@ class TestWalkOracle:
     @settings(max_examples=200, deadline=None)
     @given(wide_pauli_strings())
     def test_support_and_str_match_per_qubit_formulas(self, p):
-        assert p.support() == per_qubit_support(p)
+        assert walk_support(p) == per_qubit_support(p)
         assert str(p) == per_qubit_str(p)
 
     def test_word_edges(self):
         for n in (63, 64, 65, 2048):
-            p = PauliString.from_ops(n, {1: "X", 63: "Y", n: "Z"}, phase_exp=3)
-            assert p.support() == per_qubit_support(p) == tuple(sorted({1, 63, n}))
+            p = from_ops(n, {1: "X", 63: "Y", n: "Z"}, phase_exp=3)
+            assert walk_support(p) == per_qubit_support(p) == tuple(sorted({1, 63, n}))
             assert str(p) == per_qubit_str(p)
 
 
@@ -213,7 +218,7 @@ class TestValidation:
     @pytest.mark.parametrize("n", [5, 2048])
     def test_top_qubit_accepted(self, n):
         top = 1 << (n - 1)
-        assert PauliString(n, top, top, 3).support() == (n,)
+        assert str(PauliString(n, top, top, 3)) == f"-i Y{n}"
 
     @pytest.mark.parametrize("n", [5, 2048])
     @pytest.mark.parametrize("x_mask, z_mask", [("above", 0), (0, "above"),
@@ -233,8 +238,44 @@ class TestValidation:
             PauliString(0, 0, 0)
 
 
-class TestSymbol:
-    @pytest.mark.parametrize("q", [0, -1, 4, 200])
-    def test_qubit_outside_range_is_named(self, q):
-        with pytest.raises(ValueError, match=rf"qubit {q} outside 1\.\.3"):
-            PauliString.x_on(3, 1).symbol(q)
+class TestQubitRange:
+    @pytest.mark.parametrize("n, q", [(3, 0), (3, -1), (3, 4), (3, 200),
+                                      (2048, 0), (2048, -1), (2048, 2049)])
+    @pytest.mark.parametrize("build", [PauliString.x_on, PauliString.z_on],
+                             ids=["x_on", "z_on"])
+    def test_qubit_outside_range_is_named(self, build, n, q):
+        # the check comes before the shift, so q = -1 is named, not shifted
+        with pytest.raises(ValueError, match=rf"^qubit {q} outside 1\.\.{n}$"):
+            build(n, q)
+        with pytest.raises(ValueError, match=rf"^qubit {q} outside 1\.\.{n}$"):
+            build(n, 1, q)
+
+
+@st.composite
+def qubit_lists(draw):
+    """n in 1..2100 and qubits in 1..n, weighted to the 64-bit word edges, with repeats."""
+    n = draw(st.one_of(st.sampled_from((1, 63, 64, 65, 2048, 2100)), st.integers(1, 2100)))
+    edges = sorted({q for q in (1, 63, 64, 65, n) if q <= n})
+    qubit = st.one_of(st.sampled_from(edges), st.integers(1, n))
+    qubits = draw(st.lists(qubit, max_size=12))
+    if qubits and draw(st.booleans()):
+        qubits.append(draw(st.sampled_from(qubits)))
+    return n, qubits
+
+
+class TestMaskOracle:
+    """``x_on``/``z_on`` build masks; the dict builder ``from_ops`` is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(qubit_lists())
+    def test_x_on_and_z_on_match_the_dict_builder(self, case):
+        n, qubits = case
+        assert PauliString.x_on(n, *qubits) == from_ops(n, {q: "X" for q in qubits})
+        assert PauliString.z_on(n, *qubits) == from_ops(n, {q: "Z" for q in qubits})
+
+    @pytest.mark.parametrize("q", [1, 63, 64, 70, 200])
+    def test_numpy_integer_qubit_builds_the_same_pauli(self, q):
+        for build in (PauliString.x_on, PauliString.z_on):
+            got, want = build(200, np.int64(q)), build(200, q)
+            assert got == want
+            assert type(got.x_mask) is int and type(got.z_mask) is int

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,13 @@ class TestPeakFrequency:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="bits"):
             peak_frequency(small_system(), "000")
+
+    # int(s, 2) alone would read the last four as 5, 1, 1 and 1
+    @pytest.mark.parametrize("state", ["00x000", "0_0101", "+00001", " 00001", "00001\n"])
+    def test_non_binary_state_refused(self, state):
+        with pytest.raises(ValueError, match=re.escape(
+                f"state {state!r} has a bit other than 0 or 1")):
+            peak_frequency(default_spin_system(), state)
 
 
 class TestFrequencyTable:

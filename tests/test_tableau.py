@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import to_dense
+from conftest import from_ops, to_dense
 
 from anyonlab import tableau
 from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli
@@ -23,6 +23,12 @@ from anyonlab.tableau import Tableau, init_toric_ground, run, syndrome_sweep
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
 GATES_2Q = ("cz", "swap")
+
+
+def all_rows(t: Tableau) -> list[PauliString]:
+    """Destabilizers 0..n-1, then stabilizers 0..n-1, read out of the columns."""
+    every = (1 << t.n) - 1
+    return list(t._paulis(every | every << t._stab))
 
 
 def random_circuit(n: int, depth: int, rng) -> Circuit:
@@ -107,7 +113,7 @@ class RowTableau:
     def apply_gate(self, kind: str, targets: tuple[int, ...]):
         a, b = targets[0], targets[-1]
         if kind in ("x", "z", "sdg"):     # Sdg = S Z
-            self.apply_pauli(PauliString.from_ops(self.n, {a: "X" if kind == "x" else "Z"}))
+            self.apply_pauli(from_ops(self.n, {a: "X" if kind == "x" else "Z"}))
         if kind in ("s", "sdg"):
             self._s(a)
         elif kind == "h":
@@ -166,9 +172,9 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
 class TestGateConjugation:
     def test_x_twice_restores(self):
         t = Tableau(3)
-        before = [t.row_pauli(r) for r in range(2 * t.n)]
+        before = all_rows(t)
         t.apply_gate("x", 2).apply_gate("x", 2)
-        assert [t.row_pauli(r) for r in range(2 * t.n)] == before
+        assert all_rows(t) == before
 
     def test_hundred_random_circuits_match_dense_signs(self):
         rng = np.random.default_rng(2024)
@@ -186,8 +192,8 @@ class TestGateConjugation:
         t = Tableau(2)
         t.apply_gate("h", 1).apply_gate("h", 2).apply_gate("cz", (1, 2))
         stabs = {(p.x_mask, p.z_mask, p.phase_exp) for p in t.stabilizer_paulis()}
-        want_a = PauliString.from_ops(2, {1: "X", 2: "Z"})
-        want_b = PauliString.from_ops(2, {1: "Z", 2: "X"})
+        want_a = from_ops(2, {1: "X", 2: "Z"})
+        want_b = from_ops(2, {1: "Z", 2: "X"})
         gates = (Gate("h", (1,)), Gate("h", (2,)), Gate("cz", (1, 2)))
         dense = dense_run(Circuit(2, gates), StateVector.zero(2))
         assert abs(expect_pauli(dense, want_a) - 1.0) < 1e-12
@@ -220,6 +226,16 @@ class TestGateConjugation:
         with pytest.raises(ValueError, match="2-qubit"):
             run(Circuit(2), Tableau(3))
 
+    @pytest.mark.parametrize("q", [1, 63, 64, 70, 200])
+    @pytest.mark.parametrize("kind", ["x", "z", "sdg"])
+    def test_numpy_integer_target_acts_like_an_int(self, kind, q):
+        # after h on q the rows on q are X_q and Z_q, so each gate flips one sign
+        want, got = (Tableau(200).apply_gate("h", (q,)).apply_gate(kind, (target,))
+                     for target in (q, np.int64(q)))
+        assert want.signs.bit_count() == 1
+        assert got.signs == want.signs
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
+
     @settings(max_examples=200, deadline=None)
     @given(small_circuits())
     def test_every_row_is_the_conjugated_initial_row(self, circuit):
@@ -227,12 +243,12 @@ class TestGateConjugation:
         # and after the circuit U must read U P U^dagger exactly
         n = circuit.n
         u = dense_unitary(circuit)
-        t = run(circuit, Tableau(n))
+        rows = all_rows(run(circuit, Tableau(n)))
         for r in range(2 * n):
             q = r % n + 1
             p0 = PauliString.x_on(n, q) if r < n else PauliString.z_on(n, q)
             want = u @ to_dense(p0) @ u.conj().T
-            assert np.allclose(to_dense(t.row_pauli(r)), want, atol=1e-12), r
+            assert np.allclose(to_dense(rows[r]), want, atol=1e-12), r
 
 
 class TestMeasurement:
@@ -246,7 +262,7 @@ class TestMeasurement:
         # the tableau draws no outcome: it names p and leaves the state as it is
         t = Tableau(2)
         for p, name in ((PauliString.x_on(2, 1), "+X1"),
-                        (PauliString.from_ops(2, {1: "Y", 2: "Z"}, 2), "-Y1 Z2")):
+                        (from_ops(2, {1: "Y", 2: "Z"}, 2), "-Y1 Z2")):
             with pytest.raises(ValueError, match=re.escape(
                     f"the outcome of {name} is random on this tableau: "
                     "pass force=+1 or -1")):
@@ -343,8 +359,8 @@ def random_pauli(n: int, rng) -> PauliString:
     """A Hermitian Pauli on 1..5 random qubits with a random sign."""
     support = rng.choice(np.arange(1, n + 1), size=min(n, int(rng.integers(1, 6))),
                          replace=False)
-    return PauliString.from_ops(n, {int(q): "XYZ"[rng.integers(0, 3)] for q in support},
-                                2 * int(rng.integers(0, 2)))
+    return from_ops(n, {int(q): "XYZ"[rng.integers(0, 3)] for q in support},
+                    2 * int(rng.integers(0, 2)))
 
 
 def outcome_or_error(measure, p, force):
@@ -399,8 +415,7 @@ class TestRowOracle:
             # the one-sign-bit tableau rests on this: every row, destabilizers
             # included, stays Hermitian
             assert all(e in (0, 2) for e in ref.phases), ref.phases
-        assert ([fast.row_pauli(r) for r in range(2 * n)]
-                == [ref.row_pauli(r) for r in range(2 * n)])
+        assert all_rows(fast) == [ref.row_pauli(r) for r in range(2 * n)]
         assert fast.stabilizer_paulis() == [ref.row_pauli(n + i) for i in range(n)]
 
     @settings(max_examples=40, deadline=None)
@@ -413,11 +428,12 @@ class TestRowOracle:
         t = run(random_circuit(n, depth=2 * n, rng=rng), Tableau(n))
         pos = [r if r < n else t._stab + r - n for r in range(2 * n)]
         for _ in range(3):
-            before = [t.row_pauli(r) for r in range(2 * n)]
+            before = all_rows(t)
             pivot = int(rng.integers(0, 2 * n))
             rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5
                     and before[r].commutes(before[pivot])}
             t._rowmult(sum(1 << pos[r] for r in rows), pos[pivot])
+            after = all_rows(t)
             for r in range(2 * n):
                 want = before[r]
                 if r in rows:
@@ -427,14 +443,7 @@ class TestRowOracle:
                                         + mul_phase_exp(want.x_mask, want.z_mask,
                                                         before[pivot].x_mask,
                                                         before[pivot].z_mask)) % 4)
-                assert t.row_pauli(r) == want, r
-
-
-class TestRowRange:
-    @pytest.mark.parametrize("row", [6, 7, 64, 200, -1])
-    def test_row_outside_tableau_is_named(self, row):
-        with pytest.raises(ValueError, match=rf"row {row} outside 0\.\.5"):
-            Tableau(3).row_pauli(row)
+                assert after[r] == want, r
 
 
 class TestToricGround:
@@ -540,7 +549,7 @@ class TestSweeps:
         # oracle reads every generator alone, through measure
         model = build_toric(k)
         rng = np.random.default_rng(k)
-        errors = [PauliString.from_ops(model.n_qubits, {int(q): kind}) for kind in "XZ"
+        errors = [from_ops(model.n_qubits, {int(q): kind}) for kind in "XZ"
                   for q in rng.integers(1, model.n_qubits + 1, size=2)]
         swept, alone = (init_toric_ground(model, logical) for _ in range(2))
         for t in (swept, alone):
@@ -705,7 +714,7 @@ class TestBulkMasks:
         t = init_toric_ground(model, (0, 1))
         for kind in "XZY":
             qubits = rng.integers(1, model.n_qubits + 1, size=3)
-            t.apply_pauli(PauliString.from_ops(model.n_qubits, {int(q): kind for q in qubits}))
+            t.apply_pauli(from_ops(model.n_qubits, {int(q): kind for q in qubits}))
         gens = model.generators
         want = masks_one_by_one(t, gens)
         assert list(t._anticommuting_masks(gens)) == want
@@ -801,7 +810,7 @@ class TestSweepPlan:
         t = init_toric_ground(model, logical)
         syndrome_sweep(t, model)
         plan = t._plan
-        errors = [PauliString.from_ops(n, {q % n + 1: kind for q, kind in ops.items()})
+        errors = [from_ops(n, {q % n + 1: kind for q, kind in ops.items()})
                   for ops in strings]
         for err in errors + errors[::-1]:
             t.apply_pauli(err)
@@ -868,7 +877,7 @@ class TestSweepPlan:
     @pytest.mark.parametrize("change", [
         lambda t: t.apply_gate("x", 3),
         lambda t: t.apply_gate("z", 4),
-        lambda t: t.apply_pauli(PauliString.from_ops(t.n, {1: "Y", 7: "X", 12: "Z"})),
+        lambda t: t.apply_pauli(from_ops(t.n, {1: "Y", 7: "X", 12: "Z"})),
     ], ids=["x", "z", "apply_pauli"])
     def test_sign_only_change_keeps_the_plan(self, change, monkeypatch):
         model = build_toric(3)
