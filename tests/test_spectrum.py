@@ -33,6 +33,14 @@ def total_intensity(report) -> float:
     return sum(p.intensity for p in report.peaks)
 
 
+def summed_frequency(sys_: SpinSystem, partner_state: str) -> float:
+    """Oracle: the offset plus each partner's +J/2 (|1>) or -J/2 (|0>), in partner order."""
+    freq = sys_.offset_hz
+    for bit, partner in zip(partner_state, sys_.partners):
+        freq += 0.5 * sys_.j_hz[partner] * (1.0 if bit == "1" else -1.0)
+    return freq
+
+
 class TestPeakFrequency:
     def test_all_zero_closed_form(self):
         sys_ = default_spin_system()
@@ -74,6 +82,19 @@ class TestPeakFrequency:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="bits"):
             peak_frequency(small_system(), "000")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(min_value=-J_LIMIT_HZ, max_value=J_LIMIT_HZ),
+                    min_size=1, max_size=12),
+           st.floats(min_value=-OFFSET_LIMIT_HZ, max_value=OFFSET_LIMIT_HZ))
+    def test_has_the_bits_of_the_per_partner_sum(self, j_values, offset):
+        names = tuple(f"p{i}" for i in range(len(j_values)))
+        sys_ = SpinSystem(observed="O", partners=names, j_hz=dict(zip(names, j_values)),
+                          offset_hz=offset)
+        m = len(names)
+        for i in range(2 ** m):     # hex tells -0.0 from 0.0
+            state = format(i, f"0{m}b")
+            assert peak_frequency(sys_, state).hex() == summed_frequency(sys_, state).hex()
 
     # int(s, 2) alone would read the last four as 5, 1, 1 and 1
     @pytest.mark.parametrize("state", ["00x000", "0_0101", "+00001", " 00001", "00001\n"])
