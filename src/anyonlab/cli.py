@@ -29,7 +29,7 @@ from . import anyon, report, spectrum
 from .dense import dump_amplitudes, state_from_dump
 from .lattice import (build_planar6, build_toric, describe_model, error_syndrome,
                       syndrome, toric_ground_state)
-from .pauli import PauliString
+from .pauli import PauliString, paulis_text
 from .tableau import Tableau, init_toric_ground, run as tableau_run, syndrome_sweep
 
 
@@ -95,7 +95,7 @@ def cmd_ground(args) -> list[Path]:
                          f"logical sector; only torus:K takes one")
     out: dict = {"model": args.model, "backend": args.backend,
                  "n_qubits": model.n_qubits,
-                 "generators": [str(g) for g in model.generators],
+                 "generators": paulis_text(model.generators),
                  "generator_ids": list(model.generator_ids)}
     if args.backend == "dense":
         if model.geometry == "planar6":
@@ -109,7 +109,7 @@ def cmd_ground(args) -> list[Path]:
             t = tableau_run(anyon.PREPARATION, Tableau(6))
         else:
             t = init_toric_ground(model, args.logical)
-        out["tableau_rows"] = [str(p) for p in t.stabilizer_paulis()]
+        out["tableau_rows"] = t.stabilizer_text()
         out["syndrome"] = _syndrome_rows(syndrome_sweep(t, model))
     if args.describe:
         out["description"] = describe_model(model)

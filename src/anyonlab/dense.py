@@ -21,6 +21,7 @@ after its gate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -60,16 +61,29 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        for g in self.gates:
-            _validate_gate(self.n, g.kind, g.targets)
+        # each gate keeps the targets its check returns: a tuple of Python ints
+        object.__setattr__(self, "gates", tuple(
+            Gate(g.kind, _validate_gate(self.n, g.kind, g.targets)) for g in self.gates))
 
     def inverse(self) -> Circuit:
         return Circuit(self.n, tuple(Gate(_INVERSE[g.kind], g.targets)
                                      for g in reversed(self.gates)))
 
 
-def _validate_gate(n: int, kind: str, targets: tuple[int, ...]):
-    """The one gate check, shared by the dense engine and the tableau."""
+def _validate_gate(n: int, kind: str, targets: tuple[int, ...] | int) -> tuple[int, ...]:
+    """The one gate check, shared by the dense engine and the tableau; returns
+    the targets as a tuple of Python ints.  A bare target is one target, and
+    each goes through ``operator.index``, so a numpy integer counts as its
+    value and anything else that is not an integer is refused by name."""
+    if not isinstance(targets, (tuple, list)):
+        targets = (targets,)
+    qubits = []
+    for q in targets:
+        try:
+            qubits.append(operator.index(q))
+        except TypeError:
+            raise ValueError(f"target qubit {q!r} is not an integer") from None
+    targets = tuple(qubits)
     if kind in GATE_MATRICES:
         if len(targets) != 1:
             raise ValueError(f"gate {kind!r} takes one target, got {targets}")
@@ -81,6 +95,7 @@ def _validate_gate(n: int, kind: str, targets: tuple[int, ...]):
     for q in targets:
         if not 1 <= q <= n:
             raise ValueError(f"target qubit {q} outside 1..{n}")
+    return targets
 
 
 @dataclass(frozen=True)
@@ -162,9 +177,7 @@ def _gate_kernel(amps: np.ndarray, n: int, kind: str,
 
 def apply_gate(state: StateVector, kind: str, targets: tuple[int, ...] | int) -> StateVector:
     """Apply one gate to one state, returning a new StateVector whose norm is checked."""
-    if isinstance(targets, int):
-        targets = (targets,)
-    _validate_gate(state.n, kind, targets)
+    targets = _validate_gate(state.n, kind, targets)
     out = StateVector(state.n, _gate_kernel(state.amps[None], state.n, kind, targets)[0])
     if abs(out.norm() - 1.0) > NORM_TOLERANCE:
         raise AssertionError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
-from .pauli import DENSE_LIMIT, PauliString
+from .pauli import DENSE_LIMIT, PauliString, paulis_text
 
 EIGENVALUE_TOL = 1e-9
 # largest toric k: each of the 2k^2 generators holds one non-zero mask, as
@@ -202,8 +202,8 @@ def error_syndrome(model: LatticeModel, error: PauliString) -> list[tuple[str, i
 def describe_model(model: LatticeModel) -> str:
     """Structured text: generator list plus the bond-to-qubit table."""
     lines = [f"geometry: {model.geometry}", f"qubits: {model.n_qubits}", "generators:"]
-    for gid, g in zip(model.generator_ids, model.generators):
-        lines.append(f"  {gid} = {g}")
+    for gid, text in zip(model.generator_ids, paulis_text(model.generators)):
+        lines.append(f"  {gid} = {text}")
     lines.append("layout:")
     for bond, q in sorted(model.qubit_layout.items(), key=lambda kv: kv[1]):
         lines.append(f"  {':'.join(str(b) for b in bond)} -> q{q}")

@@ -16,9 +16,13 @@ Conventions, fixed once for the whole package:
 
 Masks are plain Python ints, so popcounts and XORs run on machine words
 regardless of qubit count, and every string is built from them: ``x_on`` and
-``z_on`` OR one bit per qubit into a mask.  ``str`` walks only the set bits
-(``_ones``), but each step is a full-width ``bit_length`` and XOR, so it
-costs O(weight * n/64) word operations.
+``z_on`` OR one bit per qubit into a mask.  Text comes from one renderer,
+``render``, on stacks of rows given as packed x and z bit matrices: it
+unpacks only their nonzero bytes, and the nonzero entries of x + 2z index
+one table of ``<letter><qubit>`` tokens, one join per row.  ``paulis_text``
+feeds it the masks of 64 Paulis at a time (``int.to_bytes``), and ``str`` is
+that on one row; the tableau feeds it its rows one 64-row word at a time,
+straight from its columns.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+# the label before the support: a space after an imaginary one
+_PREFIX = {e: label + " " * (e % 2) for e, label in PHASE_LABELS.items()}
 _PHASE_VALUES = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
 DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
@@ -52,6 +60,46 @@ def _qubit_mask(n: int, qubits: tuple[int, ...]) -> int:
             raise ValueError(f"qubit {q} outside 1..{n}")
         mask |= 1 << (q - 1)
     return mask
+
+
+def render(chunks, n: int) -> list[str]:
+    """Text of each row of a stack of n-qubit Paulis: the phase label, then
+    ``<letter><qubit>`` per support qubit in ascending order (``I`` for none).
+
+    The stack comes in chunks ``(x, z, phase_exps)``: x and z are (rows,
+    ceil(n/8)) uint8 bit matrices, packed little-endian (bit q-1 of a row is
+    qubit q), and ``phase_exps`` holds each row's exponent of i.  Only the
+    nonzero bytes are unpacked; the nonzero entries of x + 2z then index one
+    table of 3n tokens, built for this call."""
+    table = np.array([f"{letter}{q}" for letter in "XZY" for q in range(1, n + 1)], object)
+    out: list[str] = []
+    for x, z, phase_exps in chunks:
+        r, byte = np.nonzero(x | z)     # row-major, so each row's tokens are contiguous
+        code = (np.unpackbits(x[r, byte, None], axis=1, bitorder="little")
+                + 2 * np.unpackbits(z[r, byte, None], axis=1, bitorder="little"))
+        i, bit = np.nonzero(code)
+        tokens = table[(code[i, bit].astype(np.intp) - 1) * n + 8 * byte[i] + bit].tolist()
+        start = 0
+        for e, end in zip(phase_exps, np.cumsum(np.bincount(r[i], minlength=len(x))).tolist()):
+            out.append(_PREFIX[e] + (" ".join(tokens[start:end]) or "I"))
+            start = end
+    return out
+
+
+def _packed(masks: list[int], n: int) -> np.ndarray:
+    """The (len(masks), ceil(n/8)) packed rows of n-qubit masks (``render``'s layout)."""
+    size = -(-n // 8)
+    raw = b"".join([m.to_bytes(size, "little") for m in masks])
+    return np.frombuffer(raw, np.uint8).reshape(len(masks), size)
+
+
+def paulis_text(paulis) -> list[str]:
+    """``str`` of each of a sequence of Paulis on one qubit count, in one
+    ``render`` call fed 64 Paulis at a time."""
+    n = paulis[0].n if paulis else 1
+    parts = (paulis[start:start + 64] for start in range(0, len(paulis), 64))
+    return render(((_packed([p.x_mask for p in part], n), _packed([p.z_mask for p in part], n),
+                    [p.phase_exp for p in part]) for part in parts), n)
 
 
 def mul_phase_exp(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -130,9 +178,5 @@ class PauliString:
     # -- conversion --------------------------------------------------------
 
     def __str__(self) -> str:
-        """Phase label, then ``<letter><qubit>`` per support qubit, by ``_ones``."""
-        x, z = self.x_mask, self.z_mask
-        body = " ".join([f"{'IXZY'[(x >> i & 1) + 2 * (z >> i & 1)]}{i + 1}"
-                         for i in _ones(x | z)]) or "I"
-        return f"{PHASE_LABELS[self.phase_exp]}{body}" if self.phase_exp in (0, 2) \
-            else f"{PHASE_LABELS[self.phase_exp]} {body}"
+        """Phase label, then ``<letter><qubit>`` per support qubit (``render``)."""
+        return paulis_text((self,))[0]

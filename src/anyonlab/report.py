@@ -13,7 +13,12 @@ significant digits and every key turned into ``str(key)`` (when two keys
 give the same string, the later one wins): two-space indents, ``","`` at
 line ends, ``": "`` after a key, ASCII escapes (``\\uXXXX``) in strings,
 and ``[]`` or ``{}`` for an empty container.  ``dumps_report`` writes that
-text in one walk of the object.
+text in one walk of the object, and a long list of one shape in bulk: a list
+of plain strings is one join, and a list of dicts keyed by one set of
+strings is written from one row template built for that list, each row's
+plain scalar values (str, int, float, bool, None) checked in order and put
+into it.  Rows that do not fit the template take the recursive walk, so
+every error is the one that walk raises for the first bad value.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import datetime
 import io
 import json
 import math
+import operator
 import os
 import platform
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -51,6 +57,20 @@ def dumps_report(obj) -> str:
     return "".join(parts)
 
 
+def _float_text(x: float) -> str:
+    x = round_sig(x)
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+# the text of a plain scalar, by its exact type (so bool is never read as int);
+# numpy's float64 is a float, and spectra carry it
+_SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text, np.float64: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
 def _emit(obj, parts: list[str], newline: str) -> None:
     """Append the text of ``obj`` to ``parts``; ``newline`` is the line break
     plus the indent of the line ``obj`` starts on."""
@@ -65,20 +85,39 @@ def _emit(obj, parts: list[str], newline: str) -> None:
     elif isinstance(obj, int):
         parts.append(int.__repr__(obj))
     elif isinstance(obj, float):
-        x = round_sig(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-        parts.append(float.__repr__(x))
+        parts.append(_float_text(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
             return
         inner = newline + "  "
-        sep = "[" + inner
+        first = obj[0]
+        # a state dump row starts with its bit string: its last item rejects it at once
+        if type(first) is str and type(obj[-1]) is str and all(type(v) is str for v in obj):
+            parts.append("[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]")
+            return
+        template = None
+        if (type(first) is dict and first and all(type(k) is str for k in first)
+                and all(type(v) in _SCALAR_TEXT for v in first.values())):
+            # one "%s" per key in sorted order; a row fits when it has these keys
+            keys = sorted(first)
+            template = "{" + ",".join(inner + "  " + _encode_str(k).replace("%", "%%") + ": %s"
+                                      for k in keys) + inner + "}"
+            keyset = first.keys()
+            get = operator.itemgetter(*keys) if len(keys) > 1 else lambda d: (d[keys[0]],)
+        sep, comma = "[" + inner, "," + inner
         for value in obj:
+            if template is not None and type(value) is dict and value.keys() == keyset:
+                try:        # values in key order, so the first bad one raises first
+                    parts.append(sep + template % tuple([_SCALAR_TEXT[type(v)](v)
+                                                         for v in get(value)]))
+                    sep = comma
+                    continue
+                except KeyError:        # not a plain scalar: the row takes the walk
+                    pass
             parts.append(sep)
             _emit(value, parts, inner)
-            sep = "," + inner
+            sep = comma
         parts.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:

@@ -12,11 +12,13 @@ row carries -1, and no i-exponent is stored (CHP's one phase bit per
 row).  The rows that anticommute with a Pauli are one XOR over its
 support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
 are column operations, and a measurement multiplies every row that
-anticommutes with the measured Pauli by the pivot at once.  A row is read
-out of the columns only for ``stabilizer_paulis`` (reports) and a sweep
-plan or deterministic ``measure``, and always by ``_paulis``, one 64-row
-word at a time: each word it touches is transposed once, in bulk, and a
-sweep plan shares those transposes between all its generators.
+anticommutes with the measured Pauli by the pivot at once.  Rows are read
+out of the columns one 64-row word at a time, each word transposed once in
+bulk: as text for reports (``stabilizer_text``, which hands each word's
+packed rows and signs to ``pauli.render`` and builds no ``PauliString``),
+and as Paulis (``_paulis``) for ``stabilizer_paulis``, a deterministic
+``measure`` and a sweep plan, which shares those transposes between all
+its generators.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -59,7 +61,7 @@ import numpy as np
 
 from .dense import Circuit, _validate_gate
 from .lattice import LatticeModel, sector_x_strings
-from .pauli import PauliString, _ones, mul_phase_exp
+from .pauli import PauliString, _ones, mul_phase_exp, render
 
 # columns (or Paulis) per bulk conversion: bounds the temporaries of
 # ``_write_columns`` and ``Tableau._anticommuting_masks`` (at n = 2048, 32 KB
@@ -72,14 +74,18 @@ def _int(words: np.ndarray) -> int:
     return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
 
 
-def _word_rows(col: np.ndarray) -> list[int]:
-    """The 64 rows of one word of a column array (one ``X[w]`` or ``Z[w]``), as masks.
-
-    One bulk transpose: the (n, 64) bit matrix of the word's columns is
-    turned into 64 rows of n bits, each a Python int with qubit q at bit q-1."""
+def _word_packed(col: np.ndarray) -> np.ndarray:
+    """The 64 rows of one word of a column array (one ``X[w]`` or ``Z[w]``) as a
+    (64, ceil(n/8)) uint8 matrix, each row packed little-endian (qubit q at
+    bit q-1).  One bulk transpose of the word's (n, 64) bit matrix."""
     n = len(col)
     bits = np.unpackbits(col.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
-    raw = np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little").tobytes()
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+
+
+def _word_rows(col: np.ndarray) -> list[int]:
+    """The 64 rows of one word of a column array, as masks (``_word_packed``)."""
+    raw = _word_packed(col).tobytes()
     size = len(raw) // 64
     return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
@@ -187,13 +193,23 @@ class Tableau:
     def stabilizer_paulis(self) -> list[PauliString]:
         return list(self._paulis(((1 << self.n) - 1) << self._stab))
 
+    def stabilizer_text(self) -> list[str]:
+        """``str`` of every stabilizer row, rendered straight from the columns:
+        one ``pauli.render`` call fed one 64-row word of bits at a time."""
+        def words():
+            for w in range(self._half):
+                count = min(64, self.n - 64 * w)
+                signs = self.signs >> (self._stab + 64 * w)
+                yield (_word_packed(self.X[self._half + w])[:count],
+                       _word_packed(self.Z[self._half + w])[:count],
+                       [2 * (signs >> b & 1) for b in range(count)])
+        return render(words(), self.n)
+
     # -- gates -----------------------------------------------------------
 
     def apply_gate(self, kind: str, targets: tuple[int, ...] | int) -> Tableau:
         """One Clifford gate, built from the CHP kernels H, S and CNOT."""
-        if isinstance(targets, int):
-            targets = (targets,)
-        _validate_gate(self.n, kind, targets)
+        targets = _validate_gate(self.n, kind, targets)
         a = targets[0]
         if kind == "x":
             return self.apply_pauli(PauliString.x_on(self.n, a))

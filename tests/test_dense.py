@@ -1,5 +1,7 @@
 """State-vector engine tests: gate exactness, Pauli action, inversion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,28 @@ class TestGates:
             apply_gate(StateVector.zero(2), "cz", (1, 1))
         with pytest.raises(ValueError, match="unknown gate"):
             apply_gate(StateVector.zero(2), "t", 1)
+
+    @pytest.mark.parametrize("kind, target", [("x", np.int64(3)), ("h", np.int64(3)),
+                                              ("x", (np.int64(3),)), ("cz", [np.int64(1), 3])])
+    def test_bare_or_numpy_target_acts_like_a_tuple_of_ints(self, kind, target):
+        state = random_state(4, seed=2)
+        want = apply_gate(state, kind, (1, 3) if kind == "cz" else (3,))
+        assert apply_gate(state, kind, target).amps.tobytes() == want.amps.tobytes()
+
+    @pytest.mark.parametrize("kind, targets, name", [("h", (2.0,), "2.0"), ("h", 2.0, "2.0"),
+                                                     ("x", ("1",), "'1'"),
+                                                     ("cz", (1, None), "None")])
+    def test_non_integer_target_is_named(self, kind, targets, name):
+        pattern = rf"^target qubit {re.escape(name)} is not an integer$"
+        with pytest.raises(ValueError, match=pattern):
+            apply_gate(StateVector.zero(4), kind, targets)
+        with pytest.raises(ValueError, match=pattern):
+            Circuit(4, (Gate(kind, targets),))
+
+    def test_circuit_keeps_python_int_targets(self):
+        circuit = Circuit(4, (Gate("x", np.int64(3)), Gate("cz", [np.int64(1), 2])))
+        assert circuit.gates == (Gate("x", (3,)), Gate("cz", (1, 2)))
+        assert all(type(q) is int for g in circuit.gates for q in g.targets)
 
 
 def count_kernel(monkeypatch) -> list:

@@ -1,5 +1,7 @@
 """Pauli algebra tests against explicit dense-matrix oracles."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import from_ops, symbol, to_dense
 
 from anyonlab.lattice import build_planar6, build_toric
-from anyonlab.pauli import PHASE_LABELS, PauliString, _ones
+from anyonlab.pauli import PHASE_LABELS, PauliString, _ones, paulis_text
 
 # independent single-qubit matrices for the oracle (not via to_dense)
 I2 = np.eye(2, dtype=complex)
@@ -212,6 +214,53 @@ class TestWalkOracle:
             p = from_ops(n, {1: "X", 63: "Y", n: "Z"}, phase_exp=3)
             assert walk_support(p) == per_qubit_support(p) == tuple(sorted({1, 63, n}))
             assert str(p) == per_qubit_str(p)
+
+
+@st.composite
+def pauli_stacks(draw):
+    """1..3 or 62..70 Paulis (one or two 64-row chunks) on one n in 1..200: each
+    mask is empty, the top qubit, a few qubits weighted to the word edges, or
+    dense, and every phase occurs.  The masks come from a drawn seed."""
+    n = draw(st.one_of(st.sampled_from((1, 63, 64, 65, 128, 200)), st.integers(1, 200)))
+    count = draw(st.one_of(st.integers(1, 3), st.integers(62, 70)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    edges = [q for q in (1, 63, 64, 65, n) if q <= n]
+
+    def mask():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return 1 << (n - 1)
+        if kind == 2:
+            qubits = rng.choices(edges, k=2) + [rng.randint(1, n) for _ in range(rng.randrange(5))]
+            return sum({1 << (q - 1) for q in qubits})
+        return rng.getrandbits(n)
+
+    return [PauliString(n, mask(), mask(), rng.randrange(4)) for _ in range(count)]
+
+
+class TestRenderOracle:
+    """``render``, through ``str`` and ``paulis_text``, against ``per_qubit_str``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pauli_stacks())
+    def test_matches_the_per_qubit_text(self, paulis):
+        want = [per_qubit_str(p) for p in paulis]
+        assert paulis_text(paulis) == want       # 64 rows per chunk, several chunks
+        assert [str(p) for p in paulis[:3]] == want[:3]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 128, 200])
+    def test_identity_phases_and_top_qubit(self, n):
+        top = 1 << (n - 1)
+        paulis = [PauliString(n, x, z, e) for x, z in ((0, 0), (top, 0), (0, top), (top, top))
+                  for e in range(4)]
+        assert paulis_text(paulis) == [per_qubit_str(p) for p in paulis]
+        assert paulis_text(paulis)[:4] == ["+I", "+i I", "-I", "-i I"]
+        assert str(paulis[-1]) == f"-i Y{n}"
+
+    def test_empty_sequence(self):
+        assert paulis_text([]) == []
 
 
 class TestValidation:

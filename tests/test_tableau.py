@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_ops, to_dense
+from test_pauli import per_qubit_str
 
 from anyonlab import tableau
 from anyonlab.dense import Circuit, Gate, StateVector, expect_pauli
@@ -225,6 +226,24 @@ class TestGateConjugation:
             Tableau(2).apply_gate("x", 5)
         with pytest.raises(ValueError, match="2-qubit"):
             run(Circuit(2), Tableau(3))
+
+    @pytest.mark.parametrize("kind, target", [("x", np.int64(3)), ("h", np.int64(3)),
+                                              ("x", 3), ("cz", [np.int64(1), 3])])
+    def test_bare_or_numpy_target_acts_like_a_tuple_of_ints(self, kind, target):
+        want = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, (1, 3) if kind == "cz" else (3,))
+        got = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, target)
+        assert got.signs == want.signs
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
+
+    @pytest.mark.parametrize("kind, targets, name", [("h", (2.0,), "2.0"), ("h", 2.0, "2.0"),
+                                                     ("x", ("1",), "'1'"),
+                                                     ("cz", (1, None), "None")])
+    def test_non_integer_target_is_named(self, kind, targets, name):
+        t = Tableau(4)
+        with pytest.raises(ValueError, match=rf"^target qubit {re.escape(name)} is not an "
+                                             rf"integer$"):
+            t.apply_gate(kind, targets)
+        assert t.signs == 0 and np.array_equal(t.X, Tableau(4).X)
 
     @pytest.mark.parametrize("q", [1, 63, 64, 70, 200])
     @pytest.mark.parametrize("kind", ["x", "z", "sdg"])
@@ -444,6 +463,29 @@ class TestRowOracle:
                                                         before[pivot].x_mask,
                                                         before[pivot].z_mask)) % 4)
                 assert after[r] == want, r
+
+
+class TestStabilizerText:
+    """Rows rendered in bulk from the columns against ``per_qubit_str`` of each row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_rows_after_gates_and_errors(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = run(random_circuit(n, depth=3 * n, rng=rng), Tableau(n))
+        for _ in range(int(rng.integers(1, 6))):
+            t.apply_pauli(random_pauli(n, rng))     # sets stabilizer signs
+        assert t.stabilizer_text() == [per_qubit_str(p) for p in t.stabilizer_paulis()]
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_toric_ground_with_errors(self, k):
+        # torus:9 has 162 qubits: three words per half, 34 rows in the last
+        model = build_toric(k)
+        t = init_toric_ground(model, (1, 1))
+        t.apply_pauli(PauliString.z_on(model.n_qubits, 1, model.n_qubits))
+        text = t.stabilizer_text()
+        assert text == [per_qubit_str(p) for p in t.stabilizer_paulis()]
+        assert any(row.startswith("-") for row in text)
 
 
 class TestToricGround:
