@@ -112,7 +112,7 @@ def cmd_ground(args) -> list[Path]:
         out["tableau_rows"] = t.stabilizer_text()
         out["syndrome"] = _syndrome_rows(syndrome_sweep(t, model))
     if args.describe:
-        out["description"] = describe_model(model)
+        out["description"] = describe_model(model, out["generators"])
     return [report.write_report(args.out, out)]
 
 
@@ -225,7 +225,6 @@ def cmd_toric(args) -> list[Path]:
     vertex_defects = sum(1 for _, v in sweep[:n_vertex] if v == -1)
     face_defects = sum(1 for _, v in sweep[n_vertex:] if v == -1)
     out = {"k": args.k, "n_qubits": model.n_qubits,
-           "logical": list(args.logical),
            "errors": [{"kind": kind, "bond": list(bond)} for kind, bond in errors],
            "syndromes": [{"generator": gid, "value": val} for gid, val in sweep],
            "defect_counts": {"vertex": vertex_defects, "face": face_defects}}
@@ -349,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toric", help="syndromes of error strings on a k x k torus")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--errors", default="", help='e.g. "x:h:0:0,z:v:1:2,rand-x:5"')
-    p.add_argument("--logical", type=_logical_bits, default=(0, 0))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="syndromes.json")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
-from .pauli import DENSE_LIMIT, PauliString, paulis_text
+from .pauli import DENSE_LIMIT, PauliString
 
 EIGENVALUE_TOL = 1e-9
 # largest toric k: each of the 2k^2 generators holds one non-zero mask, as
@@ -199,10 +199,11 @@ def error_syndrome(model: LatticeModel, error: PauliString) -> list[tuple[str, i
             for gid, g in zip(model.generator_ids, model.generators)]
 
 
-def describe_model(model: LatticeModel) -> str:
-    """Structured text: generator list plus the bond-to-qubit table."""
+def describe_model(model: LatticeModel, generator_text: list[str]) -> str:
+    """Structured text: generator list plus the bond-to-qubit table.
+    ``generator_text`` is the text of each generator (``paulis_text``)."""
     lines = [f"geometry: {model.geometry}", f"qubits: {model.n_qubits}", "generators:"]
-    for gid, text in zip(model.generator_ids, paulis_text(model.generators)):
+    for gid, text in zip(model.generator_ids, generator_text):
         lines.append(f"  {gid} = {text}")
     lines.append("layout:")
     for bond, q in sorted(model.qubit_layout.items(), key=lambda kv: kv[1]):

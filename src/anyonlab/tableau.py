@@ -16,9 +16,9 @@ anticommutes with the measured Pauli by the pivot at once.  Rows are read
 out of the columns one 64-row word at a time, each word transposed once in
 bulk: as text for reports (``stabilizer_text``, which hands each word's
 packed rows and signs to ``pauli.render`` and builds no ``PauliString``),
-and as Paulis (``_paulis``) for ``stabilizer_paulis``, a deterministic
-``measure`` and a sweep plan, which shares those transposes between all
-its generators.
+and as x and z masks of the whole stabilizer half (``_stabilizer_masks``),
+read once per call of ``stabilizer_paulis``, a deterministic ``measure`` or
+a sweep plan build.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -175,23 +175,19 @@ class Tableau:
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
-    def _paulis(self, mask: int, words: dict | None = None):
-        """Yield the rows at the positions in ``mask``, ascending, read out of the columns.
-
-        Each 64-row word that ``mask`` touches is transposed once.  ``words``
-        (word index -> its rows' x and z masks) shares those transposes
-        between calls while the columns stay unchanged; signs are read live."""
-        if words is None:
-            words = {}
-        for pos in _ones(mask):
-            w, b = divmod(pos, 64)
-            rows = words.get(w)
-            if rows is None:
-                rows = words[w] = (_word_rows(self.X[w]), _word_rows(self.Z[w]))
-            yield PauliString(self.n, rows[0][b], rows[1][b], 2 * (self.signs >> pos & 1))
+    def _stabilizer_masks(self) -> tuple[list[int], list[int]]:
+        """The x and z masks of stabilizer rows 0..n-1, read out of the columns
+        with one ``_word_rows`` transpose per word of the stabilizer half."""
+        xs, zs = [], []
+        for w in range(self._half, 2 * self._half):
+            xs += _word_rows(self.X[w])
+            zs += _word_rows(self.Z[w])
+        return xs[:self.n], zs[:self.n]
 
     def stabilizer_paulis(self) -> list[PauliString]:
-        return list(self._paulis(((1 << self.n) - 1) << self._stab))
+        signs = self.signs >> self._stab
+        return [PauliString(self.n, x, z, 2 * (signs >> i & 1))
+                for i, (x, z) in enumerate(zip(*self._stabilizer_masks()))]
 
     def stabilizer_text(self) -> list[str]:
         """``str`` of every stabilizer row, rendered straight from the columns:
@@ -279,7 +275,8 @@ class Tableau:
         rows = self._anticommuting(p)
         stabs = rows >> self._stab
         if not stabs:
-            odd = self._base(p, rows) ^ (self.signs >> self._stab & rows).bit_count() & 1
+            odd = (self._base(p, rows, *self._stabilizer_masks())
+                   ^ (self.signs >> self._stab & rows).bit_count() & 1)
             outcome = -1 if odd else 1
             if force not in (None, outcome):
                 raise ValueError(f"cannot force {force:+d} on {p}: "
@@ -306,19 +303,19 @@ class Tableau:
         self._plan = None
         return force, False
 
-    def _base(self, p: PauliString, rows: int, words: dict | None = None) -> int:
+    def _base(self, p: PauliString, rows: int, xs: list[int], zs: list[int]) -> int:
         """Outcome bit of a Hermitian p in the stabilizer group up to sign when
-        every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` mask;
-        ``words`` shares transposes with other calls (see ``_paulis``).  The
-        stabilizers at the indices of ``rows`` multiply to +/-p: the bit is the
-        sign their product's mask algebra adds XOR p's own sign bit."""
+        every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` mask,
+        and ``xs``, ``zs`` are the stabilizer masks (``_stabilizer_masks``).
+        The stabilizers at the indices of ``rows`` multiply to +/-p: the bit is
+        the sign their product's mask algebra adds XOR p's own sign bit."""
         if rows >> self._stab:
             raise ValueError("operator is not deterministic on this tableau")
         ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
-        for row in self._paulis(rows << self._stab, words):
-            acc = (acc + mul_phase_exp(ax, az, row.x_mask, row.z_mask)) % 4
-            ax ^= row.x_mask
-            az ^= row.z_mask
+        for i in _ones(rows):
+            acc = (acc + mul_phase_exp(ax, az, xs[i], zs[i])) % 4
+            ax ^= xs[i]
+            az ^= zs[i]
         if ax != p.x_mask or az != p.z_mask:
             raise AssertionError("commuting operator not in stabilizer group")
         if acc & 1:
@@ -431,19 +428,19 @@ def _write_columns(out: np.ndarray, cols: list[int]):
 def _build_plan(t: Tableau, model: LatticeModel) -> _Plan:
     """Every generator's stabilizer rows and base bit, naming a generator that
     is not deterministic.  The anticommuting masks come in bulk
-    (``Tableau._anticommuting_masks``), and the generators share their word
-    transposes."""
-    words: dict = {}
+    (``Tableau._anticommuting_masks``), and the stabilizer masks are read
+    once for all the generators."""
+    xs, zs = t._stabilizer_masks()
     gens = model.generators
     sels, base = [], np.empty(len(gens), np.uint8)
     for i, (gid, g, rows) in enumerate(zip(model.generator_ids, gens,
                                            t._anticommuting_masks(gens))):
         try:
-            base[i] = t._base(g, rows, words)
+            base[i] = t._base(g, rows, xs, zs)
         except ValueError as err:
             raise ValueError(f"generator {gid}: {err}") from None
         sels.append(rows)
-    del words                   # the transposes are not held while the plan is packed
+    del xs, zs                  # the row masks are not held while the plan is packed
     sel = np.empty((t._half, len(gens)), "<u8")
     _write_columns(sel, sels)
     return _Plan(model, sel, base)

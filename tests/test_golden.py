@@ -136,11 +136,11 @@ EXPECTED = {
     }),
     "toric-k3-rand": (0, "", {
         "syndromes.json":
-            "6446496a06d172289350fbc86b83544147c1de520cc122bc393a02c9dbf71805",
+            "7a2d7579c7f7583c975fad8d6427357d21c4dc270e702f1f0ef2112ea5d96add",
     }),
     "toric-k4-repeated": (0, "", {
         "syndromes.json":
-            "8af5f382972eaa8f6266d3db6e9e4f060ea4fe3aab245e974ba789836e43146c",
+            "ee4236940a8981a3fc56e4ad5108a7b2e0a328b302f4a9bd04ba508920cd41f2",
     }),
 }
 

@@ -4,7 +4,9 @@ The two toric reports hold 512 and 2048 syndrome rows of one shape, so they
 pin the report writer's row template on long uniform lists.  The torus:9
 ground has 162 qubits: its tableau half spans three 64-row words with 34 rows
 in the last, so it pins the Pauli renderer on a partial last word, and its
-``--describe`` text renders every generator from its masks.
+``--describe`` text renders every generator from its masks.  The torus:16
+ground is the benchmark's headline ground report (512 rows, eight words per
+half), and the torus:32 one (2048 rows) builds a sweep plan over 32 words.
 """
 
 import hashlib
@@ -16,11 +18,15 @@ from anyonlab.report import OUT_DIR_ENV
 
 EXPECTED = {
     "toric --k 16 --errors rand:20 --seed 3":
-        "d1f8f839ea9a4e20568a24729154878a498d34c0fc7f206fb6d015ad9edf2be1",
+        "76d62ea59abcab19e0bbfea3ff07c3a4813821f20799f5c184a75eca8e6ec29b",
     "toric --k 32 --errors rand:40 --seed 3":
-        "893433b852ce280b493e8c4f1c591af9963e13564676c8beb6b2780660490121",
+        "280e8ceec7fd3645e1e569fb4340c8f65d097a7bf8c4a4970fc4f914f8b7aa56",
     "ground --model torus:9 --backend tableau --logical 11 --describe":
         "85cfabf0ed88f591634a2775f71f3a6da14370ce5a891bbd2adfdcdb7e372305",
+    "ground --model torus:16 --backend tableau --logical 10":
+        "0bb1354c0cac16e189007502168981e9f8c1591e3686355fd6274f4e3688a77c",
+    "ground --model torus:32 --backend tableau":
+        "443b1dd23ab0de141a6e10a51ce916fdd0f5d0f031552dd7605cbfd89dae61a7",
 }
 
 

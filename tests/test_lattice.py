@@ -14,7 +14,7 @@ from anyonlab.dense import (Circuit, Gate, StateVector, apply_pauli, expect_paul
 from anyonlab.lattice import (TORIC_K_LIMIT, GraphSpec, LatticeModel,
                               build_planar6, build_toric, error_syndrome, ground_state_circuit,
                               planar6_graph_spec, syndrome, toric_ground_state)
-from anyonlab.pauli import DENSE_LIMIT, PauliString
+from anyonlab.pauli import DENSE_LIMIT, PauliString, paulis_text
 from anyonlab.tableau import Tableau, init_toric_ground, syndrome_sweep
 
 
@@ -373,13 +373,15 @@ class TestErrorSyndromeOracles:
 class TestDescribe:
     def test_planar6_description_lists_generators_and_layout(self):
         from anyonlab.lattice import describe_model
-        text = describe_model(build_planar6())
+        model = build_planar6()
+        text = describe_model(model, paulis_text(model.generators))
         assert "A1 = +X1 X2 X3" in text
         assert "B3 = +Z4 Z6" in text
         assert "geometry: planar6" in text
 
     def test_toric_layout_table(self):
         from anyonlab.lattice import describe_model
-        text = describe_model(build_toric(2))
+        model = build_toric(2)
+        text = describe_model(model, paulis_text(model.generators))
         assert "h:0:0 -> q1" in text
         assert "v:1:1 -> q8" in text

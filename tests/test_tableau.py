@@ -28,8 +28,13 @@ GATES_2Q = ("cz", "swap")
 
 def all_rows(t: Tableau) -> list[PauliString]:
     """Destabilizers 0..n-1, then stabilizers 0..n-1, read out of the columns."""
-    every = (1 << t.n) - 1
-    return list(t._paulis(every | every << t._stab))
+    rows = []
+    for half in (0, t._half):
+        xs, zs = ([m for w in range(half, half + t._half) for m in tableau._word_rows(cols[w])]
+                  for cols in (t.X, t.Z))
+        rows += [PauliString(t.n, xs[i], zs[i], 2 * (t.signs >> (64 * half + i) & 1))
+                 for i in range(t.n)]
+    return rows
 
 
 def random_circuit(n: int, depth: int, rng) -> Circuit:
@@ -587,7 +592,7 @@ class TestSweeps:
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_first_sweep_matches_generator_by_generator(self, k, logical):
-        # the plan shares its word transposes between generators; the
+        # the plan reads the stabilizer masks once for all generators; the
         # oracle reads every generator alone, through measure
         model = build_toric(k)
         rng = np.random.default_rng(k)
@@ -602,7 +607,7 @@ class TestSweeps:
         for gid, g in zip(model.generator_ids, model.generators):
             want.append((gid, alone.measure(g)[0]))
             sels.append(alone._anticommuting(g))
-            base.append(alone._base(g, sels[-1]))
+            base.append(alone._base(g, sels[-1], *alone._stabilizer_masks()))
         assert sweep == want
         assert plan_columns(swept._plan) == sels
         assert swept._plan.base.tolist() == base
@@ -805,6 +810,21 @@ class TestBulkMasks:
         calls.update(one=0, bulk=0)
         assert syndrome_sweep(t, model) == first
         assert calls == {"one": 0, "bulk": 0}
+
+    def test_plan_build_and_deterministic_measure_build_no_pauli(self, monkeypatch):
+        # rows are read as masks: neither path constructs a PauliString
+        model = build_toric(3)
+        t = init_toric_ground(model)
+        t.apply_pauli(PauliString.z_on(model.n_qubits, 1))
+        built = []
+        check = PauliString.__post_init__
+        monkeypatch.setattr(PauliString, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        sweep = syndrome_sweep(t, model)
+        assert built == []
+        i = [v for _, v in sweep].index(-1)       # a vertex next to the Z error
+        assert t.measure(model.generators[i]) == (-1, True)
+        assert built == []
 
 
 def fresh_copy(t: Tableau) -> Tableau:
