@@ -20,9 +20,9 @@ regardless of qubit count, and every string is built from them: ``x_on`` and
 ``render``, on stacks of rows given as packed x and z bit matrices: it
 unpacks only their nonzero bytes, and the nonzero entries of x + 2z index
 one table of ``<letter><qubit>`` tokens, one join per row.  ``paulis_text``
-feeds it the masks of 64 Paulis at a time (``int.to_bytes``), and ``str`` is
-that on one row; the tableau feeds it its rows one 64-row word at a time,
-straight from its columns.
+feeds it 64 Paulis at a time, ``str`` one, and the tableau one 64-row word
+of its columns at a time.  ``_pack`` and ``_unpack`` are the one layout of
+masks as packed rows, read as bytes here and as ``<u8`` words by the tableau.
 """
 
 from __future__ import annotations
@@ -86,19 +86,28 @@ def render(chunks, n: int) -> list[str]:
     return out
 
 
-def _packed(masks: list[int], n: int) -> np.ndarray:
-    """The (len(masks), ceil(n/8)) packed rows of n-qubit masks (``render``'s layout)."""
-    size = -(-n // 8)
+def _pack(masks, size: int) -> np.ndarray:
+    """The (len(masks), size) uint8 rows of non-negative masks below 2**(8 size),
+    each little-endian: bit i of a mask is bit i % 8 of byte i // 8."""
     raw = b"".join([m.to_bytes(size, "little") for m in masks])
     return np.frombuffer(raw, np.uint8).reshape(len(masks), size)
+
+
+def _unpack(rows: np.ndarray) -> list[int]:
+    """The masks of the rows of a 2-D array in ``_pack``'s layout: uint8 rows, or
+    their ``view("<u8")`` words; any strides."""
+    raw = rows.astype(rows.dtype.newbyteorder("<"), copy=False).tobytes()
+    size = rows.shape[1] * rows.itemsize
+    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 def paulis_text(paulis) -> list[str]:
     """``str`` of each of a sequence of Paulis on one qubit count, in one
     ``render`` call fed 64 Paulis at a time."""
     n = paulis[0].n if paulis else 1
+    size = -(-n // 8)
     parts = (paulis[start:start + 64] for start in range(0, len(paulis), 64))
-    return render(((_packed([p.x_mask for p in part], n), _packed([p.z_mask for p in part], n),
+    return render(((_pack([p.x_mask for p in part], size), _pack([p.z_mask for p in part], size),
                     [p.phase_exp for p in part]) for part in parts), n)
 
 

@@ -12,13 +12,14 @@ row carries -1, and no i-exponent is stored (CHP's one phase bit per
 row).  The rows that anticommute with a Pauli are one XOR over its
 support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
 are column operations, and a measurement multiplies every row that
-anticommutes with the measured Pauli by the pivot at once.  Rows are read
-out of the columns one 64-row word at a time, each word transposed once in
-bulk: as text for reports (``stabilizer_text``, which hands each word's
-packed rows and signs to ``pauli.render`` and builds no ``PauliString``),
-and as x and z masks of the whole stabilizer half (``_stabilizer_masks``),
-read once per call of ``stabilizer_paulis``, a deterministic ``measure`` or
-a sweep plan build.
+anticommutes with the measured Pauli by the pivot at once.  Python-int
+masks (row sets, columns, the sign plane) become words and back only
+through ``pauli._pack`` and ``pauli._unpack``.  One generator,
+``_stabilizer_words``, reads the stabilizer half out of the columns one
+64-row word of packed x and z rows at a time, each word one bulk transpose:
+``stabilizer_text`` hands each word and its signs to ``pauli.render`` (no
+``PauliString``), and ``_stabilizer_masks`` unpacks them, once per
+``stabilizer_paulis``, deterministic ``measure`` or sweep plan build.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -61,17 +62,17 @@ import numpy as np
 
 from .dense import Circuit, _validate_gate
 from .lattice import LatticeModel, sector_x_strings
-from .pauli import PauliString, _ones, mul_phase_exp, render
+from .pauli import PauliString, _ones, _pack, _unpack, mul_phase_exp, render
 
-# columns (or Paulis) per bulk conversion: bounds the temporaries of
-# ``_write_columns`` and ``Tableau._anticommuting_masks`` (at n = 2048, 32 KB
+# columns (or Paulis) per ``_pack`` or ``_unpack`` call: bounds the temporaries
+# of ``_write_columns`` and ``Tableau._anticommuting_masks`` (at n = 2048, 32 KB
 # of words per chunk, plus 128 KB of gathered columns for weight-4 Paulis)
 _CHUNK = 64
 
 
 def _int(words: np.ndarray) -> int:
     """A (words,) uint64 bit-plane as a Python int (word 0 lowest)."""
-    return int.from_bytes(words.astype("<u8", copy=False).tobytes(), "little")
+    return _unpack(words[None])[0]
 
 
 def _word_packed(col: np.ndarray) -> np.ndarray:
@@ -81,13 +82,6 @@ def _word_packed(col: np.ndarray) -> np.ndarray:
     n = len(col)
     bits = np.unpackbits(col.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
     return np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
-
-
-def _word_rows(col: np.ndarray) -> list[int]:
-    """The 64 rows of one word of a column array, as masks (``_word_packed``)."""
-    raw = _word_packed(col).tobytes()
-    size = len(raw) // 64
-    return [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
 
 
 def _product_sign(x: np.ndarray, z: np.ndarray, a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -140,7 +134,6 @@ class Tableau:
         supports of any weight, and Paulis with an empty support on a side
         are left out of that side's gather.  Only one chunk of masks is held
         at a time, so the columns must not change while the caller iterates."""
-        size = 8 * len(self.X)
         for start in range(0, len(paulis), _CHUNK):
             part = paulis[start:start + _CHUNK]
             acc = np.zeros((len(part), len(self.X)), "<u8")
@@ -153,9 +146,7 @@ class Tableau:
                 gathered = cols[:, [q for _, s in live for q in s]]
                 acc[[i for i, _ in live]] ^= np.bitwise_xor.reduceat(gathered, offsets, axis=1).T
                 del gathered                # not held while the masks are yielded
-            raw = acc.tobytes()
-            for i in range(0, len(raw), size):
-                yield int.from_bytes(raw[i:i + size], "little")
+            yield from _unpack(acc)
 
     def _set_sign(self, pos: int, bit: int):
         self.signs = self.signs & ~(1 << pos) | bit << pos
@@ -168,21 +159,27 @@ class Tableau:
         w, b = divmod(pivot, 64)
         px, pz = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z))
         sup = np.flatnonzero(px | pz)
-        m = np.frombuffer(rows.to_bytes(8 * len(self.X), "little"), "<u8")[:, None]
+        m = _pack([rows], 8 * len(self.X)).view("<u8").T
         x, z, a, c = self.X[:, sup], self.Z[:, sup], -px[sup], -pz[sup]
         flips = _int(_product_sign(x & m, z & m, a, c))
         self.signs ^= flips ^ rows if self.signs >> pivot & 1 else flips
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
-    def _stabilizer_masks(self) -> tuple[list[int], list[int]]:
-        """The x and z masks of stabilizer rows 0..n-1, read out of the columns
-        with one ``_word_rows`` transpose per word of the stabilizer half."""
-        xs, zs = [], []
+    def _stabilizer_words(self):
+        """Yield the packed x and z rows (``_word_packed``) of the stabilizer
+        half one 64-row word at a time, the last word cut at row n."""
         for w in range(self._half, 2 * self._half):
-            xs += _word_rows(self.X[w])
-            zs += _word_rows(self.Z[w])
-        return xs[:self.n], zs[:self.n]
+            count = min(64, self._stab + self.n - 64 * w)
+            yield _word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count]
+
+    def _stabilizer_masks(self) -> tuple[list[int], list[int]]:
+        """The x and z masks of stabilizer rows 0..n-1 (``_stabilizer_words``)."""
+        xs, zs = [], []
+        for x, z in self._stabilizer_words():
+            xs += _unpack(x)
+            zs += _unpack(z)
+        return xs, zs
 
     def stabilizer_paulis(self) -> list[PauliString]:
         signs = self.signs >> self._stab
@@ -191,15 +188,10 @@ class Tableau:
 
     def stabilizer_text(self) -> list[str]:
         """``str`` of every stabilizer row, rendered straight from the columns:
-        one ``pauli.render`` call fed one 64-row word of bits at a time."""
-        def words():
-            for w in range(self._half):
-                count = min(64, self.n - 64 * w)
-                signs = self.signs >> (self._stab + 64 * w)
-                yield (_word_packed(self.X[self._half + w])[:count],
-                       _word_packed(self.Z[self._half + w])[:count],
-                       [2 * (signs >> b & 1) for b in range(count)])
-        return render(words(), self.n)
+        one ``pauli.render`` call fed one word of ``_stabilizer_words`` at a time."""
+        signs = self.signs >> self._stab
+        return render(((x, z, [2 * (signs >> (64 * w + b) & 1) for b in range(len(x))])
+                       for w, (x, z) in enumerate(self._stabilizer_words())), self.n)
 
     # -- gates -----------------------------------------------------------
 
@@ -418,11 +410,9 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
 def _write_columns(out: np.ndarray, cols: list[int]):
     """Write Python-int position masks into the (words, n) column array ``out``,
     ``_CHUNK`` columns at a time (the inverse of ``_int`` per column)."""
-    words = len(out)
     for start in range(0, len(cols), _CHUNK):
         part = cols[start:start + _CHUNK]
-        raw = b"".join(c.to_bytes(8 * words, "little") for c in part)
-        out[:, start:start + len(part)] = np.frombuffer(raw, "<u8").reshape(-1, words).T
+        out[:, start:start + len(part)] = _pack(part, 8 * len(out)).view("<u8").T
 
 
 def _build_plan(t: Tableau, model: LatticeModel) -> _Plan:
@@ -459,7 +449,7 @@ def syndrome_sweep(t: Tableau, model: LatticeModel) -> list[tuple[str, int]]:
     plan = t._plan
     if plan is None or plan.model is not model:
         plan = t._plan = _build_plan(t, model)
-    s = np.frombuffer((t.signs >> t._stab).to_bytes(8 * t._half, "little"), "<u8")
+    s = _pack([t.signs >> t._stab], 8 * t._half).view("<u8")[0]
     acc = np.zeros(len(plan.base), "<u8")
     for w in np.flatnonzero(s):
         acc ^= plan.sel[w] & s[w]

@@ -6,7 +6,10 @@ ground has 162 qubits: its tableau half spans three 64-row words with 34 rows
 in the last, so it pins the Pauli renderer on a partial last word, and its
 ``--describe`` text renders every generator from its masks.  The torus:16
 ground is the benchmark's headline ground report (512 rows, eight words per
-half), and the torus:32 one (2048 rows) builds a sweep plan over 32 words.
+half).  The torus:64 ground (8192 rows, 128 words per half, a 2.8 MB report)
+pins the packed-row codec at its widest rows: the int columns written into
+words, the sweep plan's sign plane and the stabilizer rows read out of them.
+The torus:32 ground is pinned in ``tests/test_golden_tableau.py``.
 """
 
 import hashlib
@@ -25,8 +28,8 @@ EXPECTED = {
         "85cfabf0ed88f591634a2775f71f3a6da14370ce5a891bbd2adfdcdb7e372305",
     "ground --model torus:16 --backend tableau --logical 10":
         "0bb1354c0cac16e189007502168981e9f8c1591e3686355fd6274f4e3688a77c",
-    "ground --model torus:32 --backend tableau":
-        "443b1dd23ab0de141a6e10a51ce916fdd0f5d0f031552dd7605cbfd89dae61a7",
+    "ground --model torus:64 --backend tableau --logical 01":
+        "e25fb1f8b419e7533c05ea7c67b7836f02451c166acf2ffe579a56e1bdf64c03",
 }
 
 

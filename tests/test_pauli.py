@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import from_ops, symbol, to_dense
 
 from anyonlab.lattice import build_planar6, build_toric
-from anyonlab.pauli import PHASE_LABELS, PauliString, _ones, paulis_text
+from anyonlab.pauli import PHASE_LABELS, PauliString, _ones, _pack, _unpack, paulis_text
 
 # independent single-qubit matrices for the oracle (not via to_dense)
 I2 = np.eye(2, dtype=complex)
@@ -261,6 +261,48 @@ class TestRenderOracle:
 
     def test_empty_sequence(self):
         assert paulis_text([]) == []
+
+
+@st.composite
+def packed_masks(draw, sizes=(1, 7, 8, 9, 64, 65, 1024)):
+    """A row size in bytes and masks that fit it, always with 0, the top bit and all ones."""
+    size = draw(st.sampled_from(sizes))
+    top = 8 * size
+    masks = [0, 1 << (top - 1), (1 << top) - 1]
+    masks += draw(st.lists(st.integers(0, (1 << top) - 1), max_size=10))
+    return size, draw(st.permutations(masks))
+
+
+class TestCodec:
+    """``_pack`` and ``_unpack``, the one layout of masks as packed rows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(packed_masks())
+    def test_rows_are_little_endian_bytes_and_round_trip(self, case):
+        size, masks = case
+        rows = _pack(masks, size)
+        assert rows.dtype == np.uint8 and rows.shape == (len(masks), size)
+        assert [row.tobytes() for row in rows] == [m.to_bytes(size, "little") for m in masks]
+        assert _unpack(rows) == masks
+
+    @settings(max_examples=50, deadline=None)
+    @given(packed_masks(sizes=(8, 64, 1024)))
+    def test_word_view_unpacks_like_the_bytes(self, case):
+        size, masks = case
+        rows = _pack(masks, size)
+        assert _unpack(rows.view("<u8")) == _unpack(rows) == masks
+
+    @settings(max_examples=50, deadline=None)
+    @given(packed_masks(sizes=(8, 64, 1024)))
+    def test_strided_words_unpack_like_a_contiguous_copy(self, case):
+        # a sweep plan's (words, masks) layout: column g of ``sel`` is mask g
+        size, masks = case
+        sel = np.ascontiguousarray(_pack(masks, size).view("<u8").T)
+        for g, mask in enumerate(masks):
+            col = sel[:, g][None]
+            assert _unpack(col) == _unpack(col.copy()) == [mask]
+        assert _unpack(sel.T) == masks
+        assert _unpack(sel[:, ::2]) == _unpack(sel[:, ::2].copy())
 
 
 class TestValidation:

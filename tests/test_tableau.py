@@ -19,7 +19,7 @@ from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (LatticeModel, build_planar6, build_toric,
                               ground_state_circuit, planar6_graph_spec, sector_x_strings,
                               toric_ground_state)
-from anyonlab.pauli import PauliString, mul_phase_exp
+from anyonlab.pauli import PauliString, _unpack, mul_phase_exp
 from anyonlab.tableau import Tableau, init_toric_ground, run, syndrome_sweep
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
@@ -30,8 +30,8 @@ def all_rows(t: Tableau) -> list[PauliString]:
     """Destabilizers 0..n-1, then stabilizers 0..n-1, read out of the columns."""
     rows = []
     for half in (0, t._half):
-        xs, zs = ([m for w in range(half, half + t._half) for m in tableau._word_rows(cols[w])]
-                  for cols in (t.X, t.Z))
+        xs, zs = ([m for w in range(half, half + t._half)
+                   for m in _unpack(tableau._word_packed(cols[w]))] for cols in (t.X, t.Z))
         rows += [PauliString(t.n, xs[i], zs[i], 2 * (t.signs >> (64 * half + i) & 1))
                  for i in range(t.n)]
     return rows
@@ -491,6 +491,45 @@ class TestStabilizerText:
         text = t.stabilizer_text()
         assert text == [per_qubit_str(p) for p in t.stabilizer_paulis()]
         assert any(row.startswith("-") for row in text)
+
+
+def stabilizer_bits(t: Tableau) -> tuple[list[int], list[int]]:
+    """The x and z masks of stabilizer rows 0..n-1, read one bit at a time from
+    ``t.X`` and ``t.Z`` at the rows' positions, with no transpose."""
+    masks = ([], [])
+    for i in range(t.n):
+        w, b = divmod(t._stab + i, 64)
+        for cols, out in zip((t.X, t.Z), masks):
+            out.append(sum((int(cols[w, q]) >> b & 1) << q for q in range(t.n)))
+    return masks
+
+
+class TestReadOutOracle:
+    """``_stabilizer_masks`` and ``stabilizer_text`` against ``stabilizer_bits``."""
+
+    @staticmethod
+    def check(t: Tableau):
+        xs, zs = stabilizer_bits(t)
+        assert t._stabilizer_masks() == (xs, zs)
+        signs = t.signs >> t._stab
+        assert t.stabilizer_text() == [per_qubit_str(PauliString(t.n, x, z, 2 * (signs >> i & 1)))
+                                       for i, (x, z) in enumerate(zip(xs, zs))]
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.sampled_from([1, 63, 64, 65, 130]), st.integers(0, 2 ** 32 - 1))
+    def test_random_clifford_circuits(self, n, seed):
+        rng = np.random.default_rng(seed)
+        t = run(random_circuit(n, depth=3 * n, rng=rng), Tableau(n))
+        for _ in range(int(rng.integers(1, 6))):
+            t.apply_pauli(random_pauli(n, rng))     # sets stabilizer signs
+        self.check(t)
+
+    def test_toric_ground(self):
+        # torus:9 has 162 qubits: three words per half, 34 rows in the last
+        model = build_toric(9)
+        t = init_toric_ground(model, (1, 0))
+        t.apply_pauli(PauliString.z_on(model.n_qubits, 1, 100, model.n_qubits))
+        self.check(t)
 
 
 class TestToricGround:
