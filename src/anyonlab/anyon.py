@@ -30,6 +30,7 @@ applies to labeled spectra, so a row gives the bits of
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +75,10 @@ MEASUREMENT = _measurement_circuit(PREPARATION)
 # 1 / (2 (1 + beta^2)) at gamma = 0, which at this cap (5e-9) still clears
 # spec.INTENSITY_THRESHOLD; from about 2.2e4 up the peak is dropped.
 ADMIX_LIMIT = 10 ** 4
+# Smallest damping (about 2.2e-299).  A kept peak's intensity is damping times
+# a weight above spec.INTENSITY_THRESHOLD, so from here up it is a normal
+# double; below it a subnormal intensity loses bits and eta comes back wrong.
+DAMPING_FLOOR = sys.float_info.min / spec.INTENSITY_THRESHOLD
 # Braided rows per stack; the stacks of psi_c, psi_d and psi_e hold 3 KB per row.
 COLUMN_CHUNK = 1024
 
@@ -88,9 +93,10 @@ class ExperimentConfig:
     standing in for relaxation losses.  Weights are normalized so
     alpha^2 + beta^2 + gamma^2 = 1.
 
-    ``admix_beta`` must lie in [0, ADMIX_LIMIT], and ``eta_inject`` in
+    ``admix_beta`` must lie in [0, ADMIX_LIMIT], ``eta_inject`` in
     (-pi/2, pi/2 - atan(admix_beta)), the range in which ``extract_phase``
-    recovers it; any other value is rejected here.
+    recovers it, and ``damping`` in [DAMPING_FLOOR, 1]; any other value is
+    rejected here.
     """
 
     with_braiding: bool = True
@@ -114,8 +120,9 @@ class ExperimentConfig:
                 f"({lo:.6g}, {hi:.6g}) to be recoverable, got {self.eta_inject}")
         if not 0 <= self.gamma_leak < 1:
             raise ValueError(f"gamma_leak must be in [0, 1), got {self.gamma_leak}")
-        if not 0 < self.damping <= 1:     # extract_phase divides by intensities
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
+        if not DAMPING_FLOOR <= self.damping <= 1:     # extract_phase divides by intensities
+            raise ValueError(f"damping must be in [DAMPING_FLOOR = {DAMPING_FLOOR:.4g}, 1], "
+                             f"got {self.damping}")
 
     def weights(self) -> tuple[float, float, float]:
         gamma = self.gamma_leak

@@ -18,6 +18,7 @@ operators, each in scan order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
 from .pauli import DENSE_LIMIT, PauliString
@@ -40,11 +41,12 @@ class LatticeModel:
     geometry: str                      # "torus:k" | "planar6"
     qubit_layout: dict[tuple, int]     # bond id -> qubit (1-based)
 
-    @property
+    # built on first use and kept; not fields, so ==, replace and repr never see them
+    @cached_property
     def generators(self) -> tuple[PauliString, ...]:
         return self.vertex_ops + self.face_ops
 
-    @property
+    @cached_property
     def generator_ids(self) -> tuple[str, ...]:
         return self.vertex_ids + self.face_ids
 

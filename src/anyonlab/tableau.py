@@ -6,20 +6,22 @@ of shape (words, n): word w, bit b of column q-1 holds the x (or z) bit
 on qubit q of the row at position 64*w + b.  Destabilizer i sits at
 position i and stabilizer i at 64*ceil(n/64) + i.  Rows commute
 pairwise except destabilizer i with stabilizer i, so every row and every
-product of two commuting rows is Hermitian: a row's sign is one bit of
-the plane ``signs`` (a Python int over the same positions), set when the
-row carries -1, and no i-exponent is stored (CHP's one phase bit per
-row).  The rows that anticommute with a Pauli are one XOR over its
-support columns, a Pauli error is ``signs ^=`` that mask, H, S and CNOT
-are column operations, and a measurement multiplies every row that
-anticommutes with the measured Pauli by the pivot at once.  Python-int
-masks (row sets, columns, the sign plane) become words and back only
-through ``pauli._pack`` and ``pauli._unpack``.  One generator,
-``_stabilizer_words``, reads the stabilizer half out of the columns one
-64-row word of packed x and z rows at a time, each word one bulk transpose:
-``stabilizer_text`` hands each word and its signs to ``pauli.render`` (no
+product of two commuting rows is Hermitian: a row's sign is one bit, set
+when the row carries -1, and no i-exponent is stored (CHP's one phase
+bit per row).  The signs are one more column, the (words,) plane
+``signs`` in the layout of ``X[:, q]``, and so is every row set.  The
+rows that anticommute with a Pauli are one XOR over its support columns,
+a Pauli error is ``signs ^=`` that plane, H, S and CNOT are column
+operations that XOR their sign terms into ``signs``, and a measurement
+multiplies every row that anticommutes with the measured Pauli by the
+pivot at once.  Python-int masks (Pauli supports, a plan build's
+anticommuting masks, the toric elimination's columns) become words and
+back only through ``pauli._pack`` and ``pauli._unpack``.  One generator,
+``_stabilizer_words``, reads the stabilizer half out one 64-row word at
+a time, as packed x and z rows (one bulk transpose each) and sign bits:
+``stabilizer_text`` hands each word to ``pauli.render`` (no
 ``PauliString``), and ``_stabilizer_masks`` unpacks them, once per
-``stabilizer_paulis``, deterministic ``measure`` or sweep plan build.
+deterministic ``measure`` or sweep plan build.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -29,7 +31,7 @@ so a dense state built on its own (``dense.run``,
 
 A deterministic outcome is a GF(2) function of the stabilizer signs: p
 is the product of the stabilizer rows whose destabilizers anticommute
-with it (its ``_anticommuting`` mask, ``sel``), and its outcome bit is
+with it (its ``_anticommuting`` plane, ``sel``), and its outcome bit is
 the parity of those rows' signs XOR the sign bit that the product's
 mask algebra adds XOR p's own sign (``base``).  ``sel`` and ``base``
 depend on the columns only, so a sweep plan keeps them for every
@@ -64,15 +66,11 @@ from .dense import Circuit, _validate_gate
 from .lattice import LatticeModel, sector_x_strings
 from .pauli import PauliString, _ones, _pack, _unpack, mul_phase_exp, render
 
-# columns (or Paulis) per ``_pack`` or ``_unpack`` call: bounds the temporaries
-# of ``_write_columns`` and ``Tableau._anticommuting_masks`` (at n = 2048, 32 KB
-# of words per chunk, plus 128 KB of gathered columns for weight-4 Paulis)
+# columns (or Paulis) per bulk ``_pack`` or ``_unpack`` call: bounds the
+# temporaries of ``_write_columns`` and ``Tableau._anticommuting_masks`` (at
+# n = 2048, 32 KB of words per chunk, plus 128 KB of gathered columns for
+# weight-4 Paulis)
 _CHUNK = 64
-
-
-def _int(words: np.ndarray) -> int:
-    """A (words,) uint64 bit-plane as a Python int (word 0 lowest)."""
-    return _unpack(words[None])[0]
 
 
 def _word_packed(col: np.ndarray) -> np.ndarray:
@@ -115,19 +113,20 @@ class Tableau:
         bits = np.uint64(1) << (q % 64).astype(np.uint64)
         self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
         self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
-        self.signs = 0                              # bit r: row r carries -1
+        self.signs = np.zeros(2 * self._half, "<u8")    # bit r: row r carries -1
         # the last swept model's plan; dropped wherever columns change
         self._plan: _Plan | None = None
 
     # -- row helpers ---------------------------------------------------
 
-    def _anticommuting(self, p: PauliString) -> int:
-        """Position mask of the rows that anticommute with p."""
-        return _int(np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
-                    ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
+    def _anticommuting(self, p: PauliString) -> np.ndarray:
+        """Plane of the rows that anticommute with p."""
+        return (np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
+                ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
 
     def _anticommuting_masks(self, paulis):
-        """Yield ``_anticommuting`` of every p in ``paulis``, in order, ``_CHUNK`` at a time.
+        """Yield ``_anticommuting`` of every p in ``paulis`` as a Python int, in
+        order, ``_CHUNK`` at a time.
 
         Per chunk, one gather of the X columns on every z support and one of
         the Z columns on every x support; ``bitwise_xor.reduceat`` folds
@@ -148,50 +147,48 @@ class Tableau:
                 del gathered                # not held while the masks are yielded
             yield from _unpack(acc)
 
-    def _set_sign(self, pos: int, bit: int):
-        self.signs = self.signs & ~(1 << pos) | bit << pos
-
-    def _rowmult(self, rows: int, pivot: int):
-        """row r := row r * row ``pivot`` with sign tracking, for every position r in ``rows``.
+    def _rowmult(self, rows: np.ndarray, pivot: int):
+        """row r := row r * row ``pivot`` with sign tracking, for every position r
+        in the plane ``rows``.
 
         Every row in ``rows`` must commute with the pivot, so each product
         is Hermitian and its sign is one bit."""
         w, b = divmod(pivot, 64)
-        px, pz = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z))
+        px, pz, ps = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z, self.signs))
         sup = np.flatnonzero(px | pz)
-        m = _pack([rows], 8 * len(self.X)).view("<u8").T
+        m = rows[:, None]
         x, z, a, c = self.X[:, sup], self.Z[:, sup], -px[sup], -pz[sup]
-        flips = _int(_product_sign(x & m, z & m, a, c))
-        self.signs ^= flips ^ rows if self.signs >> pivot & 1 else flips
+        flips = _product_sign(x & m, z & m, a, c)
+        self.signs ^= flips ^ rows if ps else flips
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
     def _stabilizer_words(self):
-        """Yield the packed x and z rows (``_word_packed``) of the stabilizer
-        half one 64-row word at a time, the last word cut at row n."""
+        """Yield the stabilizer half one 64-row word at a time, the last word cut
+        at row n, as ``pauli.render`` takes it: the packed x and z rows
+        (``_word_packed``) and each row's phase exponent (2 for a -1 sign)."""
         for w in range(self._half, 2 * self._half):
             count = min(64, self._stab + self.n - 64 * w)
-            yield _word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count]
+            signs = np.unpackbits(self.signs[w:w + 1].view(np.uint8), bitorder="little")
+            yield (_word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count],
+                   (2 * signs[:count]).tolist())
 
     def _stabilizer_masks(self) -> tuple[list[int], list[int]]:
         """The x and z masks of stabilizer rows 0..n-1 (``_stabilizer_words``)."""
         xs, zs = [], []
-        for x, z in self._stabilizer_words():
+        for x, z, _ in self._stabilizer_words():
             xs += _unpack(x)
             zs += _unpack(z)
         return xs, zs
 
     def stabilizer_paulis(self) -> list[PauliString]:
-        signs = self.signs >> self._stab
-        return [PauliString(self.n, x, z, 2 * (signs >> i & 1))
-                for i, (x, z) in enumerate(zip(*self._stabilizer_masks()))]
+        return [PauliString(self.n, x, z, e) for xw, zw, es in self._stabilizer_words()
+                for x, z, e in zip(_unpack(xw), _unpack(zw), es)]
 
     def stabilizer_text(self) -> list[str]:
         """``str`` of every stabilizer row, rendered straight from the columns:
         one ``pauli.render`` call fed one word of ``_stabilizer_words`` at a time."""
-        signs = self.signs >> self._stab
-        return render(((x, z, [2 * (signs >> (64 * w + b) & 1) for b in range(len(x))])
-                       for w, (x, z) in enumerate(self._stabilizer_words())), self.n)
+        return render(self._stabilizer_words(), self.n)
 
     # -- gates -----------------------------------------------------------
 
@@ -225,18 +222,18 @@ class Tableau:
 
     def _h(self, q: int):
         x, z = self.X[:, q - 1], self.Z[:, q - 1]
-        self.signs ^= _int(x & z)
+        self.signs ^= x & z
         x[:], z[:] = z, x.copy()
 
     def _s(self, q: int):
         x, z = self.X[:, q - 1], self.Z[:, q - 1]
-        self.signs ^= _int(x & z)
+        self.signs ^= x & z
         z ^= x
 
     def _cnot(self, c: int, t: int):
         xc, zc = self.X[:, c - 1], self.Z[:, c - 1]
         xt, zt = self.X[:, t - 1], self.Z[:, t - 1]
-        self.signs ^= _int(xc & zt & ~(xt ^ zc))
+        self.signs ^= xc & zt & ~(xt ^ zc)
         xt ^= xc
         zc ^= zt
 
@@ -265,10 +262,12 @@ class Tableau:
         if not p.is_hermitian:
             raise ValueError(f"cannot measure non-Hermitian operator {p}")
         rows = self._anticommuting(p)
-        stabs = rows >> self._stab
+        sel = _unpack(rows[None])[0]      # the one-row read: _base walks it
+        stabs = sel >> self._stab
         if not stabs:
-            odd = (self._base(p, rows, *self._stabilizer_masks())
-                   ^ (self.signs >> self._stab & rows).bit_count() & 1)
+            signs = self.signs[self._half:] & rows[:self._half]     # the product's rows
+            odd = (self._base(p, sel, *self._stabilizer_masks())
+                   ^ np.bitwise_count(signs).sum() & 1)
             outcome = -1 if odd else 1
             if force not in (None, outcome):
                 raise ValueError(f"cannot force {force:+d} on {p}: "
@@ -279,26 +278,26 @@ class Tableau:
             raise ValueError(f"the outcome of {p} is random on this tableau: "
                              f"pass force=+1 or -1")
         d = (stabs & -stabs).bit_length() - 1     # first anticommuting stabilizer
-        pivot = self._stab + d
-        # stabilizer d anticommutes with no row but destabilizer d, which is
-        # overwritten below
-        self._rowmult(rows & ~(1 << pivot | 1 << d), pivot)
         w, b = divmod(d, 64)
         bit = np.uint64(1 << b)
-        for cols, mask in ((self.X, p.x_mask), (self.Z, p.z_mask)):
+        # stabilizer d anticommutes with no row but destabilizer d, which is
+        # overwritten below
+        rows[[w, w + self._half]] &= ~bit
+        self._rowmult(rows, self._stab + d)
+        # the sign plane is one more column, with p's sign bit as its mask
+        for cols, mask in ((self.X, p.x_mask), (self.Z, p.z_mask),
+                           (self.signs[:, None], p.phase_exp >> 1 ^ (force == -1))):
             row = cols[w + self._half]
             cols[w] = cols[w] & ~bit | row & bit        # destabilizer d := pivot
             row &= ~bit                                 # pivot := p
             row[_ones(mask)] |= bit
-        self._set_sign(d, self.signs >> pivot & 1)
-        self._set_sign(pivot, p.phase_exp >> 1 ^ (force == -1))
         self._plan = None
         return force, False
 
     def _base(self, p: PauliString, rows: int, xs: list[int], zs: list[int]) -> int:
         """Outcome bit of a Hermitian p in the stabilizer group up to sign when
-        every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` mask,
-        and ``xs``, ``zs`` are the stabilizer masks (``_stabilizer_masks``).
+        every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` plane as
+        an int, and ``xs``, ``zs`` are the stabilizer masks (``_stabilizer_masks``).
         The stabilizers at the indices of ``rows`` multiply to +/-p: the bit is
         the sign their product's mask algebra adds XOR p's own sign bit."""
         if rows >> self._stab:
@@ -316,9 +315,9 @@ class Tableau:
 
 
 class _Plan(NamedTuple):
-    """A tableau's sweep plan for one model: column g of ``sel`` is generator
-    g's ``_anticommuting`` mask (its stabilizer rows) in the word layout of
-    ``X``/``Z``, and ``base[g]`` its ``Tableau._base`` bit."""
+    """A tableau's sweep plan for one model: column g of ``sel`` is the
+    destabilizer half of generator g's ``_anticommuting`` plane (its stabilizer
+    rows), and ``base[g]`` its ``Tableau._base`` bit."""
     model: LatticeModel
     sel: np.ndarray     # (half, generators) uint64
     base: np.ndarray    # (generators,) uint8
@@ -409,7 +408,7 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
 
 def _write_columns(out: np.ndarray, cols: list[int]):
     """Write Python-int position masks into the (words, n) column array ``out``,
-    ``_CHUNK`` columns at a time (the inverse of ``_int`` per column)."""
+    ``_CHUNK`` columns at a time (column j of ``out`` is ``cols[j]``'s plane)."""
     for start in range(0, len(cols), _CHUNK):
         part = cols[start:start + _CHUNK]
         out[:, start:start + len(part)] = _pack(part, 8 * len(out)).view("<u8").T
@@ -449,7 +448,7 @@ def syndrome_sweep(t: Tableau, model: LatticeModel) -> list[tuple[str, int]]:
     plan = t._plan
     if plan is None or plan.model is not model:
         plan = t._plan = _build_plan(t, model)
-    s = _pack([t.signs >> t._stab], 8 * t._half).view("<u8")[0]
+    s = t.signs[t._half:]
     acc = np.zeros(len(plan.base), "<u8")
     for w in np.flatnonzero(s):
         acc ^= plan.sel[w] & s[w]

@@ -138,7 +138,7 @@ class TestConfig:
             ExperimentConfig(admix_beta=-0.1)
         with pytest.raises(ValueError, match="gamma"):
             ExperimentConfig(gamma_leak=1.0)
-        for bad in (1.5, 0.0, -0.1):
+        for bad in (1.5, 0.0, -0.1, 1e-300, 5e-324):
             with pytest.raises(ValueError, match="damping"):
                 ExperimentConfig(damping=bad)
         with pytest.raises(ValueError, match="finite"):
@@ -250,6 +250,23 @@ class TestExtractPhase:
         res2 = extract_phase(*_spectra_for(
             ExperimentConfig(eta_inject=0.06, admix_beta=0.18, damping=0.55)))
         assert abs(res1.eta - res2.eta) < 1e-12
+
+    def test_eta_at_the_damping_floor_matches_damping_one(self):
+        # at DAMPING_FLOOR every kept intensity is still a normal double, so
+        # the intensity ratios, and eta, lose no bits to subnormals
+        sys_ = default_spin_system()
+        worst = 0.0
+        for admix in (0, 0.1, 0.18, 1, 100, 1e4):
+            for eta in (0.06, -0.3, 0.3, -1.2, 1e-3):
+                if not -math.pi / 2 < eta < math.pi / 2 - math.atan(admix):
+                    continue
+                for gamma in (0, 0.05):
+                    got = [run_experiment(ExperimentConfig(eta_inject=eta, admix_beta=admix,
+                                                           gamma_leak=gamma, damping=d),
+                                          sys_, seed=3)["phase"].eta
+                           for d in (anyon.DAMPING_FLOOR, 1.0)]
+                    worst = max(worst, abs(got[0] - got[1]))
+        assert worst <= 1e-15
 
     def test_missing_dominant_peak_is_named(self):
         sys_ = default_spin_system()

@@ -185,6 +185,14 @@ class TestBraidDemo:
         assert "admix_beta" in json.loads(res.stderr)["error"]
         assert not (tmp_path / "demo.json").exists()
 
+    def test_damping_below_the_floor_rejected(self, tmp_path, monkeypatch, capsys):
+        # 1e-320 used to run on subnormal intensities and report a wrong eta
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        argv = ["braid-demo", "--eta", "0.06", "--admix", "0.18", "--damping", "1e-320"]
+        assert cli.main([*argv, "--out", "demo.json"]) == 1
+        assert "damping" in json.loads(capsys.readouterr().err)["error"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_admix_above_cap_rejected(self, tmp_path, monkeypatch, capsys):
         # 1e308 used to overflow in ExperimentConfig.weights(); 3e4 lost peak 'i'
         monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))

@@ -1,6 +1,8 @@
 """Pauli algebra tests against explicit dense-matrix oracles."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import from_ops, symbol, to_dense
 
+import anyonlab
 from anyonlab.lattice import build_planar6, build_toric
 from anyonlab.pauli import PHASE_LABELS, PauliString, _ones, _pack, _unpack, paulis_text
 
@@ -303,6 +306,21 @@ class TestCodec:
             assert _unpack(col) == _unpack(col.copy()) == [mask]
         assert _unpack(sel.T) == masks
         assert _unpack(sel[:, ::2]) == _unpack(sel[:, ::2].copy())
+
+    def test_the_codec_is_the_one_bytes_conversion(self):
+        # every int <-> bytes <-> array step in the package sits in the codec
+        conversions = {"to_bytes", "from_bytes", "frombuffer", "tobytes"}
+        inside, outside = [], []
+        for path in sorted(Path(anyonlab.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                codec = (path.name == "pauli.py" and isinstance(top, ast.FunctionDef)
+                         and top.name in ("_pack", "_unpack"))
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Attribute) and node.attr in conversions:
+                        (inside if codec else outside).append(
+                            f"{path.name}:{node.lineno} {node.attr}")
+        assert outside == []
+        assert len(inside) == 4, inside
 
 
 class TestValidation:

@@ -19,20 +19,26 @@ from anyonlab.dense import run as dense_run
 from anyonlab.lattice import (LatticeModel, build_planar6, build_toric,
                               ground_state_circuit, planar6_graph_spec, sector_x_strings,
                               toric_ground_state)
-from anyonlab.pauli import PauliString, _unpack, mul_phase_exp
+from anyonlab.pauli import PauliString, _pack, _unpack, mul_phase_exp
 from anyonlab.tableau import Tableau, init_toric_ground, run, syndrome_sweep
 
 GATES_1Q = ("h", "s", "sdg", "x", "z")
 GATES_2Q = ("cz", "swap")
 
 
+def plane_int(words: np.ndarray) -> int:
+    """A (words,) uint64 plane in the layout of one column (``t.signs``, an
+    ``_anticommuting`` plane, a plan column) as a Python int, bit r at position r."""
+    return _unpack(words[None])[0]
+
+
 def all_rows(t: Tableau) -> list[PauliString]:
     """Destabilizers 0..n-1, then stabilizers 0..n-1, read out of the columns."""
-    rows = []
+    rows, signs = [], plane_int(t.signs)
     for half in (0, t._half):
         xs, zs = ([m for w in range(half, half + t._half)
                    for m in _unpack(tableau._word_packed(cols[w]))] for cols in (t.X, t.Z))
-        rows += [PauliString(t.n, xs[i], zs[i], 2 * (t.signs >> (64 * half + i) & 1))
+        rows += [PauliString(t.n, xs[i], zs[i], 2 * (signs >> (64 * half + i) & 1))
                  for i in range(t.n)]
     return rows
 
@@ -237,7 +243,7 @@ class TestGateConjugation:
     def test_bare_or_numpy_target_acts_like_a_tuple_of_ints(self, kind, target):
         want = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, (1, 3) if kind == "cz" else (3,))
         got = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, target)
-        assert got.signs == want.signs
+        assert plane_int(got.signs) == plane_int(want.signs)
         assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
 
     @pytest.mark.parametrize("kind, targets, name", [("h", (2.0,), "2.0"), ("h", 2.0, "2.0"),
@@ -248,7 +254,7 @@ class TestGateConjugation:
         with pytest.raises(ValueError, match=rf"^target qubit {re.escape(name)} is not an "
                                              rf"integer$"):
             t.apply_gate(kind, targets)
-        assert t.signs == 0 and np.array_equal(t.X, Tableau(4).X)
+        assert plane_int(t.signs) == 0 and np.array_equal(t.X, Tableau(4).X)
 
     @pytest.mark.parametrize("q", [1, 63, 64, 70, 200])
     @pytest.mark.parametrize("kind", ["x", "z", "sdg"])
@@ -256,8 +262,8 @@ class TestGateConjugation:
         # after h on q the rows on q are X_q and Z_q, so each gate flips one sign
         want, got = (Tableau(200).apply_gate("h", (q,)).apply_gate(kind, (target,))
                      for target in (q, np.int64(q)))
-        assert want.signs.bit_count() == 1
-        assert got.signs == want.signs
+        assert plane_int(want.signs).bit_count() == 1
+        assert plane_int(got.signs) == plane_int(want.signs)
         assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
 
     @settings(max_examples=200, deadline=None)
@@ -273,6 +279,59 @@ class TestGateConjugation:
             p0 = PauliString.x_on(n, q) if r < n else PauliString.z_on(n, q)
             want = u @ to_dense(p0) @ u.conj().T
             assert np.allclose(to_dense(rows[r]), want, atol=1e-12), r
+
+
+def count_codec(monkeypatch) -> list[str]:
+    """Record every ``_pack`` and ``_unpack`` call the tableau makes, by name."""
+    calls = []
+    for name in ("_pack", "_unpack"):
+        real = getattr(tableau, name)
+        monkeypatch.setattr(tableau, name,
+                            lambda *args, name=name, real=real: calls.append(name) or real(*args))
+    return calls
+
+
+class TestCodecFreeHotPath:
+    """Gates, Pauli errors, row products and warm sweeps XOR planes of words:
+    none of them converts a row set or the sign plane through the codec."""
+
+    @pytest.mark.parametrize("kind, targets", [("h", (3,)), ("s", (3,)), ("sdg", (3,)),
+                                               ("x", (3,)), ("z", (70,)), ("cz", (3, 70)),
+                                               ("swap", (3, 70))])
+    def test_gate(self, kind, targets, monkeypatch):
+        t = Tableau(130).apply_gate("h", (3,)).apply_gate("s", (70,))
+        calls = count_codec(monkeypatch)
+        t.apply_gate(kind, targets)
+        assert calls == []
+
+    def test_apply_pauli(self, monkeypatch):
+        t = Tableau(130).apply_gate("h", (64,))
+        calls = count_codec(monkeypatch)
+        t.apply_pauli(from_ops(130, {1: "Y", 64: "X", 130: "Z"}))
+        assert calls == []
+        # Y1 flips destabilizer and stabilizer 0, X64 destabilizer 63 (Z64), Z130
+        # destabilizer 129 (X130)
+        assert plane_int(t.signs).bit_count() == 4
+
+    def test_rowmult(self, monkeypatch):
+        # destabilizer 1 (X2) and 65 (X66) times stabilizer 0 (Z1)
+        t = Tableau(130)
+        rows = np.zeros(len(t.X), "<u8")
+        rows[[0, 1]] = 2
+        calls = count_codec(monkeypatch)
+        t._rowmult(rows, t._stab)
+        assert calls == []
+        assert all_rows(t)[1] == from_ops(130, {1: "Z", 2: "X"})
+
+    def test_warm_sweep(self, monkeypatch):
+        model = build_toric(8)
+        t = init_toric_ground(model)
+        syndrome_sweep(t, model)                    # the plan build packs in bulk
+        calls = count_codec(monkeypatch)
+        t.apply_pauli(PauliString.z_on(model.n_qubits, 1, 50))
+        sweep = syndrome_sweep(t, model)
+        assert calls == []
+        assert sum(v == -1 for _, v in sweep) == 4
 
 
 class TestMeasurement:
@@ -292,7 +351,7 @@ class TestMeasurement:
                     "pass force=+1 or -1")):
                 t.measure(p)
         assert t.stabilizer_paulis() == [PauliString.z_on(2, 1), PauliString.z_on(2, 2)]
-        assert t.signs == 0 and t._plan is None
+        assert plane_int(t.signs) == 0 and t._plan is None
 
     def test_forced_outcome(self):
         t = Tableau(1)
@@ -456,7 +515,8 @@ class TestRowOracle:
             pivot = int(rng.integers(0, 2 * n))
             rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5
                     and before[r].commutes(before[pivot])}
-            t._rowmult(sum(1 << pos[r] for r in rows), pos[pivot])
+            mask = sum(1 << pos[r] for r in rows)
+            t._rowmult(_pack([mask], 8 * len(t.X)).view("<u8")[0], pos[pivot])
             after = all_rows(t)
             for r in range(2 * n):
                 want = before[r]
@@ -511,7 +571,7 @@ class TestReadOutOracle:
     def check(t: Tableau):
         xs, zs = stabilizer_bits(t)
         assert t._stabilizer_masks() == (xs, zs)
-        signs = t.signs >> t._stab
+        signs = plane_int(t.signs) >> t._stab
         assert t.stabilizer_text() == [per_qubit_str(PauliString(t.n, x, z, 2 * (signs >> i & 1)))
                                        for i, (x, z) in enumerate(zip(xs, zs))]
 
@@ -645,7 +705,7 @@ class TestSweeps:
         want, sels, base = [], [], []
         for gid, g in zip(model.generator_ids, model.generators):
             want.append((gid, alone.measure(g)[0]))
-            sels.append(alone._anticommuting(g))
+            sels.append(plane_int(alone._anticommuting(g)))
             base.append(alone._base(g, sels[-1], *alone._stabilizer_masks()))
         assert sweep == want
         assert plan_columns(swept._plan) == sels
@@ -672,7 +732,7 @@ class TestSweeps:
 
 def plan_columns(plan) -> list[int]:
     """The plan's ``sel`` columns as Python-int masks, in generator order."""
-    return [tableau._int(plan.sel[:, g]) for g in range(plan.sel.shape[1])]
+    return [plane_int(plan.sel[:, g]) for g in range(plan.sel.shape[1])]
 
 
 def forced_measure_ground(model, logical_choice=(0, 0)) -> Tableau:
@@ -693,7 +753,7 @@ def assert_same_tableau(fast: Tableau, ref: Tableau, model):
     assert fast.X.dtype == ref.X.dtype and fast.Z.dtype == ref.Z.dtype
     assert np.array_equal(fast.X, ref.X)
     assert np.array_equal(fast.Z, ref.Z)
-    assert fast.signs == ref.signs
+    assert plane_int(fast.signs) == plane_int(ref.signs)
     assert syndrome_sweep(fast, model) == syndrome_sweep(ref, model)
     assert fast._plan.model is ref._plan.model is model
     assert np.array_equal(fast._plan.sel, ref._plan.sel)
@@ -787,7 +847,7 @@ class TestToricGroundOracle:
 
 
 def masks_one_by_one(t: Tableau, paulis) -> list[int]:
-    return [t._anticommuting(p) for p in paulis]
+    return [plane_int(t._anticommuting(p)) for p in paulis]
 
 
 class TestBulkMasks:
@@ -869,7 +929,7 @@ class TestBulkMasks:
 def fresh_copy(t: Tableau) -> Tableau:
     """The same columns and signs, with no sweep plan."""
     copy = Tableau(t.n)
-    copy.X[:], copy.Z[:], copy.signs = t.X, t.Z, t.signs
+    copy.X[:], copy.Z[:], copy.signs[:] = t.X, t.Z, t.signs
     return copy
 
 
