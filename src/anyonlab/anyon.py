@@ -24,13 +24,13 @@ read from the four readout amplitudes of its final state
 (``spectrum.readout_peaks``) by the peak rule of ``synthesize``, and
 ``_ratio`` and ``_phase`` are the same arithmetic ``extract_phase``
 applies to labeled spectra, so a row gives the bits of
-``run_experiment``.
+``run_experiment``.  ``ideal_fidelities()`` runs both ideal pipelines
+itself.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -75,10 +75,6 @@ MEASUREMENT = _measurement_circuit(PREPARATION)
 # 1 / (2 (1 + beta^2)) at gamma = 0, which at this cap (5e-9) still clears
 # spec.INTENSITY_THRESHOLD; from about 2.2e4 up the peak is dropped.
 ADMIX_LIMIT = 10 ** 4
-# Smallest damping (about 2.2e-299).  A kept peak's intensity is damping times
-# a weight above spec.INTENSITY_THRESHOLD, so from here up it is a normal
-# double; below it a subnormal intensity loses bits and eta comes back wrong.
-DAMPING_FLOOR = sys.float_info.min / spec.INTENSITY_THRESHOLD
 # Braided rows per stack; the stacks of psi_c, psi_d and psi_e hold 3 KB per row.
 COLUMN_CHUNK = 1024
 
@@ -95,8 +91,8 @@ class ExperimentConfig:
 
     ``admix_beta`` must lie in [0, ADMIX_LIMIT], ``eta_inject`` in
     (-pi/2, pi/2 - atan(admix_beta)), the range in which ``extract_phase``
-    recovers it, and ``damping`` in [DAMPING_FLOOR, 1]; any other value is
-    rejected here.
+    recovers it, and ``damping`` in [spectrum.DAMPING_FLOOR, 1] (by the peak
+    rule's own ``spectrum.check_damping``); any other value is rejected here.
     """
 
     with_braiding: bool = True
@@ -120,9 +116,7 @@ class ExperimentConfig:
                 f"({lo:.6g}, {hi:.6g}) to be recoverable, got {self.eta_inject}")
         if not 0 <= self.gamma_leak < 1:
             raise ValueError(f"gamma_leak must be in [0, 1), got {self.gamma_leak}")
-        if not DAMPING_FLOOR <= self.damping <= 1:     # extract_phase divides by intensities
-            raise ValueError(f"damping must be in [DAMPING_FLOOR = {DAMPING_FLOOR:.4g}, 1], "
-                             f"got {self.damping}")
+        spec.check_damping(self.damping)
 
     def weights(self) -> tuple[float, float, float]:
         gamma = self.gamma_leak
@@ -405,20 +399,12 @@ def run_column(configs: Sequence[ExperimentConfig], psi_a: StateVector,
         yield _phase(rho, _readout_ratio(braided.final, config.damping, "braided"))
 
 
-def ideal_fidelities(unbraided: StateVector | None = None,
-                     braided: StateVector | None = None) -> dict[str, float]:
-    """Round-trip figures of the noiseless pipelines (for reports).
-
-    ``unbraided`` and ``braided`` are the pipelines' final states from the
-    ideal config, when a caller has already run them; each one not given
-    is run here.
-    """
+def ideal_fidelities() -> dict[str, float]:
+    """Round-trip figures of the noiseless pipelines, run here from the ideal config."""
     cfg = ExperimentConfig()
-    if unbraided is None:
-        unbraided = run_unbraided_pipeline(cfg).final
-    if braided is None:
-        braided = run_braided_pipeline(cfg).final
-    ov_u = overlap(measurement_reduction(planar6_ground_state()), unbraided)
-    ov_b = overlap(measurement_reduction(planar6_excited_state()), braided)
+    ov_u = overlap(measurement_reduction(planar6_ground_state()),
+                   run_unbraided_pipeline(cfg).final)
+    ov_b = overlap(measurement_reduction(planar6_excited_state()),
+                   run_braided_pipeline(cfg).final)
     return {"unbraided_fidelity": abs(ov_u), "braided_fidelity": abs(ov_b),
             "braided_relative_phase": math.atan2(ov_b.imag, ov_b.real)}

@@ -149,10 +149,8 @@ def cmd_braid_demo(args) -> list[Path]:
         }
         out["phase"] = result["phase"].as_dict()
     if config.eta_inject == 0 and config.admix_beta == 0 and config.gamma_leak == 0:
-        # this run is the ideal one (damping and seed change no state), so
-        # its finals are the ideal pipelines' finals
-        out["ideal_fidelities"] = anyon.ideal_fidelities(
-            unb["run"].final, result["braided"]["run"].final if "braided" in result else None)
+        # an ideal run (damping and seed change no state) reports the ideal figures
+        out["ideal_fidelities"] = anyon.ideal_fidelities()
 
     path = report.write_report(args.out, out)
     if "phase" in out:

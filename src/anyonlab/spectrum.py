@@ -21,13 +21,16 @@ readout has no phase); the phase extraction needs it to recover the
 coefficient signs, and refuses a report without it.  ``READOUT`` is the
 one table of peak labels and readout states per pipeline role, and
 ``readout_peaks`` reads a role's labeled peaks straight from a state's
-readout amplitudes, by the same peak rule as ``synthesize``.
+readout amplitudes, by the same peak rule as ``synthesize``.  ``_report``
+builds every spectrum, labeled ones too, and ``check_damping`` is the one
+check of the damping, for the peak rule and for ``anyon.ExperimentConfig``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -37,6 +40,10 @@ from .pauli import DENSE_LIMIT
 from .report import csv_text, read_json
 
 INTENSITY_THRESHOLD = 1e-9
+# Smallest damping (about 2.2e-299).  A kept peak's intensity is damping times
+# a weight above INTENSITY_THRESHOLD, so from here up it is a normal double;
+# below it a subnormal intensity loses bits and eta comes back wrong.
+DAMPING_FLOOR = sys.float_info.min / INTENSITY_THRESHOLD
 LINESHAPE_LIMIT = 10 ** 6    # sampled points; each costs ~70 bytes of arrays and CSV
 # Accepted t2_s in seconds.  The Lorentzian half-width 1/(2 pi t2) then lies
 # within about 1e+-100 Hz, so it, its square and the squared offsets of a
@@ -248,17 +255,25 @@ class SpectrumReport:
         return {"metadata": meta, "peaks": [p.as_dict() for p in self.peaks]}
 
 
-def _report(sys_: SpinSystem, rows, **meta) -> SpectrumReport:
-    """Report of (basis index, intensity, amplitude) rows with the system's metadata
-    and ``meta``: the one place that names a configuration, reads its frequency and
-    sorts a new spectrum (by (frequency, index), which orders like the state string)."""
+def _report(sys_: SpinSystem, rows, labels: dict[int, str], **meta) -> SpectrumReport:
+    """Report of (basis index, intensity, amplitude) rows, named by ``labels`` (index
+    -> label), with the system's metadata and ``meta``: the one place that names a
+    configuration, reads its frequency, labels it and sorts a spectrum (by
+    (frequency, index), which orders like the state string)."""
     freqs, width = sys_.peak_frequencies, sys_.linewidth_hz
     spec = f"0{len(sys_.partners)}b"
     ordered = sorted((freqs[i], i, intensity, amp) for i, intensity, amp in rows)
-    peaks = tuple(Peak(f, intensity, format(i, spec), width, amp)
+    peaks = tuple(Peak(f, intensity, format(i, spec), width, amp, labels.get(i))
                   for f, i, intensity, amp in ordered)
     return SpectrumReport(peaks, {"observed": sys_.observed, "offset_hz": sys_.offset_hz,
                                   "t2_s": sys_.t2_s, "spin_system": sys_, **meta})
+
+
+def check_damping(damping: float) -> None:
+    """Refuse a damping outside [DAMPING_FLOOR, 1], NaN included."""
+    if not DAMPING_FLOOR <= damping <= 1:
+        raise ValueError(f"damping must be in [DAMPING_FLOOR = {DAMPING_FLOOR:.4g}, 1], "
+                         f"got {damping}")
 
 
 def _peak_rows(amps, damping: float) -> list[tuple]:
@@ -266,8 +281,7 @@ def _peak_rows(amps, damping: float) -> list[tuple]:
     amplitude above ``INTENSITY_THRESHOLD``, as (key, damping * |amp|^2,
     sqrt(damping) * amp).  ``synthesize`` keys by basis index, ``readout_peaks``
     by readout state."""
-    if not 0 <= damping <= 1:
-        raise ValueError(f"damping must be in [0, 1], got {damping}")
+    check_damping(damping)
     root = math.sqrt(damping)
     # scalar abs per amplitude: np.abs over the array rounds some weights differently
     return [(key, damping * weight, root * complex(amp)) for key, amp in amps
@@ -286,14 +300,14 @@ def synthesize(sys_: SpinSystem, state: StateVector,
     m = len(sys_.partners)
     if state.n != m:
         raise ValueError(f"state has {state.n} qubits, system has {m} partners")
-    return _report(sys_, _peak_rows(enumerate(state.amps), damping), damping=damping,
+    return _report(sys_, _peak_rows(enumerate(state.amps), damping), {}, damping=damping,
                    reference="unit-population basis peak = 1.0")
 
 
 def synthesize_thermal(sys_: SpinSystem) -> SpectrumReport:
     """Equal-weight spectrum over every partner configuration."""
     count = 2 ** len(sys_.partners)
-    return _report(sys_, ((index, 1.0 / count, None) for index in range(count)),
+    return _report(sys_, ((index, 1.0 / count, None) for index in range(count)), {},
                    thermal=True, reference="total population = 1.0")
 
 
@@ -341,21 +355,17 @@ def assign_peak_labels(report: SpectrumReport, role: str) -> SpectrumReport:
     """Attach the ``READOUT`` peak names of one pipeline role.
 
     Dominant peaks must exist; absent contamination peaks are filled in at
-    zero intensity and zero amplitude, at the frequency the report's spin
-    system gives, so ratio formulas stay total.
+    zero intensity and zero amplitude, so ratio formulas stay total.
     """
     sys_ = report.metadata["spin_system"]
     readout = _readout(role, len(sys_.partners), "spin system has {} partners")
-    label_of = {state: label for label, state in readout.dominant + readout.contamination}
-    peaks = [replace(p, label=label_of[p.state]) if p.state in label_of else p
-             for p in report.peaks]
     present = {p.state for p in report.peaks}
     _check_dominant(role, present)
-    peaks += [Peak(frequency_hz=sys_.peak_frequencies[int(state, 2)], intensity=0.0,
-                   state=state, linewidth_hz=sys_.linewidth_hz, amplitude=0j, label=label)
-              for label, state in readout.contamination if state not in present]
-    peaks.sort(key=lambda p: (p.frequency_hz, p.state))
-    return SpectrumReport(tuple(peaks), {**report.metadata, "role": role})
+    rows = [(int(p.state, 2), p.intensity, p.amplitude) for p in report.peaks]
+    rows += [(int(bits, 2), 0.0, 0j) for _, bits in readout.contamination
+             if bits not in present]
+    labels = {int(bits, 2): label for label, bits in readout.dominant + readout.contamination}
+    return _report(sys_, rows, labels, **{**report.metadata, "role": role})
 
 
 def sample_lineshape(report: SpectrumReport, points: int = 4001

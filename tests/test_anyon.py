@@ -264,7 +264,7 @@ class TestExtractPhase:
                     got = [run_experiment(ExperimentConfig(eta_inject=eta, admix_beta=admix,
                                                            gamma_leak=gamma, damping=d),
                                           sys_, seed=3)["phase"].eta
-                           for d in (anyon.DAMPING_FLOOR, 1.0)]
+                           for d in (spectrum.DAMPING_FLOOR, 1.0)]
                     worst = max(worst, abs(got[0] - got[1]))
         assert worst <= 1e-15
 

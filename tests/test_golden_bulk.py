@@ -9,7 +9,9 @@ ground is the benchmark's headline ground report (512 rows, eight words per
 half).  The torus:64 ground (8192 rows, 128 words per half, a 2.8 MB report)
 pins the packed-row codec at its widest rows: the int columns written into
 words, the sweep plan's sign plane and the stabilizer rows read out of them.
-The torus:32 ground is pinned in ``tests/test_golden_tableau.py``.
+The torus:32 ground is pinned in ``tests/test_golden_tableau.py``.  The
+labeled thermal spectrum (64 peaks, four of them named by ``READOUT``) is the
+one labeled spectrum whose peaks carry no amplitude.
 """
 
 import hashlib
@@ -31,6 +33,10 @@ EXPECTED = {
     "ground --model torus:64 --backend tableau --logical 01":
         "e25fb1f8b419e7533c05ea7c67b7836f02451c166acf2ffe579a56e1bdf64c03",
 }
+LABELED_THERMAL = {
+    ".json": "7387203a1aad1d162e72f799c03c97a651ee5e64e24b1a6c33c0f1d467d3dba6",
+    ".csv": "7eb92eeb11821f95c18fa30eb3abd59e486ebe27f9dcc8c015784635836aa1cc",
+}
 
 
 @pytest.mark.parametrize("argv", sorted(EXPECTED))
@@ -40,3 +46,11 @@ def test_bulk_report(argv, tmp_path, monkeypatch, capsys):
     assert (code, capsys.readouterr().err) == (0, "")
     report = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == EXPECTED[argv]
+
+
+def test_labeled_thermal_spectrum(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+    argv = "spectrum --thermal --t2 0.3 --label braided --out spectrum"
+    assert (cli.main(argv.split()), capsys.readouterr().err) == (0, "")
+    assert {suffix: hashlib.sha256((tmp_path / f"spectrum{suffix}").read_bytes()).hexdigest()
+            for suffix in LABELED_THERMAL} == LABELED_THERMAL

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anyonlab.anyon import (ExperimentConfig, _pair_ratio, _readout_ratio,
+from anyonlab.anyon import (ExperimentConfig, _pair_ratio, _readout_ratio, extract_phase,
                             run_braided_pipeline, run_unbraided_pipeline)
 from anyonlab.dense import StateVector
 from anyonlab.spectrum import (INTENSITY_THRESHOLD, LINESHAPE_LIMIT, MEASURED_J_H1_HZ,
@@ -498,8 +498,23 @@ class TestReadoutPeaks:
             readout_peaks(state, 1.0, "sideways")
         with pytest.raises(ValueError, match="state has 2 qubits"):
             readout_peaks(StateVector.basis("00"), 1.0, "braided")
-        with pytest.raises(ValueError, match="damping must be in"):
-            readout_peaks(state, 1.5, "unbraided")
+        sys_ = default_spin_system()
+        # the dampings a config refuses (TestConfig's, NaN, and 1e-320, where a
+        # kept intensity is subnormal) are refused with the config's message
+        for bad in (1.5, 0.0, -0.1, 1e-300, 5e-324, 1e-320, math.nan):
+            with pytest.raises(ValueError) as refused:
+                ExperimentConfig(damping=bad)
+            message = f"^{re.escape(str(refused.value))}$"
+            with pytest.raises(ValueError, match=message):
+                readout_peaks(state, bad, "unbraided")
+            with pytest.raises(ValueError, match=message):
+                synthesize(sys_, state, bad)
+        # unchecked, the spectra at damping 1e-320 gave eta = 0.0586889 for 0.06
+        cfg = ExperimentConfig(eta_inject=0.06, admix_beta=0.18)
+        with pytest.raises(ValueError, match=r"^damping must be in \[DAMPING_FLOOR = "):
+            extract_phase(*(assign_peak_labels(synthesize(sys_, run(cfg).final, 1e-320), role)
+                            for run, role in ((run_braided_pipeline, "braided"),
+                                              (run_unbraided_pipeline, "unbraided"))))
 
 
 class TestLineshape:
