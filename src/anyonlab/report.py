@@ -16,9 +16,11 @@ and ``[]`` or ``{}`` for an empty container.  ``dumps_report`` writes that
 text in one walk of the object, and a long list of one shape in bulk: a list
 of plain strings is one join, and a list of dicts keyed by one set of
 strings is written from one row template built for that list, each row's
-plain scalar values (str, int, float, bool, None) checked in order and put
-into it.  Rows that do not fit the template take the recursive walk, so
-every error is the one that walk raises for the first bad value.
+scalar values checked in order and put into it.  Rows that do not fit the
+template take the recursive walk, so every error is the one that walk
+raises for the first bad value.  Both match a scalar by its exact type, in
+one table (``_SCALAR_TEXT``): ``str``, ``int``, ``float``, ``numpy.float64``,
+``bool`` and ``None``; a subclass (an ``IntEnum`` member) raises TypeError.
 """
 
 from __future__ import annotations
@@ -48,9 +50,10 @@ def round_sig(x: float) -> float:
 
 
 def dumps_report(obj) -> str:
-    """The report text of ``obj`` (see the module docstring).  NaN and
-    +/-inf raise ValueError; a value that is not a dict, list, tuple, str,
-    int, float, bool or None raises TypeError."""
+    """The report text of ``obj`` (see the module docstring): NaN and +/-inf
+    raise ValueError.  Scalars are matched by exact type in one table,
+    ``_SCALAR_TEXT`` (str, int, float, numpy.float64, bool, None); any other
+    value but a dict, list or tuple raises TypeError."""
     parts: list[str] = []
     _emit(obj, parts, "\n")
     parts.append("\n")
@@ -64,8 +67,8 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-# the text of a plain scalar, by its exact type (so bool is never read as int);
-# numpy's float64 is a float, and spectra carry it
+# the one scalar encoder of the walk and the row template, by exact type (so bool
+# is never read as int); numpy's float64 is a float, and spectra carry it
 _SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text, np.float64: _float_text,
                 bool: {True: "true", False: "false"}.__getitem__,
                 type(None): lambda _: "null"}
@@ -74,18 +77,9 @@ _SCALAR_TEXT = {str: _encode_str, int: int.__repr__, float: _float_text, np.floa
 def _emit(obj, parts: list[str], newline: str) -> None:
     """Append the text of ``obj`` to ``parts``; ``newline`` is the line break
     plus the indent of the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        parts.append(_encode_str(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append(_float_text(obj))
+    encode = _SCALAR_TEXT.get(type(obj))
+    if encode is not None:
+        parts.append(encode(obj))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
@@ -153,7 +147,7 @@ def read_json(path: str, what: str):
             return json.load(fh)
     except OSError as err:
         raise OSError(f"cannot read {what} {path}: {err.strerror}") from None
-    except ValueError as err:     # also a file that is not UTF-8
+    except (ValueError, RecursionError) as err:     # also not UTF-8, or nested too deep
         raise ValueError(f"{what} {path} is not valid JSON: {err}") from None
 
 

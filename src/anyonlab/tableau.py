@@ -16,12 +16,12 @@ operations that XOR their sign terms into ``signs``, and a measurement
 multiplies every row that anticommutes with the measured Pauli by the
 pivot at once.  Python-int masks (Pauli supports, a plan build's
 anticommuting masks, the toric elimination's columns) become words and
-back only through ``pauli._pack`` and ``pauli._unpack``.  One generator,
-``_stabilizer_words``, reads the stabilizer half out one 64-row word at
-a time, as packed x and z rows (one bulk transpose each) and sign bits:
-``stabilizer_text`` hands each word to ``pauli.render`` (no
-``PauliString``), and ``_stabilizer_masks`` unpacks them, once per
-deterministic ``measure`` or sweep plan build.
+back only through ``pauli._pack`` and ``pauli._unpack``.  One reader,
+``_stabilizer_word``, reads a 64-row word of the stabilizer half as packed
+x and z rows (one bulk transpose each) and sign bits: ``stabilizer_text``
+hands every word to ``pauli.render`` (no ``PauliString``), and
+``_stabilizer_masks`` unpacks every word per sweep plan build, but in a
+deterministic ``measure`` only the words that hold a row of its product.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -163,32 +163,35 @@ class Tableau:
         self.X[:, sup] = x ^ m & a
         self.Z[:, sup] = z ^ m & c
 
-    def _stabilizer_words(self):
-        """Yield the stabilizer half one 64-row word at a time, the last word cut
-        at row n, as ``pauli.render`` takes it: the packed x and z rows
-        (``_word_packed``) and each row's phase exponent (2 for a -1 sign)."""
-        for w in range(self._half, 2 * self._half):
-            count = min(64, self._stab + self.n - 64 * w)
-            signs = np.unpackbits(self.signs[w:w + 1].view(np.uint8), bitorder="little")
-            yield (_word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count],
-                   (2 * signs[:count]).tolist())
+    def _stabilizer_word(self, w: int):
+        """Stabilizer rows 64w.. as one word, cut at row n, as ``pauli.render``
+        takes it: the packed x and z rows (``_word_packed``) and each row's
+        phase exponent (2 for a -1 sign)."""
+        count = min(64, self.n - 64 * w)
+        w += self._half
+        signs = np.unpackbits(self.signs[w:w + 1].view(np.uint8), bitorder="little")
+        return (_word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count],
+                (2 * signs[:count]).tolist())
 
-    def _stabilizer_masks(self) -> tuple[list[int], list[int]]:
-        """The x and z masks of stabilizer rows 0..n-1 (``_stabilizer_words``)."""
-        xs, zs = [], []
-        for x, z, _ in self._stabilizer_words():
-            xs += _unpack(x)
-            zs += _unpack(z)
+    def _stabilizer_masks(self, words) -> tuple[list[int], list[int]]:
+        """The x and z masks of stabilizer rows 0..n-1, read from the stabilizer
+        words ``words`` only (``_stabilizer_word``): a row of another word reads 0."""
+        xs, zs = [0] * self.n, [0] * self.n
+        for w in words:
+            x, z, _ = self._stabilizer_word(w)
+            xs[64 * w:64 * w + len(x)] = _unpack(x)
+            zs[64 * w:64 * w + len(z)] = _unpack(z)
         return xs, zs
 
     def stabilizer_paulis(self) -> list[PauliString]:
-        return [PauliString(self.n, x, z, e) for xw, zw, es in self._stabilizer_words()
+        return [PauliString(self.n, x, z, e)
+                for xw, zw, es in map(self._stabilizer_word, range(self._half))
                 for x, z, e in zip(_unpack(xw), _unpack(zw), es)]
 
     def stabilizer_text(self) -> list[str]:
         """``str`` of every stabilizer row, rendered straight from the columns:
-        one ``pauli.render`` call fed one word of ``_stabilizer_words`` at a time."""
-        return render(self._stabilizer_words(), self.n)
+        one ``pauli.render`` call fed one ``_stabilizer_word`` at a time."""
+        return render(map(self._stabilizer_word, range(self._half)), self.n)
 
     # -- gates -----------------------------------------------------------
 
@@ -265,9 +268,9 @@ class Tableau:
         sel = _unpack(rows[None])[0]      # the one-row read: _base walks it
         stabs = sel >> self._stab
         if not stabs:
-            signs = self.signs[self._half:] & rows[:self._half]     # the product's rows
-            odd = (self._base(p, sel, *self._stabilizer_masks())
-                   ^ np.bitwise_count(signs).sum() & 1)
+            product = rows[:self._half]     # the product's stabilizer rows
+            odd = (self._base(p, sel, *self._stabilizer_masks(np.flatnonzero(product)))
+                   ^ np.bitwise_count(self.signs[self._half:] & product).sum() & 1)
             outcome = -1 if odd else 1
             if force not in (None, outcome):
                 raise ValueError(f"cannot force {force:+d} on {p}: "
@@ -297,9 +300,10 @@ class Tableau:
     def _base(self, p: PauliString, rows: int, xs: list[int], zs: list[int]) -> int:
         """Outcome bit of a Hermitian p in the stabilizer group up to sign when
         every stabilizer sign is +1.  ``rows`` is p's ``_anticommuting`` plane as
-        an int, and ``xs``, ``zs`` are the stabilizer masks (``_stabilizer_masks``).
-        The stabilizers at the indices of ``rows`` multiply to +/-p: the bit is
-        the sign their product's mask algebra adds XOR p's own sign bit."""
+        an int, and ``xs``, ``zs`` the stabilizer masks, read at least from its
+        words (``_stabilizer_masks``).  The stabilizers at the indices of ``rows``
+        multiply to +/-p: the bit is the sign their product's mask algebra adds
+        XOR p's own sign bit."""
         if rows >> self._stab:
             raise ValueError("operator is not deterministic on this tableau")
         ax = az = acc = 0     # stabilizer i pairs with anticommuting destabilizer i
@@ -419,7 +423,7 @@ def _build_plan(t: Tableau, model: LatticeModel) -> _Plan:
     is not deterministic.  The anticommuting masks come in bulk
     (``Tableau._anticommuting_masks``), and the stabilizer masks are read
     once for all the generators."""
-    xs, zs = t._stabilizer_masks()
+    xs, zs = t._stabilizer_masks(range(t._half))
     gens = model.generators
     sels, base = [], np.empty(len(gens), np.uint8)
     for i, (gid, g, rows) in enumerate(zip(model.generator_ids, gens,

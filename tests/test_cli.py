@@ -405,6 +405,17 @@ class TestSpectrumCommand:
             "--state state.json is not valid JSON: Expecting value")
         assert not (tmp_path / "sp.json").exists()
 
+    def test_deeply_nested_json_is_a_json_error(self, tmp_path):
+        # 100 000 open brackets: json.load raises RecursionError, which must not
+        # escape as a traceback
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        for args in (["--state", "deep.json"], ["--thermal", "--spin-config", "deep.json"]):
+            res = run_cli(["spectrum", *args, "--out", "sp"], tmp_path)
+            assert res.returncode == 1
+            assert json.loads(res.stderr)["error"].startswith(
+                f"{args[-2]} deep.json is not valid JSON: ")
+            assert not (tmp_path / "sp.json").exists()
+
     def test_j_above_the_cap_rejected(self, tmp_path):
         # three partners at 1.7e308 summed to -inf; 1e300 overflowed the lineshape
         huge = {**TWO_SPINS, "partners": ["a", "b", "c"],

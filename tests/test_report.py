@@ -1,7 +1,8 @@
 """Report serialization: non-finite floats never reach a JSON file, and the
 one-pass writer, with its row template and string join, gives the bytes of
-its definition."""
+its definition, and matches every scalar by its exact type."""
 
+import enum
 import json
 import math
 
@@ -180,3 +181,49 @@ def test_writer_and_definition_refuse_other_types(value):
     for dumps in (dumps_report, oracle):
         with pytest.raises(TypeError, match="not JSON serializable"):
             dumps({"a": [value]})
+
+
+# -- scalars by exact type --------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Label(str):
+    pass
+
+
+class Hertz(float):
+    pass
+
+
+def in_place(value, place):
+    """``value`` bare, in the second row of a list of dicts whose first row
+    builds the row template, or inside a list of strings."""
+    return {"bare": value,
+            "row": [{"a": 1, "b": "x"}, {"a": value, "b": "y"}],
+            "strings": ["x", value, "y"]}[place]
+
+
+PLACES = ["bare", "row", "strings"]
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("value", [Level.ONE, Label("a"), Hertz(1.5)],
+                         ids=["IntEnum", "str-subclass", "float-subclass"])
+def test_scalar_subclass_refused(value, place):
+    # json.dumps would write these as 1, "a" and 1.5; the report has no such scalar
+    with pytest.raises(TypeError, match=f"Object of type {type(value).__name__} "
+                                        "is not JSON serializable"):
+        dumps_report(in_place(value, place))
+
+
+@pytest.mark.parametrize("place", PLACES)
+@pytest.mark.parametrize("value, text", [(np.float64(0.1 + 0.2), "0.3"), (True, "true"),
+                                         (False, "false"), (None, "null")])
+def test_exact_scalars_keep_their_text(value, text, place):
+    obj = in_place(value, place)
+    assert dumps_report(obj) == oracle(obj)
+    if place == "bare":
+        assert dumps_report(obj) == text + "\n"

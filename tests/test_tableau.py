@@ -407,6 +407,21 @@ class TestMeasurement:
             outcome, det = t.measure(av)
             assert det and outcome == 1
 
+    def test_deterministic_measure_reads_only_the_product_words(self, monkeypatch):
+        # on torus:32 (32 stabilizer words) a pivoted vertex's product is its own
+        # stabilizer row: measure unpacks that word's x and z rows, not all 64
+        model = build_toric(32)
+        t = init_toric_ground(model)
+        av = model.vertex_ops[len(model.vertex_ops) // 2]
+        touched = np.count_nonzero(t._anticommuting(av)[:t._half])
+        calls = []
+        packed = tableau._word_packed
+        monkeypatch.setattr(tableau, "_word_packed",
+                            lambda col: calls.append(1) or packed(col))
+        assert t.measure(av) == (1, True)
+        assert 0 < touched < t._half
+        assert len(calls) <= 2 * touched
+
     def test_x_error_flips_adjacent_faces_only(self):
         model = build_toric(3)
         t = init_toric_ground(model)
@@ -570,7 +585,7 @@ class TestReadOutOracle:
     @staticmethod
     def check(t: Tableau):
         xs, zs = stabilizer_bits(t)
-        assert t._stabilizer_masks() == (xs, zs)
+        assert t._stabilizer_masks(range(t._half)) == (xs, zs)
         signs = plane_int(t.signs) >> t._stab
         assert t.stabilizer_text() == [per_qubit_str(PauliString(t.n, x, z, 2 * (signs >> i & 1)))
                                        for i, (x, z) in enumerate(zip(xs, zs))]
@@ -706,7 +721,7 @@ class TestSweeps:
         for gid, g in zip(model.generator_ids, model.generators):
             want.append((gid, alone.measure(g)[0]))
             sels.append(plane_int(alone._anticommuting(g)))
-            base.append(alone._base(g, sels[-1], *alone._stabilizer_masks()))
+            base.append(alone._base(g, sels[-1], *alone._stabilizer_masks(range(alone._half))))
         assert sweep == want
         assert plan_columns(swept._plan) == sels
         assert swept._plan.base.tolist() == base
