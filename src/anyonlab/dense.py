@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DENSE_LIMIT, PauliString
+from .pauli import PauliString
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -43,6 +43,7 @@ TWO_QUBIT_GATES = frozenset({"cz", "swap"})
 _INVERSE = {"x": "x", "z": "z", "h": "h", "s": "sdg", "sdg": "s",
             "cz": "cz", "swap": "swap"}
 
+DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
 DUMP_THRESHOLD = 1e-9
 NORM_TOLERANCE = 1e-10    # |norm - 1| a gate may leave; gates never renormalize
 

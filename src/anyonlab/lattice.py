@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dense import Circuit, Gate, StateVector, apply_pauli, expect_pauli
-from .pauli import DENSE_LIMIT, PauliString
+from .dense import DENSE_LIMIT, Circuit, Gate, StateVector, apply_pauli, expect_pauli
+from .pauli import PauliString
 
 EIGENVALUE_TOL = 1e-9
 # largest toric k: each of the 2k^2 generators holds one non-zero mask, as

@@ -37,8 +37,6 @@ PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PREFIX = {e: label + " " * (e % 2) for e, label in PHASE_LABELS.items()}
 _PHASE_VALUES = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
 
-DENSE_LIMIT = 12     # qubits; larger states and matrices are refused
-
 
 def _ones(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending; one step per set bit."""

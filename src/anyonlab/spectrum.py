@@ -35,8 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dense import StateVector
-from .pauli import DENSE_LIMIT
+from .dense import DENSE_LIMIT, StateVector
 from .report import csv_text, read_json
 
 INTENSITY_THRESHOLD = 1e-9

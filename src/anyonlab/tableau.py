@@ -14,9 +14,9 @@ rows that anticommute with a Pauli are one XOR over its support columns,
 a Pauli error is ``signs ^=`` that plane, H, S and CNOT are column
 operations that XOR their sign terms into ``signs``, and a measurement
 multiplies every row that anticommutes with the measured Pauli by the
-pivot at once.  Python-int masks (Pauli supports, a plan build's
-anticommuting masks, the toric elimination's columns) become words and
-back only through ``pauli._pack`` and ``pauli._unpack``.  One reader,
+pivot at once.  Python-int masks (Pauli supports, the rows that ``_base``
+walks, the toric elimination's columns) become words and back only
+through ``pauli._pack`` and ``pauli._unpack``.  One reader,
 ``_stabilizer_word``, reads a 64-row word of the stabilizer half as packed
 x and z rows (one bulk transpose each) and sign bits: ``stabilizer_text``
 hands every word to ``pauli.render`` (no ``PauliString``), and
@@ -41,11 +41,11 @@ one matrix-vector product over GF(2): an AND-XOR fold over the nonzero
 words of the stabilizer sign plane and one popcount parity per
 generator.  Pauli gates and errors only flip signs, so they keep the
 plan; any other gate or a collapse drops it.  A sweep on a different
-model object, or with no plan, builds one: every generator's
-anticommuting mask in bulk, a chunk of generators per column gather,
-then each generator's ``base`` from its rows.  The ``toric`` command
-uses no tableau: its syndromes come from the error's Pauli frame
-(``lattice.error_syndrome``).
+model object, or with no plan, builds one, a chunk of generators at a time:
+the chunk's anticommuting planes (one column gather) give its ``sel``
+columns (their destabilizer halves) and, through one ``_unpack``, its
+``base`` bits.  The ``toric`` command uses no tableau: its syndromes come
+from the error's Pauli frame (``lattice.error_syndrome``).
 
 The tableau holds no randomness: ``measure`` reads a deterministic
 outcome, and collapses only onto an outcome the caller forces.  The toric
@@ -66,10 +66,10 @@ from .dense import Circuit, _validate_gate
 from .lattice import LatticeModel, sector_x_strings
 from .pauli import PauliString, _ones, _pack, _unpack, mul_phase_exp, render
 
-# columns (or Paulis) per bulk ``_pack`` or ``_unpack`` call: bounds the
-# temporaries of ``_write_columns`` and ``Tableau._anticommuting_masks`` (at
-# n = 2048, 32 KB of words per chunk, plus 128 KB of gathered columns for
-# weight-4 Paulis)
+# columns per ``_write_columns`` pack, and Paulis per chunk of
+# ``Tableau._anticommuting_planes`` (one ``_unpack`` each in a plan build):
+# bounds their temporaries (at n = 2048, 32 KB of words per chunk, plus 128 KB
+# of gathered columns for weight-4 Paulis)
 _CHUNK = 64
 
 
@@ -124,14 +124,14 @@ class Tableau:
         return (np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
                 ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
 
-    def _anticommuting_masks(self, paulis):
-        """Yield ``_anticommuting`` of every p in ``paulis`` as a Python int, in
-        order, ``_CHUNK`` at a time.
+    def _anticommuting_planes(self, paulis):
+        """Yield ``_anticommuting`` of every p in ``paulis``, in order: one
+        (len(chunk), 2 * half) ``<u8`` array of planes per ``_CHUNK`` Paulis.
 
         Per chunk, one gather of the X columns on every z support and one of
         the Z columns on every x support; ``bitwise_xor.reduceat`` folds
         supports of any weight, and Paulis with an empty support on a side
-        are left out of that side's gather.  Only one chunk of masks is held
+        are left out of that side's gather.  Only one chunk of planes is held
         at a time, so the columns must not change while the caller iterates."""
         for start in range(0, len(paulis), _CHUNK):
             part = paulis[start:start + _CHUNK]
@@ -144,8 +144,8 @@ class Tableau:
                 offsets = np.cumsum([0] + [len(s) for _, s in live[:-1]])
                 gathered = cols[:, [q for _, s in live for q in s]]
                 acc[[i for i, _ in live]] ^= np.bitwise_xor.reduceat(gathered, offsets, axis=1).T
-                del gathered                # not held while the masks are yielded
-            yield from _unpack(acc)
+                del gathered                # not held while the planes are yielded
+            yield acc
 
     def _rowmult(self, rows: np.ndarray, pivot: int):
         """row r := row r * row ``pivot`` with sign tracking, for every position r
@@ -420,22 +420,21 @@ def _write_columns(out: np.ndarray, cols: list[int]):
 
 def _build_plan(t: Tableau, model: LatticeModel) -> _Plan:
     """Every generator's stabilizer rows and base bit, naming a generator that
-    is not deterministic.  The anticommuting masks come in bulk
-    (``Tableau._anticommuting_masks``), and the stabilizer masks are read
-    once for all the generators."""
+    is not deterministic.  Each chunk of ``Tableau._anticommuting_planes`` goes
+    straight into its ``sel`` columns (its destabilizer half) and through one
+    ``_unpack`` for ``_base``; the stabilizer masks are read once for all."""
     xs, zs = t._stabilizer_masks(range(t._half))
-    gens = model.generators
-    sels, base = [], np.empty(len(gens), np.uint8)
-    for i, (gid, g, rows) in enumerate(zip(model.generator_ids, gens,
-                                           t._anticommuting_masks(gens))):
-        try:
-            base[i] = t._base(g, rows, xs, zs)
-        except ValueError as err:
-            raise ValueError(f"generator {gid}: {err}") from None
-        sels.append(rows)
-    del xs, zs                  # the row masks are not held while the plan is packed
-    sel = np.empty((t._half, len(gens)), "<u8")
-    _write_columns(sel, sels)
+    gens, ids = model.generators, model.generator_ids
+    sel, base = np.empty((t._half, len(gens)), "<u8"), np.empty(len(gens), np.uint8)
+    start = 0
+    for planes in t._anticommuting_planes(gens):
+        sel[:, start:start + len(planes)] = planes[:, :t._half].T
+        for i, rows in enumerate(_unpack(planes), start):
+            try:
+                base[i] = t._base(gens[i], rows, xs, zs)
+            except ValueError as err:
+                raise ValueError(f"generator {ids[i]}: {err}") from None
+        start += len(planes)
     return _Plan(model, sel, base)
 
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from conftest import to_dense
 
 from anyonlab import anyon, dense
-from anyonlab.dense import (GATE_MATRICES, Circuit, Gate, StateVector, apply_gate,
-                            apply_pauli, dump_amplitudes, expect_pauli, overlap,
-                            run, state_from_dump)
+from anyonlab.dense import (DENSE_LIMIT, GATE_MATRICES, Circuit, Gate, StateVector,
+                            apply_gate, apply_pauli, dump_amplitudes, expect_pauli,
+                            overlap, run, state_from_dump)
 from anyonlab.lattice import (build_planar6, ground_state_circuit,
                               planar6_graph_spec)
-from anyonlab.pauli import DENSE_LIMIT, PauliString
+from anyonlab.pauli import PauliString
 
 SQ2 = 1 / np.sqrt(2)
 

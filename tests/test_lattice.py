@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import from_ops, symbol
 
-from anyonlab.dense import (Circuit, Gate, StateVector, apply_pauli, expect_pauli,
-                            overlap, run)
+from anyonlab.dense import (DENSE_LIMIT, Circuit, Gate, StateVector, apply_pauli,
+                            expect_pauli, overlap, run)
 from anyonlab.lattice import (TORIC_K_LIMIT, GraphSpec, LatticeModel,
                               build_planar6, build_toric, error_syndrome, ground_state_circuit,
                               planar6_graph_spec, syndrome, toric_ground_state)
-from anyonlab.pauli import DENSE_LIMIT, PauliString, paulis_text
+from anyonlab.pauli import PauliString, paulis_text
 from anyonlab.tableau import Tableau, init_toric_ground, syndrome_sweep
 
 

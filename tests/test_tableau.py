@@ -293,7 +293,8 @@ def count_codec(monkeypatch) -> list[str]:
 
 class TestCodecFreeHotPath:
     """Gates, Pauli errors, row products and warm sweeps XOR planes of words:
-    none of them converts a row set or the sign plane through the codec."""
+    none of them converts a row set or the sign plane through the codec, and a
+    plan build only unpacks."""
 
     @pytest.mark.parametrize("kind, targets", [("h", (3,)), ("s", (3,)), ("sdg", (3,)),
                                                ("x", (3,)), ("z", (70,)), ("cz", (3, 70)),
@@ -326,12 +327,21 @@ class TestCodecFreeHotPath:
     def test_warm_sweep(self, monkeypatch):
         model = build_toric(8)
         t = init_toric_ground(model)
-        syndrome_sweep(t, model)                    # the plan build packs in bulk
+        syndrome_sweep(t, model)                    # the plan build unpacks in bulk
         calls = count_codec(monkeypatch)
         t.apply_pauli(PauliString.z_on(model.n_qubits, 1, 50))
         sweep = syndrome_sweep(t, model)
         assert calls == []
         assert sum(v == -1 for _, v in sweep) == 4
+
+    def test_plan_build_packs_nothing(self, monkeypatch):
+        # torus:8 has 128 qubits (two words per half) and 128 generators (two
+        # chunks): two unpacks per stabilizer word, one per chunk of planes
+        model = build_toric(8)
+        t = init_toric_ground(model)
+        calls = count_codec(monkeypatch)
+        syndrome_sweep(t, model)
+        assert calls == ["_unpack"] * 6
 
 
 class TestMeasurement:
@@ -705,26 +715,31 @@ class TestSweeps:
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8])
     @pytest.mark.parametrize("logical", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    def test_first_sweep_matches_generator_by_generator(self, k, logical):
+    def test_first_sweep_matches_generator_by_generator(self, k, logical, monkeypatch):
         # the plan reads the stabilizer masks once for all generators; the
-        # oracle reads every generator alone, through measure
+        # oracle reads every generator alone, through measure.  The 8 to 128
+        # generators are planned at every chunk size: one short chunk, many
+        # chunks, exact multiples, so a slice starts at every generator
         model = build_toric(k)
         rng = np.random.default_rng(k)
         errors = [from_ops(model.n_qubits, {int(q): kind}) for kind in "XZ"
                   for q in rng.integers(1, model.n_qubits + 1, size=2)]
-        swept, alone = (init_toric_ground(model, logical) for _ in range(2))
-        for t in (swept, alone):
-            for err in errors:
-                t.apply_pauli(err)
-        sweep = syndrome_sweep(swept, model)
+        alone = init_toric_ground(model, logical)
+        for err in errors:
+            alone.apply_pauli(err)
         want, sels, base = [], [], []
         for gid, g in zip(model.generator_ids, model.generators):
             want.append((gid, alone.measure(g)[0]))
             sels.append(plane_int(alone._anticommuting(g)))
             base.append(alone._base(g, sels[-1], *alone._stabilizer_masks(range(alone._half))))
-        assert sweep == want
-        assert plan_columns(swept._plan) == sels
-        assert swept._plan.base.tolist() == base
+        for chunk in (1, 4, 64):
+            monkeypatch.setattr(tableau, "_CHUNK", chunk)
+            swept = init_toric_ground(model, logical)
+            for err in errors:
+                swept.apply_pauli(err)
+            assert syndrome_sweep(swept, model) == want
+            assert plan_columns(swept._plan) == sels
+            assert swept._plan.base.tolist() == base
 
     def test_k16_sweep_under_one_second(self):
         model = build_toric(16)
@@ -735,14 +750,32 @@ class TestSweeps:
         assert len(sweep) == 512
         assert elapsed < 1.0, f"sweep took {elapsed:.3f}s"
 
-    def test_sweep_rejects_scrambled_tableau(self):
+    def test_sweep_rejects_scrambled_tableau(self, monkeypatch):
         model = build_toric(2)
         t = init_toric_ground(model)
         # a warm memo must not survive a gate that changes row masks
         assert all(v == 1 for _, v in syndrome_sweep(t, model))
         t.apply_gate("h", 1)
-        with pytest.raises(ValueError, match="not deterministic"):
+        with pytest.raises(ValueError) as err:
             syndrome_sweep(t, model)
+        assert str(err.value) == first_random_refusal(t, model)
+        # on torus:4 at four generators per chunk, H13 makes A(1,2), generator
+        # 6, the first random one: two past the start of the second chunk
+        monkeypatch.setattr(tableau, "_CHUNK", 4)
+        model = build_toric(4)
+        t = init_toric_ground(model).apply_gate("h", 13)
+        with pytest.raises(ValueError) as err:
+            syndrome_sweep(t, model)
+        assert str(err.value) == first_random_refusal(t, model)
+        assert str(err.value).startswith(f"generator {model.generator_ids[6]}: ")
+
+
+def first_random_refusal(t: Tableau, model) -> str:
+    """The refusal of a plan build on ``t``: it names the first generator, in
+    generator order, whose ``_anticommuting`` plane has a stabilizer bit."""
+    gid = next(gid for gid, g in zip(model.generator_ids, model.generators)
+               if plane_int(t._anticommuting(g)) >> t._stab)
+    return f"generator {gid}: operator is not deterministic on this tableau"
 
 
 def plan_columns(plan) -> list[int]:
@@ -861,12 +894,23 @@ class TestToricGroundOracle:
             init_toric_ground(hand)
 
 
-def masks_one_by_one(t: Tableau, paulis) -> list[int]:
-    return [plane_int(t._anticommuting(p)) for p in paulis]
+def planes_one_by_one(t: Tableau, paulis) -> np.ndarray:
+    """``_anticommuting`` of every p alone, stacked as a (len(paulis), 2 * half) array."""
+    return np.array([t._anticommuting(p) for p in paulis])
+
+
+def bulk_planes(t: Tableau, paulis) -> np.ndarray:
+    """The chunks of ``_anticommuting_planes`` stacked, each checked to be a
+    (len(chunk), 2 * half) ``<u8`` array of ``_CHUNK`` Paulis, the last one short."""
+    chunks = list(t._anticommuting_planes(paulis))
+    sizes = [min(tableau._CHUNK, len(paulis) - s) for s in range(0, len(paulis), tableau._CHUNK)]
+    assert [c.shape for c in chunks] == [(m, len(t.X)) for m in sizes]
+    assert all(c.dtype == np.dtype("<u8") for c in chunks)
+    return np.concatenate(chunks)
 
 
 class TestBulkMasks:
-    """``_anticommuting_masks`` against ``_anticommuting``, Pauli by Pauli."""
+    """``_anticommuting_planes`` against ``_anticommuting``, Pauli by Pauli."""
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_toric_after_random_errors(self, k):
@@ -877,8 +921,7 @@ class TestBulkMasks:
             qubits = rng.integers(1, model.n_qubits + 1, size=3)
             t.apply_pauli(from_ops(model.n_qubits, {int(q): kind for q in qubits}))
         gens = model.generators
-        want = masks_one_by_one(t, gens)
-        assert list(t._anticommuting_masks(gens)) == want
+        assert np.array_equal(bulk_planes(t, gens), planes_one_by_one(t, gens))
 
     @pytest.mark.parametrize("k", [2, 3, 8])
     def test_toric_after_an_h_gate(self, k):
@@ -887,8 +930,8 @@ class TestBulkMasks:
         syndrome_sweep(t, model)
         t.apply_gate("h", 2)
         assert t._plan is None
-        assert (list(t._anticommuting_masks(model.generators))
-                == masks_one_by_one(t, model.generators))
+        assert np.array_equal(bulk_planes(t, model.generators),
+                              planes_one_by_one(t, model.generators))
 
     @pytest.mark.parametrize("chunk", [1, 4, 64, 256])
     def test_planar6_and_mixed_paulis(self, chunk, monkeypatch):
@@ -901,13 +944,13 @@ class TestBulkMasks:
         rng = np.random.default_rng(6)
         paulis = [*build_planar6().generators, PauliString.identity(6),
                   *(random_pauli(6, rng) for _ in range(143))]
-        assert list(t._anticommuting_masks(paulis)) == masks_one_by_one(t, paulis)
+        assert np.array_equal(bulk_planes(t, paulis), planes_one_by_one(t, paulis))
 
     def test_first_sweep_is_bulk_and_a_warm_one_computes_no_mask(self, monkeypatch):
         model = build_toric(4)
         t = init_toric_ground(model)
         calls = {"one": 0, "bulk": 0}
-        one, bulk = Tableau._anticommuting, Tableau._anticommuting_masks
+        one, bulk = Tableau._anticommuting, Tableau._anticommuting_planes
 
         def count_one(self, p):
             calls["one"] += 1
@@ -918,7 +961,7 @@ class TestBulkMasks:
             return bulk(self, paulis)
 
         monkeypatch.setattr(Tableau, "_anticommuting", count_one)
-        monkeypatch.setattr(Tableau, "_anticommuting_masks", count_bulk)
+        monkeypatch.setattr(Tableau, "_anticommuting_planes", count_bulk)
         first = syndrome_sweep(t, model)
         assert calls == {"one": 0, "bulk": 1}
         calls.update(one=0, bulk=0)
@@ -959,11 +1002,11 @@ def measured_sweep(t: Tableau, model) -> list[tuple[str, int]]:
     return out
 
 
-def count_bulk_masks(monkeypatch) -> list:
-    """Record every ``_anticommuting_masks`` call (one list entry per call)."""
+def count_bulk_planes(monkeypatch) -> list:
+    """Record every ``_anticommuting_planes`` call (one list entry per call)."""
     calls = []
-    bulk = Tableau._anticommuting_masks
-    monkeypatch.setattr(Tableau, "_anticommuting_masks",
+    bulk = Tableau._anticommuting_planes
+    monkeypatch.setattr(Tableau, "_anticommuting_planes",
                         lambda self, paulis: calls.append(len(paulis)) or bulk(self, paulis))
     return calls
 
@@ -1060,7 +1103,7 @@ class TestSweepPlan:
         t = init_toric_ground(model, (1, 0))
         syndrome_sweep(t, model)
         plan = t._plan
-        calls = count_bulk_masks(monkeypatch)
+        calls = count_bulk_planes(monkeypatch)
         change(t)
         assert t._plan is plan
         assert syndrome_sweep(t, model) == measured_sweep(t, model)
@@ -1072,7 +1115,7 @@ class TestSweepPlan:
         reordered = with_vertex_ops(model, order)
         t = init_toric_ground(model)
         t.apply_pauli(PauliString.z_on(model.n_qubits, 1))
-        calls = count_bulk_masks(monkeypatch)
+        calls = count_bulk_planes(monkeypatch)
         sweep = syndrome_sweep(t, model)
         other = syndrome_sweep(t, reordered)
         g = len(model.generators)
