@@ -193,7 +193,7 @@ def _parse_errors(text: str, model, rng) -> list[tuple[str, tuple]]:
                              f"at token {token!r}")
 
     errors = []
-    bonds = sorted(model.qubit_layout)
+    bonds = sorted(model.qubit_layout) if any(k.startswith("rand") for k, _ in specs) else ()
     for kind, spec in specs:
         if kind in ("x", "z"):
             errors.append((kind, spec))

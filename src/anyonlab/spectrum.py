@@ -174,6 +174,11 @@ def load_spin_system(path: str) -> SpinSystem:
     missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]
     if missing:
         raise ValueError(f"--spin-config {path} is missing {', '.join(missing)}")
+    # the keys of ``SpinSystem.as_dict``: a misspelt key is refused, not read as its default
+    unknown = sorted(raw.keys() - {"observed", "partners", "j_hz", "offset_hz", "t2_s",
+                                   "placeholder"})
+    if unknown:
+        raise ValueError(f"--spin-config {path} has unknown key(s) {unknown}")
     for key, kind in (("observed", str), ("partners", list), ("j_hz", dict),
                       ("placeholder", list)):
         value = raw.get(key, [])

@@ -1,27 +1,29 @@
 """Clifford-only stabilizer tableau for syndrome dynamics at scale.
 
 Destabilizer/stabilizer tableau (Aaronson & Gottesman 2004) stored by
-columns and bit-packed (Gidney 2021).  ``X`` and ``Z`` are uint64 arrays
-of shape (words, n): word w, bit b of column q-1 holds the x (or z) bit
-on qubit q of the row at position 64*w + b.  Destabilizer i sits at
-position i and stabilizer i at 64*ceil(n/64) + i.  Rows commute
-pairwise except destabilizer i with stabilizer i, so every row and every
-product of two commuting rows is Hermitian: a row's sign is one bit, set
-when the row carries -1, and no i-exponent is stored (CHP's one phase
-bit per row).  The signs are one more column, the (words,) plane
-``signs`` in the layout of ``X[:, q]``, and so is every row set.  The
-rows that anticommute with a Pauli are one XOR over its support columns,
-a Pauli error is ``signs ^=`` that plane, H, S and CNOT are column
-operations that XOR their sign terms into ``signs``, and a measurement
-multiplies every row that anticommutes with the measured Pauli by the
-pivot at once.  Python-int masks (Pauli supports, the rows that ``_base``
-walks, the toric elimination's columns) become words and back only
-through ``pauli._pack`` and ``pauli._unpack``.  One reader,
-``_stabilizer_word``, reads a 64-row word of the stabilizer half as packed
-x and z rows (one bulk transpose each) and sign bits: ``stabilizer_text``
-hands every word to ``pauli.render`` (no ``PauliString``), and
-``_stabilizer_masks`` unpacks every word per sweep plan build, but in a
-deterministic ``measure`` only the words that hold a row of its product.
+columns and bit-packed (Gidney 2021).  ``XZ`` is one uint64 bit matrix
+of shape (words, 2n): word w, bit b of column q-1 holds the x bit on
+qubit q of the row at position 64*w + b, and column n+q-1 its z bit.
+Destabilizer i sits at position i and stabilizer i at 64*ceil(n/64) + i.
+Rows commute pairwise except destabilizer i with stabilizer i, so every
+row and every product of two commuting rows is Hermitian: a row's sign is
+one bit, set when the row carries -1, and no i-exponent is stored (CHP's
+one phase bit per row).  The signs are one more column, the (words,)
+plane ``signs`` in the layout of ``XZ[:, q]``, and so is every row set.
+A row anticommutes with p when its bits on p's dual mask, ``p.z_mask |
+p.x_mask << n`` (x on p's z support, z on its x support), have odd
+parity: that plane is one ``XZ`` gather and one XOR, a Pauli error is
+``signs ^=`` that plane, H, S and CNOT are column operations that XOR
+their sign terms into ``signs``, and a measurement multiplies every row
+that anticommutes with the measured Pauli by the pivot at once.
+Python-int masks (Pauli supports, the rows that ``_base`` walks, the
+toric elimination's columns) become words and back only through
+``pauli._pack`` and ``pauli._unpack``.  One reader, ``_stabilizer_word``,
+reads a 64-row word of the stabilizer half as packed x and z rows (one
+bulk transpose each) and sign bits: ``stabilizer_text`` hands every word
+to ``pauli.render`` (no ``PauliString``), and ``_stabilizer_masks``
+unpacks every word per sweep plan build, but in a deterministic
+``measure`` only the words that hold a row of its product.
 
 The tableau does not track global phase: the braiding-phase physics
 lives in the dense engine.  This backend serves large-lattice syndrome
@@ -36,13 +38,13 @@ the parity of those rows' signs XOR the sign bit that the product's
 mask algebra adds XOR p's own sign (``base``).  ``sel`` and ``base``
 depend on the columns only, so a sweep plan keeps them for every
 generator of the model it last swept, packed as a (half, generators)
-uint64 matrix in the word layout of ``X``/``Z``; a warm sweep is then
+uint64 matrix in the word layout of ``XZ``; a warm sweep is then
 one matrix-vector product over GF(2): an AND-XOR fold over the nonzero
 words of the stabilizer sign plane and one popcount parity per
 generator.  Pauli gates and errors only flip signs, so they keep the
 plan; any other gate or a collapse drops it.  A sweep on a different
 model object, or with no plan, builds one, a chunk of generators at a time:
-the chunk's anticommuting planes (one column gather) give its ``sel``
+the chunk's anticommuting planes (one ``XZ`` gather) give its ``sel``
 columns (their destabilizer halves) and, through one ``_unpack``, its
 ``base`` bits.  The ``toric`` command uses no tableau: its syndromes come
 from the error's Pauli frame (``lattice.error_syndrome``).
@@ -69,14 +71,15 @@ from .pauli import PauliString, _ones, _pack, _unpack, mul_phase_exp, render
 # columns per ``_write_columns`` pack, and Paulis per chunk of
 # ``Tableau._anticommuting_planes`` (one ``_unpack`` each in a plan build):
 # bounds their temporaries (at n = 2048, 32 KB of words per chunk, plus 128 KB
-# of gathered columns for weight-4 Paulis)
+# of gathered ``XZ`` columns for dual masks of weight 4)
 _CHUNK = 64
 
 
 def _word_packed(col: np.ndarray) -> np.ndarray:
-    """The 64 rows of one word of a column array (one ``X[w]`` or ``Z[w]``) as a
-    (64, ceil(n/8)) uint8 matrix, each row packed little-endian (qubit q at
-    bit q-1).  One bulk transpose of the word's (n, 64) bit matrix."""
+    """The 64 rows of one word of one half of ``XZ`` (``XZ[w, :n]``, the x
+    bits, or ``XZ[w, n:]``, the z bits) as a (64, ceil(n/8)) uint8 matrix,
+    each row packed little-endian (qubit q at bit q-1).  One bulk transpose
+    of the word's (n, 64) bit matrix."""
     n = len(col)
     bits = np.unpackbits(col.view(np.uint8).reshape(n, 8), axis=1, bitorder="little")
     return np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
@@ -107,12 +110,11 @@ class Tableau:
         self.n = n
         self._half = -(-n // 64)            # words per half
         self._stab = 64 * self._half        # position of stabilizer row 0
-        self.X = np.zeros((2 * self._half, n), dtype="<u8")
-        self.Z = np.zeros_like(self.X)
+        self.XZ = np.zeros((2 * self._half, 2 * n), dtype="<u8")
         q = np.arange(n)
         bits = np.uint64(1) << (q % 64).astype(np.uint64)
-        self.X[q // 64, q] = bits                   # destabilizer i = X_{i+1}
-        self.Z[self._half + q // 64, q] = bits      # stabilizer i = Z_{i+1}
+        self.XZ[q // 64, q] = bits                      # destabilizer i = X_{i+1}
+        self.XZ[self._half + q // 64, n + q] = bits     # stabilizer i = Z_{i+1}
         self.signs = np.zeros(2 * self._half, "<u8")    # bit r: row r carries -1
         # the last swept model's plan; dropped wherever columns change
         self._plan: _Plan | None = None
@@ -120,32 +122,28 @@ class Tableau:
     # -- row helpers ---------------------------------------------------
 
     def _anticommuting(self, p: PauliString) -> np.ndarray:
-        """Plane of the rows that anticommute with p."""
-        return (np.bitwise_xor.reduce(self.X[:, _ones(p.z_mask)], axis=1)
-                ^ np.bitwise_xor.reduce(self.Z[:, _ones(p.x_mask)], axis=1))
+        """Plane of the rows that anticommute with p: each row's parity on the
+        ``XZ`` columns of p's dual mask."""
+        return np.bitwise_xor.reduce(self.XZ[:, _ones(p.z_mask | p.x_mask << self.n)], axis=1)
 
     def _anticommuting_planes(self, paulis):
         """Yield ``_anticommuting`` of every p in ``paulis``, in order: one
         (len(chunk), 2 * half) ``<u8`` array of planes per ``_CHUNK`` Paulis.
 
-        Per chunk, one gather of the X columns on every z support and one of
-        the Z columns on every x support; ``bitwise_xor.reduceat`` folds
-        supports of any weight, and Paulis with an empty support on a side
-        are left out of that side's gather.  Only one chunk of planes is held
-        at a time, so the columns must not change while the caller iterates."""
+        Per chunk, one gather of the ``XZ`` columns on every dual mask, folded
+        by one ``bitwise_xor.reduceat``; the identity, with no columns, is left
+        out of the gather.  Only one chunk of planes is held at a time, so the
+        columns must not change while the caller iterates."""
         for start in range(0, len(paulis), _CHUNK):
             part = paulis[start:start + _CHUNK]
-            acc = np.zeros((len(part), len(self.X)), "<u8")
-            for cols, masks in ((self.X, [p.z_mask for p in part]),
-                                (self.Z, [p.x_mask for p in part])):
-                live = [(i, _ones(m)) for i, m in enumerate(masks) if m]
-                if not live:
-                    continue
-                offsets = np.cumsum([0] + [len(s) for _, s in live[:-1]])
-                gathered = cols[:, [q for _, s in live for q in s]]
-                acc[[i for i, _ in live]] ^= np.bitwise_xor.reduceat(gathered, offsets, axis=1).T
-                del gathered                # not held while the planes are yielded
-            yield acc
+            planes = np.zeros((len(part), len(self.XZ)), "<u8")
+            supports = [_ones(p.z_mask | p.x_mask << self.n) for p in part]
+            live = [i for i, s in enumerate(supports) if s]     # the identity gathers nothing
+            offsets = np.cumsum([0] + [len(supports[i]) for i in live])[:-1]
+            gathered = self.XZ[:, [q for i in live for q in supports[i]]]
+            planes[live] = np.bitwise_xor.reduceat(gathered, offsets, axis=1).T
+            del gathered                    # not held while the planes are yielded
+            yield planes
 
     def _rowmult(self, rows: np.ndarray, pivot: int):
         """row r := row r * row ``pivot`` with sign tracking, for every position r
@@ -154,14 +152,14 @@ class Tableau:
         Every row in ``rows`` must commute with the pivot, so each product
         is Hermitian and its sign is one bit."""
         w, b = divmod(pivot, 64)
-        px, pz, ps = (cols[w] >> np.uint64(b) & 1 for cols in (self.X, self.Z, self.signs))
-        sup = np.flatnonzero(px | pz)
+        pxz, ps = (cols[w] >> np.uint64(b) & 1 for cols in (self.XZ, self.signs))
+        sup = np.flatnonzero(pxz[:self.n] | pxz[self.n:])
+        cols = np.concatenate([sup, self.n + sup])      # the pivot's x, then z columns
         m = rows[:, None]
-        x, z, a, c = self.X[:, sup], self.Z[:, sup], -px[sup], -pz[sup]
-        flips = _product_sign(x & m, z & m, a, c)
+        xz, ac = self.XZ[:, cols], -pxz[cols]
+        flips = _product_sign(*np.split(xz & m, 2, axis=1), *np.split(ac, 2))
         self.signs ^= flips ^ rows if ps else flips
-        self.X[:, sup] = x ^ m & a
-        self.Z[:, sup] = z ^ m & c
+        self.XZ[:, cols] = xz ^ m & ac
 
     def _stabilizer_word(self, w: int):
         """Stabilizer rows 64w.. as one word, cut at row n, as ``pauli.render``
@@ -170,8 +168,8 @@ class Tableau:
         count = min(64, self.n - 64 * w)
         w += self._half
         signs = np.unpackbits(self.signs[w:w + 1].view(np.uint8), bitorder="little")
-        return (_word_packed(self.X[w])[:count], _word_packed(self.Z[w])[:count],
-                (2 * signs[:count]).tolist())
+        x, z = (_word_packed(half)[:count] for half in np.split(self.XZ[w], 2))
+        return x, z, (2 * signs[:count]).tolist()
 
     def _stabilizer_masks(self, words) -> tuple[list[int], list[int]]:
         """The x and z masks of stabilizer rows 0..n-1, read from the stabilizer
@@ -224,18 +222,18 @@ class Tableau:
         return self
 
     def _h(self, q: int):
-        x, z = self.X[:, q - 1], self.Z[:, q - 1]
+        x, z = self.XZ[:, q - 1], self.XZ[:, self.n + q - 1]
         self.signs ^= x & z
         x[:], z[:] = z, x.copy()
 
     def _s(self, q: int):
-        x, z = self.X[:, q - 1], self.Z[:, q - 1]
+        x, z = self.XZ[:, q - 1], self.XZ[:, self.n + q - 1]
         self.signs ^= x & z
         z ^= x
 
     def _cnot(self, c: int, t: int):
-        xc, zc = self.X[:, c - 1], self.Z[:, c - 1]
-        xt, zt = self.X[:, t - 1], self.Z[:, t - 1]
+        xc, zc = self.XZ[:, c - 1], self.XZ[:, self.n + c - 1]
+        xt, zt = self.XZ[:, t - 1], self.XZ[:, self.n + t - 1]
         self.signs ^= xc & zt & ~(xt ^ zc)
         xt ^= xc
         zc ^= zt
@@ -288,7 +286,7 @@ class Tableau:
         rows[[w, w + self._half]] &= ~bit
         self._rowmult(rows, self._stab + d)
         # the sign plane is one more column, with p's sign bit as its mask
-        for cols, mask in ((self.X, p.x_mask), (self.Z, p.z_mask),
+        for cols, mask in ((self.XZ, p.x_mask | p.z_mask << self.n),
                            (self.signs[:, None], p.phase_exp >> 1 ^ (force == -1))):
             row = cols[w + self._half]
             cols[w] = cols[w] & ~bit | row & bit        # destabilizer d := pivot
@@ -393,17 +391,17 @@ def init_toric_ground(model: LatticeModel, logical_choice: tuple[int, int] = (0,
         pivots.append((d, av.x_mask))
     del zrows
     t = Tableau(n)                      # allocated after the loop: one copy of Z at a time
-    _write_columns(t.Z, cols)
+    _write_columns(t.XZ[:, n:], cols)
     del cols
     if pivots:
         ds = np.array([d for d, _ in pivots])
         bits = np.uint64(1) << (ds % 64).astype(np.uint64)
-        t.X[ds // 64, ds] &= ~bits          # destabilizer d := the old pivot, no X part
+        t.XZ[ds // 64, ds] &= ~bits         # destabilizer d := the old pivot, no X part
         supports = [_ones(x) for _, x in pivots]
         weights = [len(s) for s in supports]
         # stabilizer d := av; two pivots of one word may share a qubit, hence .at
-        np.bitwise_or.at(t.X, (np.repeat(t._half + ds // 64, weights),
-                               [q for s in supports for q in s]),
+        np.bitwise_or.at(t.XZ, (np.repeat(t._half + ds // 64, weights),
+                                [q for s in supports for q in s]),
                          np.repeat(bits, weights))
     for xstr in flips:
         t.apply_pauli(xstr)

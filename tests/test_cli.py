@@ -368,7 +368,11 @@ class TestSpectrumCommand:
                             ({**TWO_SPINS, "placeholder": "a"}, "placeholder"),
                             ({**TWO_SPINS, "placeholder": ["typo"]},
                              "placeholder names non-partner(s) ['typo']"),
-                            (thirteen, "1..12 partners, got 13")):
+                            (thirteen, "1..12 partners, got 13"),
+                            # misspelt keys: refused, not read as their defaults
+                            ({"observed": "C2", "partners": ["a", "b"],
+                              "j_hz": {"a": 10, "b": 4}, "t2": 0.3, "ofset_hz": 5},
+                             "--spin-config spins.json has unknown key(s) ['ofset_hz', 't2']")):
             (tmp_path / "spins.json").write_text(json.dumps(config))
             res = run_cli(["spectrum", "--thermal", "--spin-config", "spins.json",
                            "--out", "sp"], tmp_path)

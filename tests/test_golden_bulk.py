@@ -1,10 +1,12 @@
 """Golden reports that pin the bulk writers on long inputs.
 
-The two toric reports hold 512 and 2048 syndrome rows of one shape, so they
-pin the report writer's row template on long uniform lists.  The torus:9
-ground has 162 qubits: its tableau half spans three 64-row words with 34 rows
-in the last, so it pins the Pauli renderer on a partial last word, and its
-``--describe`` text renders every generator from its masks.  The torus:16
+The k = 16 and k = 32 toric reports hold 512 and 2048 syndrome rows of one
+shape, so they pin the report writer's row template on long uniform lists.
+The k = 8 toric spec puts random draws after explicit tokens, so it pins the
+draw order over the sorted bond table.  The torus:9 ground has 162 qubits:
+its tableau half spans three 64-row words with 34 rows in the last, so it
+pins the Pauli renderer on a partial last word, and its ``--describe`` text
+renders every generator from its masks.  The torus:16
 ground is the benchmark's headline ground report (512 rows, eight words per
 half).  The torus:64 ground (8192 rows, 128 words per half, a 2.8 MB report)
 pins the packed-row codec at its widest rows: the int columns written into
@@ -26,6 +28,8 @@ EXPECTED = {
         "76d62ea59abcab19e0bbfea3ff07c3a4813821f20799f5c184a75eca8e6ec29b",
     "toric --k 32 --errors rand:40 --seed 3":
         "280e8ceec7fd3645e1e569fb4340c8f65d097a7bf8c4a4970fc4f914f8b7aa56",
+    "toric --k 8 --errors x:h:0:0,rand-z:3,z:v:1:2,rand:4 --seed 5":
+        "9f729c1eee9df5f281d5fa69c9a108ac5a8571e6d2ff009382b5f515cbc71748",
     "ground --model torus:9 --backend tableau --logical 11 --describe":
         "85cfabf0ed88f591634a2775f71f3a6da14370ce5a891bbd2adfdcdb7e372305",
     "ground --model torus:16 --backend tableau --logical 10":

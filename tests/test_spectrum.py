@@ -262,7 +262,12 @@ class TestSpinSystemConfig:
                                 ({"j_hz": {"a": 1.0, "zz": 5.0}},
                                  r"j_hz names non-partner\(s\) \['zz'\]"),
                                 ({"placeholder": ["typo", "a"]},
-                                 r"placeholder names non-partner\(s\) \['typo'\]")):
+                                 r"placeholder names non-partner\(s\) \['typo'\]"),
+                                # a misspelt key would be read as its default
+                                ({"t2": 0.3, "ofset_hz": 5},
+                                 r"has unknown key\(s\) \['ofset_hz', 't2'\]$"),
+                                ({"offset": 0.0}, r"has unknown key\(s\) \['offset'\]$"),
+                                ({"T2_s": None}, r"has unknown key\(s\) \['T2_s'\]$")):
             path.write_text(json.dumps({**good, **change}))
             with pytest.raises(ValueError, match=message):
                 load_spin_system(str(path))

@@ -37,7 +37,8 @@ def all_rows(t: Tableau) -> list[PauliString]:
     rows, signs = [], plane_int(t.signs)
     for half in (0, t._half):
         xs, zs = ([m for w in range(half, half + t._half)
-                   for m in _unpack(tableau._word_packed(cols[w]))] for cols in (t.X, t.Z))
+                   for m in _unpack(tableau._word_packed(cols[w]))]
+                  for cols in (t.XZ[:, :t.n], t.XZ[:, t.n:]))
         rows += [PauliString(t.n, xs[i], zs[i], 2 * (signs >> (64 * half + i) & 1))
                  for i in range(t.n)]
     return rows
@@ -244,7 +245,7 @@ class TestGateConjugation:
         want = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, (1, 3) if kind == "cz" else (3,))
         got = Tableau(4).apply_gate("h", (1,)).apply_gate(kind, target)
         assert plane_int(got.signs) == plane_int(want.signs)
-        assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
+        assert np.array_equal(got.XZ, want.XZ)
 
     @pytest.mark.parametrize("kind, targets, name", [("h", (2.0,), "2.0"), ("h", 2.0, "2.0"),
                                                      ("x", ("1",), "'1'"),
@@ -254,7 +255,7 @@ class TestGateConjugation:
         with pytest.raises(ValueError, match=rf"^target qubit {re.escape(name)} is not an "
                                              rf"integer$"):
             t.apply_gate(kind, targets)
-        assert plane_int(t.signs) == 0 and np.array_equal(t.X, Tableau(4).X)
+        assert plane_int(t.signs) == 0 and np.array_equal(t.XZ, Tableau(4).XZ)
 
     @pytest.mark.parametrize("q", [1, 63, 64, 70, 200])
     @pytest.mark.parametrize("kind", ["x", "z", "sdg"])
@@ -264,7 +265,7 @@ class TestGateConjugation:
                      for target in (q, np.int64(q)))
         assert plane_int(want.signs).bit_count() == 1
         assert plane_int(got.signs) == plane_int(want.signs)
-        assert np.array_equal(got.X, want.X) and np.array_equal(got.Z, want.Z)
+        assert np.array_equal(got.XZ, want.XZ)
 
     @settings(max_examples=200, deadline=None)
     @given(small_circuits())
@@ -317,7 +318,7 @@ class TestCodecFreeHotPath:
     def test_rowmult(self, monkeypatch):
         # destabilizer 1 (X2) and 65 (X66) times stabilizer 0 (Z1)
         t = Tableau(130)
-        rows = np.zeros(len(t.X), "<u8")
+        rows = np.zeros(len(t.XZ), "<u8")
         rows[[0, 1]] = 2
         calls = count_codec(monkeypatch)
         t._rowmult(rows, t._stab)
@@ -525,6 +526,15 @@ class TestRowOracle:
             assert all(e in (0, 2) for e in ref.phases), ref.phases
         assert all_rows(fast) == [ref.row_pauli(r) for r in range(2 * n)]
         assert fast.stabilizer_paulis() == [ref.row_pauli(n + i) for i in range(n)]
+        # XZ column n - 1 (qubit n's x) sits next to column n (qubit 1's z):
+        # X, Y and Z on qubits 1 and n, X_n Z_1 and the identity against the rows
+        pos = [r if r < n else fast._stab + r - n for r in range(2 * n)]
+        first, last = 1, 1 << n - 1
+        for x, z in ((first, 0), (first, first), (0, first), (last, 0), (last, last),
+                     (0, last), (last, first), (0, 0)):
+            p = PauliString(n, x, z)
+            assert (plane_int(fast._anticommuting(p))
+                    == sum(1 << pos[r] for r in ref._anticommuting_rows(p))), (x, z)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SIZES), st.integers(0, 2 ** 32 - 1))
@@ -541,7 +551,7 @@ class TestRowOracle:
             rows = {r for r in range(2 * n) if r != pivot and rng.random() < 0.5
                     and before[r].commutes(before[pivot])}
             mask = sum(1 << pos[r] for r in rows)
-            t._rowmult(_pack([mask], 8 * len(t.X)).view("<u8")[0], pos[pivot])
+            t._rowmult(_pack([mask], 8 * len(t.XZ)).view("<u8")[0], pos[pivot])
             after = all_rows(t)
             for r in range(2 * n):
                 want = before[r]
@@ -580,11 +590,11 @@ class TestStabilizerText:
 
 def stabilizer_bits(t: Tableau) -> tuple[list[int], list[int]]:
     """The x and z masks of stabilizer rows 0..n-1, read one bit at a time from
-    ``t.X`` and ``t.Z`` at the rows' positions, with no transpose."""
+    the x and z halves of ``t.XZ`` at the rows' positions, with no transpose."""
     masks = ([], [])
     for i in range(t.n):
         w, b = divmod(t._stab + i, 64)
-        for cols, out in zip((t.X, t.Z), masks):
+        for cols, out in zip((t.XZ[:, :t.n], t.XZ[:, t.n:]), masks):
             out.append(sum((int(cols[w, q]) >> b & 1) << q for q in range(t.n)))
     return masks
 
@@ -798,9 +808,8 @@ def forced_measure_ground(model, logical_choice=(0, 0)) -> Tableau:
 
 def assert_same_tableau(fast: Tableau, ref: Tableau, model):
     """Same columns and signs; after one sweep on each, the same sweep and plan."""
-    assert fast.X.dtype == ref.X.dtype and fast.Z.dtype == ref.Z.dtype
-    assert np.array_equal(fast.X, ref.X)
-    assert np.array_equal(fast.Z, ref.Z)
+    assert fast.XZ.dtype == ref.XZ.dtype
+    assert np.array_equal(fast.XZ, ref.XZ)
     assert plane_int(fast.signs) == plane_int(ref.signs)
     assert syndrome_sweep(fast, model) == syndrome_sweep(ref, model)
     assert fast._plan.model is ref._plan.model is model
@@ -904,7 +913,7 @@ def bulk_planes(t: Tableau, paulis) -> np.ndarray:
     (len(chunk), 2 * half) ``<u8`` array of ``_CHUNK`` Paulis, the last one short."""
     chunks = list(t._anticommuting_planes(paulis))
     sizes = [min(tableau._CHUNK, len(paulis) - s) for s in range(0, len(paulis), tableau._CHUNK)]
-    assert [c.shape for c in chunks] == [(m, len(t.X)) for m in sizes]
+    assert [c.shape for c in chunks] == [(m, len(t.XZ)) for m in sizes]
     assert all(c.dtype == np.dtype("<u8") for c in chunks)
     return np.concatenate(chunks)
 
@@ -987,7 +996,7 @@ class TestBulkMasks:
 def fresh_copy(t: Tableau) -> Tableau:
     """The same columns and signs, with no sweep plan."""
     copy = Tableau(t.n)
-    copy.X[:], copy.Z[:], copy.signs[:] = t.X, t.Z, t.signs
+    copy.XZ[:], copy.signs[:] = t.XZ, t.signs
     return copy
 
 
