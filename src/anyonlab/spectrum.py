@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -174,9 +174,8 @@ def load_spin_system(path: str) -> SpinSystem:
     missing = [key for key in ("observed", "partners", "j_hz") if key not in raw]
     if missing:
         raise ValueError(f"--spin-config {path} is missing {', '.join(missing)}")
-    # the keys of ``SpinSystem.as_dict``: a misspelt key is refused, not read as its default
-    unknown = sorted(raw.keys() - {"observed", "partners", "j_hz", "offset_hz", "t2_s",
-                                   "placeholder"})
+    # the fields, the keys ``as_dict`` writes: a misspelt key is refused, not read as its default
+    unknown = sorted(raw.keys() - {f.name for f in fields(SpinSystem)})
     if unknown:
         raise ValueError(f"--spin-config {path} has unknown key(s) {unknown}")
     for key, kind in (("observed", str), ("partners", list), ("j_hz", dict),
